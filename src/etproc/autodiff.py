@@ -3,6 +3,10 @@
 A Tape records primitive applications; backward() replays the tape in
 reverse to accumulate vector-Jacobian products. Tapes are meant to be
 re-created per training step (dynamic tape). Single-threaded per tape.
+
+A model's trainables enter the tape as one flat vector
+(``Tape.flat_leaves``): its named spans are leaves that share one flat
+gradient, so an optimizer step needs no gathering of per-array gradients.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ class Tape:
     def __init__(self):
         self._records = []  # (out_id, [(parent_id, vjp_fn), ...])
         self._leaf_shapes = {}  # node_id -> shape
+        self._flat_sizes = []  # size of each flat parameter vector
+        self._views = {}  # node_id -> (flat vector index, start, stop, shape)
         self._next_id = 0
 
     def _new_id(self):
@@ -33,6 +39,26 @@ class Tape:
         nid = self._new_id()
         self._leaf_shapes[nid] = arr.shape
         return Tensor(arr, tape=self, node_id=nid)
+
+    def flat_leaves(self, vector, spans) -> dict:
+        """Leaves for named spans of one flat parameter vector.
+
+        ``spans`` maps a name to (start, stop, shape). Each leaf is a view
+        into one copy of ``vector``; backward accumulates the gradients of
+        all of them in place into one flat gradient of the vector's size, so
+        a span's gradient is the matching view of that flat gradient.
+        """
+        data = np.array(vector, dtype=np.float64)
+        if data.ndim != 1:
+            raise ShapeMismatchError(f"flat_leaves: expected 1-D, got {data.shape}")
+        index = len(self._flat_sizes)
+        self._flat_sizes.append(data.size)
+        leaves = {}
+        for name, (start, stop, shape) in spans.items():
+            nid = self._new_id()
+            self._views[nid] = (index, start, stop, shape)
+            leaves[name] = Tensor(data[start:stop].reshape(shape), tape=self, node_id=nid)
+        return leaves
 
     def _record(self, data, parents) -> "Tensor":
         nid = self._new_id()
@@ -89,8 +115,15 @@ def _tape_of(*tensors):
     return tape
 
 
-def _emit(data, parent_tensors, vjps):
-    """Record an op result; skip recording when nothing is tracked."""
+def emit(data, parent_tensors, vjps):
+    """Record an op result with one VJP per operand; untracked when no
+    operand is on a tape.
+
+    A VJP maps the output's adjoint to the operand's contribution. A fused
+    op may return a tuple of terms instead: backward adds them one by one,
+    in order, as the separate records of the unfused graph would have, which
+    keeps that graph's rounding.
+    """
     tape = _tape_of(*parent_tensors)
     if tape is None:
         return Tensor(data)
@@ -111,14 +144,14 @@ def matmul(a, b) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeMismatchError(f"matmul: {a.shape} @ {b.shape}")
     out = a.data @ b.data
-    return _emit(out, (a, b), (lambda g, b=b: g @ b.data.T, lambda g, a=a: a.data.T @ g))
+    return emit(out, (a, b), (lambda g, b=b: g @ b.data.T, lambda g, a=a: a.data.T @ g))
 
 
 def transpose(a) -> Tensor:
     a = as_tensor(a)
     if a.data.ndim != 2:
         raise ShapeMismatchError(f"transpose: expected 2-D, got {a.shape}")
-    return _emit(a.data.T.copy(), (a,), (lambda g: g.T,))
+    return emit(a.data.T.copy(), (a,), (lambda g: g.T,))
 
 
 def _binary_shapes_ok(a, b):
@@ -137,7 +170,7 @@ def add(a, b) -> Tensor:
         raise ShapeMismatchError(f"add: {a.shape} + {b.shape}")
     out = a.data + b.data
     vjp_b = (lambda g: g) if mode == "same" else (lambda g: g.sum(axis=0))
-    return _emit(out, (a, b), (lambda g: g, vjp_b))
+    return emit(out, (a, b), (lambda g: g, vjp_b))
 
 
 def sub(a, b) -> Tensor:
@@ -147,7 +180,7 @@ def sub(a, b) -> Tensor:
         raise ShapeMismatchError(f"sub: {a.shape} - {b.shape}")
     out = a.data - b.data
     vjp_b = (lambda g: -g) if mode == "same" else (lambda g: -g.sum(axis=0))
-    return _emit(out, (a, b), (lambda g: g, vjp_b))
+    return emit(out, (a, b), (lambda g: g, vjp_b))
 
 
 def mul(a, b) -> Tensor:
@@ -155,51 +188,51 @@ def mul(a, b) -> Tensor:
     if a.shape != b.shape:
         raise ShapeMismatchError(f"elementwise-mul: {a.shape} * {b.shape}")
     out = a.data * b.data
-    return _emit(out, (a, b), (lambda g, b=b: g * b.data, lambda g, a=a: g * a.data))
+    return emit(out, (a, b), (lambda g, b=b: g * b.data, lambda g, a=a: g * a.data))
 
 
 def scale(c: float, a) -> Tensor:
     a = as_tensor(a)
     c = float(c)
-    return _emit(c * a.data, (a,), (lambda g: c * g,))
+    return emit(c * a.data, (a,), (lambda g: c * g,))
 
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
     mask = a.data > 0.0
-    return _emit(np.where(mask, a.data, 0.0), (a,), (lambda g: g * mask,))
+    return emit(np.where(mask, a.data, 0.0), (a,), (lambda g: g * mask,))
 
 
 def tanh(a) -> Tensor:
     a = as_tensor(a)
     out = np.tanh(a.data)
-    return _emit(out, (a,), (lambda g: g * (1.0 - out * out),))
+    return emit(out, (a,), (lambda g: g * (1.0 - out * out),))
 
 
 def exp(a) -> Tensor:
     a = as_tensor(a)
     out = np.exp(a.data)
-    return _emit(out, (a,), (lambda g: g * out,))
+    return emit(out, (a,), (lambda g: g * out,))
 
 
 def log(a) -> Tensor:
     a = as_tensor(a)
     if np.any(a.data <= 0.0):
         raise ValueError("log: non-positive input")
-    return _emit(np.log(a.data), (a,), (lambda g: g / a.data,))
+    return emit(np.log(a.data), (a,), (lambda g: g / a.data,))
 
 
 def reciprocal(a) -> Tensor:
     a = as_tensor(a)
     out = 1.0 / a.data
-    return _emit(out, (a,), (lambda g: -g * out * out,))
+    return emit(out, (a,), (lambda g: -g * out * out,))
 
 
 def clip_upper(a, hi: float) -> Tensor:
     """min(a, hi) elementwise; gradient blocked where clipped."""
     a = as_tensor(a)
     mask = a.data < hi
-    return _emit(np.where(mask, a.data, hi), (a,), (lambda g: g * mask,))
+    return emit(np.where(mask, a.data, hi), (a,), (lambda g: g * mask,))
 
 
 def softmax_rows(a) -> Tensor:
@@ -214,18 +247,18 @@ def softmax_rows(a) -> Tensor:
         dot = (g * out).sum(axis=1, keepdims=True)
         return out * (g - dot)
 
-    return _emit(out, (a,), (vjp,))
+    return emit(out, (a,), (vjp,))
 
 
 def tsum(a) -> Tensor:
     a = as_tensor(a)
-    return _emit(np.array(a.data.sum()), (a,), (lambda g: np.full(a.shape, float(g)),))
+    return emit(np.array(a.data.sum()), (a,), (lambda g: np.full(a.shape, float(g)),))
 
 
 def tmean(a) -> Tensor:
     a = as_tensor(a)
     n = a.data.size
-    return _emit(np.array(a.data.mean()), (a,), (lambda g: np.full(a.shape, float(g) / n),))
+    return emit(np.array(a.data.mean()), (a,), (lambda g: np.full(a.shape, float(g) / n),))
 
 
 def concat(tensors, axis=0) -> Tensor:
@@ -240,21 +273,63 @@ def concat(tensors, axis=0) -> Tensor:
             vjps.append(lambda g, lo=lo, hi=hi: g[lo:hi])
         else:
             vjps.append(lambda g, lo=lo, hi=hi: g[..., lo:hi])
-    return _emit(out, tuple(tensors), tuple(vjps))
+    return emit(out, tuple(tensors), tuple(vjps))
+
+
+def sum_rows(a) -> Tensor:
+    """Row sums of an (N, K) tensor, as an (N, 1) column."""
+    a = as_tensor(a)
+    if a.data.ndim != 2:
+        raise ShapeMismatchError(f"sum-rows: expected 2-D, got {a.shape}")
+    k = a.shape[1]
+    return emit(a.data.sum(axis=1, keepdims=True), (a,), (lambda g: np.repeat(g, k, axis=1),))
+
+
+def take_labels(a, labels) -> Tensor:
+    """Entry (i, labels[i]) of each row of an (N, K) tensor, as an (N, 1) column."""
+    a = as_tensor(a)
+    labels = np.asarray(labels)
+    if a.data.ndim != 2 or labels.shape != (a.shape[0],):
+        raise ShapeMismatchError(f"take-labels: {a.shape} with labels {labels.shape}")
+    if len(labels) and (labels.min() < 0 or labels.max() >= a.shape[1]):
+        raise IndexError("label out of range")
+    rows = np.arange(len(labels))
+
+    def vjp(g):
+        out = np.zeros(a.shape)
+        out[rows, labels] = g[:, 0]
+        return out
+
+    return emit(a.data[rows, labels][:, None], (a,), (vjp,))
+
+
+def unstack(a) -> tuple:
+    """The slices a[0], a[1], ... of a stacked tensor, one record each."""
+    a = as_tensor(a)
+
+    def part(i):
+        def vjp(g):
+            out = np.zeros(a.shape)
+            out[i] = g
+            return out
+
+        return emit(a.data[i], (a,), (vjp,))
+
+    return tuple(part(i) for i in range(a.shape[0]))
 
 
 def lgamma(a) -> Tensor:
     a = as_tensor(a)
     if np.any(a.data <= 0.0):
         raise ValueError("lgamma: input must be positive")
-    return _emit(special.gammaln(a.data), (a,), (lambda g: g * special.psi(a.data),))
+    return emit(special.gammaln(a.data), (a,), (lambda g: g * special.psi(a.data),))
 
 
 def digamma(a) -> Tensor:
     a = as_tensor(a)
     if np.any(a.data <= 0.0):
         raise ValueError("digamma: input must be positive")
-    return _emit(special.psi(a.data), (a,), (lambda g: g * special.polygamma(1, a.data),))
+    return emit(special.psi(a.data), (a,), (lambda g: g * special.polygamma(1, a.data),))
 
 
 _PRIMITIVES = {
@@ -289,24 +364,32 @@ def backward(loss: Tensor) -> dict:
     """Gradients of a scalar loss w.r.t. every node on its tape.
 
     Returns a map node-id -> gradient array. Leaves that did not
-    influence the loss get zeros.
+    influence the loss get zeros. The gradients of the leaves of a flat
+    parameter vector are views into one flat gradient.
     """
     if loss.tape is None or loss.node_id is None:
         raise ValueError("backward: loss is not on a tape")
     if loss.data.size != 1:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")
     tape = loss.tape
+    views = tape._views
     adjoints = {loss.node_id: np.ones_like(loss.data)}
+    flat = [np.zeros(n) for n in tape._flat_sizes]
+    for nid, (index, start, stop, shape) in views.items():
+        adjoints[nid] = flat[index][start:stop].reshape(shape)
     for out_id, parents in reversed(tape._records):
         g = adjoints.get(out_id)
         if g is None:
             continue
         for pid, vjp in parents:
             contrib = vjp(g)
-            if pid in adjoints:
-                adjoints[pid] = adjoints[pid] + contrib
-            else:
-                adjoints[pid] = np.asarray(contrib, dtype=np.float64)
+            for term in contrib if isinstance(contrib, tuple) else (contrib,):
+                if pid in views:
+                    adjoints[pid] += term
+                elif pid in adjoints:
+                    adjoints[pid] = adjoints[pid] + term
+                else:
+                    adjoints[pid] = np.asarray(term, dtype=np.float64)
     for nid, shape in tape._leaf_shapes.items():
         if nid not in adjoints:
             adjoints[nid] = np.zeros(shape)

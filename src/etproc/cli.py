@@ -163,7 +163,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
+    except (DataError, models.CheckpointError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except models.TrainingDiverged as exc:

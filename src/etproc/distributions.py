@@ -82,20 +82,33 @@ def dirichlet_kl(alpha_q, alpha_p) -> float:
 
 
 def dirichlet_kl_rows(alpha_q: Tensor, alpha_p) -> Tensor:
-    """Row-wise KL(Dir(q_row) || Dir(p)) for an (N, K) tensor; returns (N, 1)."""
+    """Row-wise KL(Dir(q_row) || Dir(p)) for an (N, K) tensor; returns (N, 1).
+
+    One tape record. Its VJP forms the same products, and adds the four
+    terms of the alpha_q gradient in the same order, as the log-gamma graph
+    of elementary ops it replaces, so the gradient rounds as that graph did.
+    """
     alpha_q = as_tensor(alpha_q)
-    n, k = alpha_q.shape
+    a = _check_alpha(alpha_q.data)
     p = _check_alpha(alpha_p)
-    ones = np.ones((k, 1))
-    a0 = ad.matmul(alpha_q, ones)                      # (N,1)
-    lg_a0 = ad.lgamma(a0)
-    sum_lg_a = ad.matmul(ad.lgamma(alpha_q), ones)     # (N,1)
-    psi_a = ad.digamma(alpha_q)                        # (N,K)
-    psi_a0_full = ad.matmul(ad.digamma(a0), np.ones((1, k)))  # (N,K)
-    cross = ad.matmul(ad.mul(ad.sub(alpha_q, p), ad.sub(psi_a, psi_a0_full)), ones)
+    k = a.shape[1]
+    a0 = a.sum(axis=1, keepdims=True)
+    psi_a, psi_a0 = special.psi(a), special.psi(a0)
+    d = a - p
+    e = psi_a - psi_a0
     const = float(np.sum(special.gammaln(p)) - special.gammaln(p.sum()))
-    kl = ad.add(ad.add(ad.sub(lg_a0, sum_lg_a), cross), np.full((n, 1), const))
-    return kl
+    kl = (special.gammaln(a0) - special.gammaln(a).sum(axis=1, keepdims=True)
+          + (d * e).sum(axis=1, keepdims=True)) + const
+
+    def vjp(g):
+        gb = np.repeat(g, k, axis=1)
+        g_e = gb * d
+        g_a0 = ((-g_e).sum(axis=1, keepdims=True) * special.polygamma(1, a0)
+                + g * psi_a0)
+        return (gb * e, g_e * special.polygamma(1, a), -gb * psi_a,
+                np.repeat(g_a0, k, axis=1))
+
+    return ad.emit(kl, (alpha_q,), (vjp,))
 
 
 def dirichlet_moments(alpha):
@@ -108,17 +121,37 @@ def dirichlet_moments(alpha):
 
 
 def dirichlet_moments_rows(alpha: Tensor):
-    """Differentiable row-wise Dirichlet mean and variance for (N, K) alpha."""
+    """Differentiable row-wise Dirichlet mean and variance for (N, K) alpha.
+
+    One fused record holds both moments stacked, and one record each takes
+    them apart. The VJP forms the products of the graph of elementary ops it
+    replaces and adds its three alpha terms in that graph's order.
+    """
     alpha = as_tensor(alpha)
-    n, k = alpha.shape
-    ones_k1 = np.ones((k, 1))
-    ones_1k = np.ones((1, k))
-    a0 = ad.matmul(ad.matmul(alpha, ones_k1), ones_1k)  # (N,K) each row filled with alpha_0
-    inv_a0 = ad.reciprocal(a0)
-    mean = ad.mul(alpha, inv_a0)
-    inv_a0p1 = ad.reciprocal(ad.add(a0, np.ones((n, k))))
-    var = ad.mul(ad.mul(ad.mul(mean, ad.sub(a0, alpha)), inv_a0), inv_a0p1)
-    return mean, var
+    a = alpha.data
+    k = a.shape[1]
+    a0 = np.repeat(a.sum(axis=1, keepdims=True), k, axis=1)
+    inv_a0 = 1.0 / a0
+    inv_a0p1 = 1.0 / (a0 + 1.0)
+    mean = a * inv_a0
+    t1 = a0 - a
+    t2 = mean * t1
+    t3 = t2 * inv_a0
+    var = t3 * inv_a0p1
+
+    def vjp(g):
+        g_mean, g_var = g
+        g_t3 = g_var * inv_a0p1
+        g_t2 = g_t3 * inv_a0
+        g_mean = g_mean + g_t2 * t1
+        g_t1 = g_t2 * mean
+        g_a0 = g_t1 + -(g_var * t3) * inv_a0p1 * inv_a0p1
+        g_inv_a0 = g_t3 * t2 + g_mean * a
+        g_a0 = g_a0 + -g_inv_a0 * inv_a0 * inv_a0
+        return (-g_t1, g_mean * inv_a0, np.repeat(g_a0.sum(axis=1, keepdims=True), k, axis=1))
+
+    mean_t, var_t = ad.unstack(ad.emit(np.stack([mean, var]), (alpha,), (vjp,)))
+    return mean_t, var_t
 
 
 def dirichlet_expected_log_prob(alpha, k: int) -> float:
@@ -130,19 +163,28 @@ def dirichlet_expected_log_prob(alpha, k: int) -> float:
 
 
 def dirichlet_expected_log_prob_rows(alpha: Tensor, labels) -> Tensor:
-    """Row-wise psi(alpha_y) - psi(alpha_0) for integer labels; returns (N, 1)."""
+    """Row-wise psi(alpha_y) - psi(alpha_0) for integer labels; returns (N, 1).
+
+    One tape record; the VJP adds the alpha_0 term before the alpha_y term,
+    in the order of the graph of elementary ops it replaces.
+    """
     alpha = as_tensor(alpha)
-    n, k = alpha.shape
+    a = _check_alpha(alpha.data)
+    n, k = a.shape
     labels = np.asarray(labels)
     if labels.min() < 0 or labels.max() >= k:
         raise IndexError("label out of range")
-    onehot = np.zeros((n, k))
-    onehot[np.arange(n), labels] = 1.0
-    ones = np.ones((k, 1))
-    psi_a = ad.digamma(alpha)
-    psi_sel = ad.matmul(ad.mul(psi_a, onehot), ones)   # (N,1)
-    psi_a0 = ad.digamma(ad.matmul(alpha, ones))        # (N,1)
-    return ad.sub(psi_sel, psi_a0)
+    rows = np.arange(n)
+    a_y = a[rows, labels]
+    a0 = a.sum(axis=1, keepdims=True)
+    out = special.psi(a_y)[:, None] - special.psi(a0)
+
+    def vjp(g):
+        g_sel = np.zeros((n, k))
+        g_sel[rows, labels] = g[:, 0] * special.polygamma(1, a_y)
+        return np.repeat(-g * special.polygamma(1, a0), k, axis=1), g_sel
+
+    return ad.emit(out, (alpha,), (vjp,))
 
 
 def dirichlet_sample(alpha, rng: SeededRng):
@@ -183,33 +225,48 @@ def dirichlet_sample_many(alpha, n: int, rng: SeededRng):
 # diagonal Gaussian
 
 
+def gaussian_reparam(mean, logvar, eps) -> Tensor:
+    """mean + exp(logvar/2) * eps for given standard-normal noise; one record."""
+    mean, logvar = as_tensor(mean), as_tensor(logvar)
+    eps = np.asarray(eps, dtype=np.float64)
+    if mean.shape != logvar.shape or mean.shape != eps.shape:
+        raise ValueError(f"reparam: {mean.shape} vs {logvar.shape} vs noise {eps.shape}")
+    sd = np.exp(0.5 * logvar.data)
+    return ad.emit(mean.data + sd * eps, (mean, logvar),
+                   (lambda g: g, lambda g: 0.5 * (g * eps * sd)))
+
+
 def gaussian_reparam_sample(mean: Tensor, logvar: Tensor, rng: SeededRng) -> Tensor:
     """mean + exp(logvar/2) * eps with eps ~ N(0, I); differentiable."""
-    mean, logvar = as_tensor(mean), as_tensor(logvar)
-    if mean.shape != logvar.shape:
-        raise ValueError(f"reparam: {mean.shape} vs {logvar.shape}")
-    eps = rng.normal(size=mean.shape)
-    return ad.add(mean, ad.mul(ad.exp(ad.scale(0.5, logvar)), as_tensor(eps)))
+    return gaussian_reparam(mean, logvar, rng.normal(size=np.shape(as_tensor(mean).data)))
 
 
 def gaussian_kl_diag(mean_q, logvar_q, mean_p, logvar_p):
-    """KL(N(mq, diag exp lq) || N(mp, diag exp lp)).
+    """KL(N(mq, diag exp lq) || N(mp, diag exp lp)), summed over all entries.
 
-    Tensor-aware: returns a scalar Tensor if any argument is tracked.
+    One tape record with an analytic VJP; returns a scalar Tensor. The prior
+    arguments are arrays of the posterior's shape, or scalars.
     """
     mq, lq = as_tensor(mean_q), as_tensor(logvar_q)
     mp = np.asarray(mean_p, dtype=np.float64)
     lp = np.asarray(logvar_p, dtype=np.float64)
-    if mq.shape != lq.shape or mq.shape != mp.shape or mp.shape != lp.shape:
+    if mq.shape != lq.shape or any(x.ndim and x.shape != mq.shape for x in (mp, lp)):
         raise ValueError("gaussian_kl_diag: length mismatch")
-    var_p = np.exp(lp)
-    inv_var_p = as_tensor(1.0 / var_p)
-    var_q = ad.exp(lq)
-    diff = ad.sub(mq, as_tensor(mp))
-    quad = ad.mul(ad.add(var_q, ad.mul(diff, diff)), inv_var_p)
-    inner = ad.sub(ad.add(quad, as_tensor(lp)), lq)
-    total = ad.tsum(inner)
-    return ad.scale(0.5, ad.add(total, as_tensor(np.array(-float(mq.data.size)))))
+    inv_var_p = 1.0 / np.exp(lp)
+    var_q = np.exp(lq.data)
+    diff = mq.data - mp
+    inner = (var_q + diff * diff) * inv_var_p + lp - lq.data
+    kl = 0.5 * (inner.sum() - mq.data.size)
+
+    def vjp_mean(g):
+        t = 0.5 * float(g) * inv_var_p * diff
+        return t + t
+
+    def vjp_logvar(g):
+        half = 0.5 * float(g)
+        return half * inv_var_p * var_q - half
+
+    return ad.emit(np.array(kl), (mq, lq), (vjp_mean, vjp_logvar))
 
 
 def gaussian_kl_diag_value(mean_q, logvar_q, mean_p, logvar_p) -> float:

@@ -269,7 +269,7 @@ def train_config(cfg: ExperimentConfig) -> models_mod.TrainConfig:
 
 def ood_scores(probs, mode: str):
     if mode == "entropy":
-        return np.array([metrics_mod.entropy(row) for row in probs])
+        return metrics_mod.entropy_rows(probs)
     # max-probability scoring: low confidence = more OOD-like
     return -probs.max(axis=1)
 
@@ -292,7 +292,9 @@ def evaluate_model(cfg: ExperimentConfig, model, test, ood):
     }
 
 
-def run_single_seed(cfg: ExperimentConfig, seed: int) -> dict:
+def run_single_seed(cfg: ExperimentConfig, seed: int):
+    """(report row, trained model) for one seed; the model is None when
+    training diverged, and the row then holds null metrics."""
     train_ds, test_ds, ood_ds, _ = build_task_data(cfg, seed)
     model_rng = SeededRng(seed=seed, stream=2)
     train_rng = SeededRng(seed=seed, stream=4)
@@ -303,7 +305,7 @@ def run_single_seed(cfg: ExperimentConfig, seed: int) -> dict:
     except models_mod.TrainingDiverged as exc:
         return {"seed": seed, "failed": True, "failure": str(exc),
                 "err_pct": None, "ece_pct": None, "nll": None, "auroc_ood_pct": None,
-                "runtime_s_per_epoch": None}
+                "runtime_s_per_epoch": None}, None
     elapsed = time.perf_counter() - t0
     row = evaluate_model(cfg, model, test_ds, ood_ds)
     row["seed"] = seed
@@ -316,8 +318,7 @@ def run_single_seed(cfg: ExperimentConfig, seed: int) -> dict:
 def _run_seed_for_pool(args):
     cfg_values, seed = args
     cfg = ExperimentConfig(**cfg_values).validate()
-    result = run_single_seed(cfg, seed)
-    return result[0] if isinstance(result, tuple) else result
+    return run_single_seed(cfg, seed)[0]
 
 
 METRIC_KEYS = ("err_pct", "ece_pct", "nll", "auroc_ood_pct")
@@ -352,13 +353,9 @@ def run_experiment(cfg: ExperimentConfig, keep_models=False):
             rows = list(pool.map(_run_seed_for_pool, [(cfg_values, s) for s in cfg.seeds]))
     else:
         for seed in cfg.seeds:
-            result = run_single_seed(cfg, seed)
-            if isinstance(result, tuple):
-                row, model = result
-                if keep_models:
-                    kept[seed] = model
-            else:
-                row = result
+            row, model = run_single_seed(cfg, seed)
+            if keep_models and model is not None:
+                kept[seed] = model
             rows.append(row)
     rows.sort(key=lambda r: cfg.seeds.index(r["seed"]))
     if all(r.get("failed") for r in rows):

@@ -34,7 +34,7 @@ class PredictionSet:
             raise ValueError("labels out of range")
 
     def entropies(self):
-        return np.array([entropy(row) for row in self.probs])
+        return entropy_rows(self.probs)
 
 
 @dataclass
@@ -90,15 +90,10 @@ def auroc(scores_in, scores_out) -> float:
     order = np.argsort(np.concatenate([a, b]), kind="mergesort")
     combined = np.concatenate([a, b])[order]
     is_out = np.concatenate([np.zeros(len(a), bool), np.ones(len(b), bool)])[order]
-    # midranks with tie handling
-    ranks = np.empty(len(combined))
-    i = 0
-    while i < len(combined):
-        j = i
-        while j + 1 < len(combined) and combined[j + 1] == combined[i]:
-            j += 1
-        ranks[i : j + 1] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # midranks: a run of ties over sorted positions i..j gets (i + j) / 2 + 1
+    first = np.flatnonzero(np.concatenate([[True], combined[1:] != combined[:-1]]))
+    last = np.append(first[1:], len(combined)) - 1
+    ranks = np.repeat(0.5 * (first + last) + 1.0, last - first + 1)
     rank_sum_out = ranks[is_out].sum()
     n_out, n_in = len(b), len(a)
     u = rank_sum_out - n_out * (n_out + 1) / 2.0
@@ -107,11 +102,18 @@ def auroc(scores_in, scores_out) -> float:
 
 def entropy(probs) -> float:
     """Shannon entropy with 0 log 0 = 0; lies in [0, log K]."""
+    return float(entropy_rows(np.asarray(probs, dtype=np.float64)[None, :])[0])
+
+
+def entropy_rows(probs):
+    """Shannon entropy of each row of an (N, K) array, with 0 log 0 = 0.
+
+    Raises ValueError when a row sum is more than 1e-6 from 1.
+    """
     p = np.asarray(probs, dtype=np.float64)
-    if abs(p.sum() - 1.0) > 1e-6:
+    if np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-6):
         raise ValueError("entropy: input not on the simplex")
-    nz = p > 0.0
-    return float(-np.sum(p[nz] * np.log(p[nz])))
+    return -np.sum(p * np.log(np.where(p > 0.0, p, 1.0)), axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,16 @@ All share one interface: ``loss(tape, ...)`` builds a differentiable
 scalar on the tape, ``predict`` returns class probabilities, and
 ``trainable()`` exposes the parameter arrays updated by Adam. The ETP
 memory update is numpy-only and never touches the tape.
+
+Each model keeps its trainables in one contiguous float64 vector,
+``theta``, in ``trainable()`` order; the per-array dicts of its networks
+(``means``, ``logvars``, ``params``) and ``trainable()`` hold named views
+into it, so writing into a view writes into ``theta``. ``spans`` locates
+every array, each network's block of arrays and the whole vector
+(``FLAT``) in ``theta``. A training step puts ``theta`` on the tape once
+(``Tape.flat_leaves``): its gradient arrives as one flat vector and Adam
+updates ``theta`` in one call. A variational network's means and
+log-variances are each one block, so its weight KL is one tape record.
 """
 
 from __future__ import annotations
@@ -22,12 +32,18 @@ from .distributions import (
     dirichlet_kl_rows,
     dirichlet_moments_rows,
     gaussian_kl_diag,
+    gaussian_reparam,
 )
 
 LOG_ALPHA_CAP = np.log(1e6)
 LOGVAR_INIT = -6.0
 
 MODEL_KINDS = ("bnn", "edl", "enp", "etp")
+FLAT = "theta"  # span name of the whole parameter vector
+
+
+class CheckpointError(ValueError):
+    """A checkpoint whose arrays do not match the model it describes."""
 
 
 class TrainingDiverged(RuntimeError):
@@ -60,6 +76,36 @@ def _init_layer(rng: SeededRng, fan_in, fan_out):
 
 def _activate(t: Tensor, kind: str) -> Tensor:
     return ad.relu(t) if kind == "relu" else ad.tanh(t)
+
+
+class _PackedModel:
+    """Trainables packed into one contiguous vector ``theta``."""
+
+    def _pack(self, groups):
+        """Move the arrays of the name -> array dicts in ``groups`` into
+        ``theta``, in order; each dict then holds views into it."""
+        self._groups = list(groups.values())
+        total = sum(a.size for arrays in self._groups for a in arrays.values())
+        self.theta = np.empty(total)
+        self.spans = {FLAT: (0, total, (total,))}
+        start = 0
+        for group, arrays in groups.items():
+            group_start = start
+            for name, a in arrays.items():
+                stop = start + a.size
+                self.theta[start:stop] = a.ravel()
+                arrays[name] = self.theta[start:stop].reshape(a.shape)
+                self.spans[name] = (start, stop, a.shape)
+                start = stop
+            self.spans[group] = (group_start, start, (start - group_start,))
+
+    def trainable(self):
+        """Named views into ``theta``, one per array, in vector order."""
+        return {name: view for arrays in self._groups for name, view in arrays.items()}
+
+    def leaves(self, tape):
+        """Tape leaves for every span of ``theta``."""
+        return tape.flat_leaves(self.theta, self.spans)
 
 
 class DeterministicMlp:
@@ -116,20 +162,21 @@ class VariationalMlp:
             self.logvars[f"{prefix}.b{i}.logvar"] = np.full_like(b, LOGVAR_INIT)
         self.n_layers = len(dims) - 1
 
-    def trainable(self):
-        return {**self.means, **self.logvars}
+    def groups(self):
+        """The means and the log-variances, as two blocks of ``theta``."""
+        return {f"{self.prefix}.means": self.means, f"{self.prefix}.logvars": self.logvars}
 
-    def draw_eps(self, rng: SeededRng):
-        return {name: rng.normal(size=arr.shape) for name, arr in self.means.items()}
-
-    def sampled_weights(self, leaves, eps):
-        """Reparameterized weight tensors: mean + exp(logvar/2) * eps."""
+    def sampled_weights(self, leaves, rng: SeededRng):
+        """Reparameterized weight tensors mean + exp(logvar/2) * eps, one
+        record per array; one draw gives the noise of all of them."""
+        eps = rng.normal(size=sum(m.size for m in self.means.values()))
         weights = {}
-        for name in self.means:
-            m = leaves[name]
-            lv = leaves[f"{name}.logvar"]
-            sd = ad.exp(ad.scale(0.5, lv))
-            weights[name] = ad.add(m, ad.mul(sd, as_tensor(eps[name])))
+        start = 0
+        for name, m in self.means.items():
+            stop = start + m.size
+            weights[name] = gaussian_reparam(leaves[name], leaves[f"{name}.logvar"],
+                                             eps[start:stop].reshape(m.shape))
+            start = stop
         return weights
 
     def forward(self, x: Tensor, weights) -> Tensor:
@@ -158,18 +205,10 @@ class VariationalMlp:
         return h
 
     def kl_to_prior(self, leaves, beta: float) -> Tensor:
-        """Sum of per-weight KLs to the N(0, 1/beta I) prior."""
-        total = None
-        logvar_p = float(np.log(1.0 / beta))
-        for name, m in self.means.items():
-            kl = gaussian_kl_diag(
-                leaves[name],
-                leaves[f"{name}.logvar"],
-                np.zeros_like(m),
-                np.full_like(m, logvar_p),
-            )
-            total = kl if total is None else ad.add(total, kl)
-        return total
+        """KL of the whole posterior to the N(0, 1/beta I) prior."""
+        return gaussian_kl_diag(leaves[f"{self.prefix}.means"],
+                                leaves[f"{self.prefix}.logvars"],
+                                0.0, float(np.log(1.0 / beta)))
 
 
 def _softmax_np(z):
@@ -186,33 +225,28 @@ def _onehot(labels, k):
 
 def _nll_rows(probs: Tensor, labels) -> Tensor:
     """Differentiable -log p_y per row, shape (N, 1)."""
-    n, k = probs.shape
-    onehot = _onehot(labels, k)
-    sel = ad.matmul(ad.mul(ad.log(probs), onehot), np.ones((k, 1)))
-    return ad.scale(-1.0, sel)
+    return ad.scale(-1.0, ad.take_labels(ad.log(probs), labels))
 
 
 # ---------------------------------------------------------------------------
 # BNN
 
 
-class BnnModel:
+class BnnModel(_PackedModel):
     kind = "bnn"
 
     def __init__(self, input_dim, num_classes, hidden, rng, beta=1.0):
         self.num_classes = num_classes
         self.beta = beta
         self.net = VariationalMlp(MlpSpec(input_dim, tuple(hidden), num_classes), rng, "net")
-
-    def trainable(self):
-        return self.net.trainable()
+        self._pack(self.net.groups())
 
     def loss(self, tape, xb, yb, rng, n_total, n_samples=1):
-        leaves = {n: tape.leaf(a) for n, a in self.trainable().items()}
+        leaves = self.leaves(tape)
         x = as_tensor(xb)
         acc = None
         for _ in range(n_samples):
-            weights = self.net.sampled_weights(leaves, self.net.draw_eps(rng))
+            weights = self.net.sampled_weights(leaves, rng)
             probs = ad.softmax_rows(self.net.forward(x, weights))
             term = ad.tmean(_nll_rows(probs, yb))
             acc = term if acc is None else ad.add(acc, term)
@@ -235,16 +269,14 @@ class BnnModel:
 # EDL
 
 
-class EdlModel:
+class EdlModel(_PackedModel):
     kind = "edl"
 
     def __init__(self, input_dim, num_classes, hidden, rng):
         self.num_classes = num_classes
         self.net = DeterministicMlp(MlpSpec(input_dim, tuple(hidden), num_classes), rng, "net")
         self.clamp_events = 0
-
-    def trainable(self):
-        return dict(self.net.params)
+        self._pack({"net": self.net.params})
 
     def _alpha(self, x: Tensor, leaves) -> Tensor:
         raw = self.net.forward(x, leaves)
@@ -261,7 +293,7 @@ class EdlModel:
         """
         if lam < 0:
             raise ValueError("annealing weight must be >= 0")
-        leaves = {n: tape.leaf(a) for n, a in self.trainable().items()}
+        leaves = self.leaves(tape)
         alpha = self._alpha(as_tensor(xb), leaves)
         if np.any(alpha.data <= 0.0):
             raise ValueError("concentration head produced non-positive values")
@@ -280,7 +312,7 @@ class EdlModel:
         onehot = _onehot(yb, k)
         mean, var = dirichlet_moments_rows(alpha)
         diff = ad.sub(as_tensor(onehot), mean)
-        sq = ad.matmul(ad.add(ad.mul(diff, diff), var), np.ones((k, 1)))
+        sq = ad.sum_rows(ad.add(ad.mul(diff, diff), var))
         misleading = ad.add(onehot, ad.mul(alpha, 1.0 - onehot))
         kl = dirichlet_kl_rows(misleading, np.ones(k))
         return {"sq": sq, "kl": kl}
@@ -330,7 +362,7 @@ def etp_attend(embedding, memory_draw, key_fn=None):
     return weights, weights @ z
 
 
-class EtpModel:
+class EtpModel(_PackedModel):
     kind = "etp"
 
     def __init__(self, input_dim, num_classes, hidden, rng,
@@ -357,12 +389,10 @@ class EtpModel:
         else:
             self.keynet = DeterministicMlp(MlpSpec(num_classes, (), num_classes), rng, "key")
         self.memory = np.zeros((memory_cells, num_classes))
-
-    def trainable(self):
-        out = self.encoder.trainable()
+        groups = self.encoder.groups()
         if self.keynet is not None:
-            out.update(self.keynet.params)
-        return out
+            groups["key"] = self.keynet.params
+        self._pack(groups)
 
     # -- attention / concentration ------------------------------------------
 
@@ -421,8 +451,9 @@ class EtpModel:
             v = self.encoder.forward_np(ctx_x)
             info = _onehot(ctx_y, self.num_classes) + _softmax_np(v)
         acc = np.zeros_like(self.memory)
-        for _ in range(n_samples):
-            z = self.draw_memory(rng)
+        noise = np.sqrt(self.kappa2) * rng.normal(size=(n_samples, *self.memory.shape))
+        for s in range(n_samples):
+            z = self.memory + noise[s]
             if len(ctx_y):
                 phi, _ = self.attend_np(v, z)           # (C, R)
                 contrib = phi.T @ info                   # (R, K)
@@ -439,11 +470,11 @@ class EtpModel:
         """Monte-Carlo variational free energy; memory treated as constant."""
         if s_w < 1 or s_z < 1:
             raise ValueError("sample counts must be >= 1")
-        leaves = {n: tape.leaf(a) for n, a in self.trainable().items()}
+        leaves = self.leaves(tape)
         x = as_tensor(np.atleast_2d(xb))
         acc = None
         for _ in range(s_w):
-            weights = self.encoder.sampled_weights(leaves, self.encoder.draw_eps(rng))
+            weights = self.encoder.sampled_weights(leaves, rng)
             v = self.encoder.forward(x, weights)
             for _ in range(s_z):
                 alpha = self.concentration(v, self.draw_memory(rng), leaves)
@@ -491,7 +522,7 @@ class EtpModel:
 # ENP
 
 
-class EnpModel:
+class EnpModel(_PackedModel):
     kind = "enp"
 
     def __init__(self, input_dim, num_classes, hidden, rng,
@@ -511,9 +542,8 @@ class EnpModel:
         eye = np.eye(k)
         self._sel_mu = np.vstack([eye, np.zeros((k, k))])
         self._sel_lv = np.vstack([np.zeros((k, k)), eye])
-
-    def trainable(self):
-        return {**self.embed.params, **self.encoder.params, **self.head.params}
+        self._pack({"emb": self.embed.params, "ctx": self.encoder.params,
+                    "head": self.head.params})
 
     def _alpha(self, e: Tensor, z: Tensor, leaves) -> Tensor:
         raw = self.head.forward(ad.concat([e, z], axis=1), leaves)
@@ -523,7 +553,7 @@ class EnpModel:
     def loss(self, tape, xb, yb, ctx_x, ctx_y, rng, n_total):
         if len(ctx_y) == 0:
             raise ValueError("ENP training requires a non-empty context set")
-        leaves = {n: tape.leaf(a) for n, a in self.trainable().items()}
+        leaves = self.leaves(tape)
         n = len(yb)
         k = self.num_classes
         e = self.embed.forward(as_tensor(np.atleast_2d(xb)), leaves)
@@ -559,7 +589,7 @@ class EnpModel:
         diff = ad.sub(mu, np.full((n, k), 1.0))
         quad = ad.scale(1.0 / self.kappa2, ad.add(ad.exp(lv), ad.mul(diff, diff)))
         inner = ad.sub(ad.add(quad, np.full((n, k), lp - 1.0)), lv)
-        per_row = ad.scale(0.5, ad.matmul(inner, np.ones((k, 1))))
+        per_row = ad.scale(0.5, ad.sum_rows(inner))
         return ad.tmean(per_row)
 
     def alpha_np(self, x, z):
@@ -612,8 +642,12 @@ def _choose_context(xb, yb, fraction, rng):
 
 
 def train(model, ds: LabeledDataset, cfg: TrainConfig, rng: SeededRng):
-    """Optimize a model with Adam; returns the per-epoch mean loss trace."""
+    """Optimize a model with Adam; returns the per-epoch mean loss trace.
+
+    Each step makes one Adam update of the whole parameter vector.
+    """
     state = AdamState()
+    params = {FLAT: model.theta}
     n_total = len(ds)
     trace = []
     for epoch in range(cfg.epochs):
@@ -641,9 +675,7 @@ def train(model, ds: LabeledDataset, cfg: TrainConfig, rng: SeededRng):
             if not np.isfinite(value):
                 raise TrainingDiverged(epoch, b, value)
             grads = backward(loss)
-            params = model.trainable()
-            gmap = {name: grads[leaf.node_id] for name, leaf in leaves.items()}
-            adam_step(params, gmap, state, lr=cfg.lr,
+            adam_step(params, {FLAT: grads[leaves[FLAT].node_id]}, state, lr=cfg.lr,
                       beta1=cfg.adam_beta1, beta2=cfg.adam_beta2, eps=cfg.adam_eps)
             epoch_losses.append(value)
         if epoch_losses:
@@ -690,28 +722,24 @@ CHECKPOINT_VERSION = 1
 
 def save_checkpoint(model, path, seed=None, extra_meta=None):
     """npz container: parameter arrays plus a JSON metadata record."""
-    arrays = {}
+    arrays = model.trainable()
     meta = {"format_version": CHECKPOINT_VERSION, "kind": model.kind,
             "num_classes": model.num_classes, "seed": seed}
     if extra_meta:
         meta.update(extra_meta)
     if model.kind == "bnn":
-        arrays.update(model.net.trainable())
         meta["hyper"] = {"beta": model.beta,
                          "hidden": list(model.net.spec.hidden),
                          "input_dim": model.net.spec.in_dim}
     elif model.kind == "edl":
-        arrays.update(model.net.params)
         meta["hyper"] = {"hidden": list(model.net.spec.hidden),
                          "input_dim": model.net.spec.in_dim}
     elif model.kind == "enp":
-        arrays.update(model.trainable())
         meta["hyper"] = {"kappa2": model.kappa2, "beta_reg": model.beta_reg,
                          "aggregation": model.aggregation,
                          "hidden": list(model.embed.spec.hidden),
                          "input_dim": model.embed.spec.in_dim}
     elif model.kind == "etp":
-        arrays.update(model.trainable())
         arrays["__memory__"] = model.memory
         meta["hyper"] = {"memory_cells": model.memory.shape[0], "gamma": model.gamma,
                          "kappa2": model.kappa2, "beta": model.beta,
@@ -727,31 +755,29 @@ def save_checkpoint(model, path, seed=None, extra_meta=None):
 
 
 def load_checkpoint(path):
+    """Model and metadata from a checkpoint; CheckpointError unless the file
+    holds exactly the model's arrays, each in the model's shape."""
     with np.load(path) as npz:
         meta = json.loads(bytes(npz["__meta__"]).decode())
         arrays = {k: npz[k] for k in npz.files if k != "__meta__"}
     if meta.get("format_version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version: {meta.get('format_version')}")
+        raise CheckpointError(
+            f"unsupported checkpoint version: {meta.get('format_version')}")
     hyper = meta["hyper"]
-    rng = SeededRng(seed=0)
-    kind = meta["kind"]
     kwargs = {k: v for k, v in hyper.items() if k not in ("hidden", "input_dim")}
-    if kind == "etp":
-        model = EtpModel(hyper["input_dim"], meta["num_classes"], tuple(hyper["hidden"]),
-                         rng, **kwargs)
-        model.memory = arrays.pop("__memory__")
-        for name, arr in arrays.items():
-            _assign_param(model, name, arr)
-    else:
-        model = make_model(kind, hyper["input_dim"], meta["num_classes"],
-                           tuple(hyper["hidden"]), rng, **kwargs)
-        for name, arr in arrays.items():
-            _assign_param(model, name, arr)
+    model = make_model(meta["kind"], hyper["input_dim"], meta["num_classes"],
+                       tuple(hyper["hidden"]), SeededRng(seed=0), **kwargs)
+    targets = model.trainable()
+    if model.kind == "etp":
+        targets["__memory__"] = model.memory
+    missing = sorted(set(targets) - set(arrays))
+    unknown = sorted(set(arrays) - set(targets))
+    if missing or unknown:
+        raise CheckpointError(f"checkpoint arrays do not match model kind {model.kind}: "
+                              f"missing {missing}, unknown {unknown}")
+    for name, arr in arrays.items():
+        if arr.shape != targets[name].shape:
+            raise CheckpointError(f"checkpoint array '{name}' has shape {arr.shape}, "
+                                  f"model expects {targets[name].shape}")
+        targets[name][...] = arr
     return model, meta
-
-
-def _assign_param(model, name, arr):
-    target = model.trainable()
-    if name not in target:
-        raise KeyError(f"checkpoint parameter '{name}' unknown to model kind {model.kind}")
-    target[name][...] = arr

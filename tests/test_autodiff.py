@@ -298,6 +298,130 @@ class TestPrimitiveGradients:
         assert_grad_matches(lambda x: ad.tsum(ad.digamma(x)),
                             rng.uniform(0.5, 5.0, size=(2, 3)))
 
+    def test_sum_rows(self):
+        rng = np.random.default_rng(26)
+        w = rng.normal(size=(3, 1))
+        assert_grad_matches(lambda x: ad.tsum(ad.mul(ad.sum_rows(ad.tanh(x)), Tensor(w))),
+                            rng.normal(size=(3, 4)))
+
+    def test_take_labels(self):
+        rng = np.random.default_rng(27)
+        w = rng.normal(size=(4, 1))
+        labels = np.array([2, 0, 2, 1])
+        assert_grad_matches(
+            lambda x: ad.tsum(ad.mul(ad.take_labels(ad.tanh(x), labels), Tensor(w))),
+            rng.normal(size=(4, 3)))
+
+    def test_unstack(self):
+        rng = np.random.default_rng(28)
+        w = rng.normal(size=(2, 3))
+
+        def build(x):
+            first, second = ad.unstack(ad.tanh(x))
+            return ad.tsum(ad.mul(ad.mul(first, second), Tensor(w)))
+
+        assert_grad_matches(build, rng.normal(size=(2, 2, 3)))
+
+
+def value_and_grad(build_loss, x0):
+    tape = Tape()
+    leaf = tape.leaf(x0)
+    loss = build_loss(leaf)
+    return float(loss.data), backward(loss)[leaf.node_id]
+
+
+class TestRowPrimitiveOracles:
+    """Each row primitive against the matmul-with-ones graph it replaced."""
+
+    def assert_same(self, fused, unfused, x0):
+        v1, g1 = value_and_grad(fused, x0)
+        v2, g2 = value_and_grad(unfused, x0)
+        assert v1 == pytest.approx(v2, rel=0, abs=1e-12)
+        np.testing.assert_allclose(g1, g2, rtol=0, atol=1e-12)
+
+    def test_sum_rows_matches_matmul_with_ones(self):
+        rng = np.random.default_rng(29)
+        w = Tensor(rng.normal(size=(5, 1)))
+        self.assert_same(
+            lambda x: ad.tsum(ad.mul(ad.sum_rows(ad.exp(x)), w)),
+            lambda x: ad.tsum(ad.mul(ad.matmul(ad.exp(x), np.ones((4, 1))), w)),
+            rng.normal(size=(5, 4)))
+
+    def test_take_labels_matches_onehot_row_sum(self):
+        rng = np.random.default_rng(30)
+        w = Tensor(rng.normal(size=(6, 1)))
+        labels = rng.integers(0, 3, size=6)
+        onehot = np.eye(3)[labels]
+        self.assert_same(
+            lambda x: ad.tsum(ad.mul(ad.take_labels(ad.exp(x), labels), w)),
+            lambda x: ad.tsum(ad.mul(
+                ad.matmul(ad.mul(ad.exp(x), onehot), np.ones((3, 1))), w)),
+            rng.normal(size=(6, 3)))
+
+    def test_unstack_matches_selector_products(self):
+        rng = np.random.default_rng(31)
+        w = rng.normal(size=3)
+        sel = [np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])]
+
+        def fused(x):
+            first, second = ad.unstack(ad.exp(x))
+            return ad.tsum(ad.mul(ad.mul(first, Tensor(w)), second))
+
+        def unfused(x):
+            e = ad.exp(x)
+            first, second = (ad.matmul(s, e) for s in sel)
+            return ad.tsum(ad.mul(ad.mul(first, Tensor(w[None, :])), second))
+
+        self.assert_same(fused, unfused, rng.normal(size=(2, 3)))
+
+    def test_labels_out_of_range(self):
+        with pytest.raises(IndexError):
+            ad.take_labels(Tensor(np.ones((2, 2))), np.array([0, 2]))
+
+
+class TestFlatLeaves:
+    SPANS = {"all": (0, 9, (9,)), "w": (0, 6, (2, 3)), "b": (6, 9, (3,))}
+
+    def loss(self, leaves):
+        rng = np.random.default_rng(32)
+        x = Tensor(rng.normal(size=(4, 2)))
+        h = ad.add(ad.matmul(x, leaves["w"]), ad.tanh(ad.exp(leaves["b"])))
+        return ad.tmean(ad.mul(h, h))
+
+    def test_views_share_one_flat_gradient(self):
+        vector = np.random.default_rng(33).normal(size=9)
+        tape = Tape()
+        leaves = tape.flat_leaves(vector, self.SPANS)
+        grads = backward(self.loss(leaves))
+        # oracle: the same loss on separate leaves
+        ref_tape = Tape()
+        ref = {"w": ref_tape.leaf(vector[:6].reshape(2, 3)), "b": ref_tape.leaf(vector[6:])}
+        ref_grads = backward(self.loss(ref))
+        flat = grads[leaves["all"].node_id]
+        assert np.array_equal(flat, np.concatenate(
+            [ref_grads[ref["w"].node_id].ravel(), ref_grads[ref["b"].node_id]]))
+        assert np.array_equal(grads[leaves["w"].node_id], flat[:6].reshape(2, 3))
+        assert np.array_equal(grads[leaves["b"].node_id], flat[6:])
+        assert np.shares_memory(grads[leaves["w"].node_id], flat)
+
+    def test_flat_gradient_finite_differences(self):
+        vector = np.random.default_rng(34).normal(size=9)
+        tape = Tape()
+        leaves = tape.flat_leaves(vector, self.SPANS)
+        analytic = backward(self.loss(leaves))[leaves["all"].node_id]
+
+        def value(v):
+            return float(self.loss(Tape().flat_leaves(v, self.SPANS)).data)
+
+        numeric = finite_diff_grad(value, vector)
+        np.testing.assert_allclose(analytic, numeric, rtol=FD_RTOL, atol=1e-8)
+
+    def test_leaves_are_copies(self):
+        vector = np.zeros(9)
+        leaves = Tape().flat_leaves(vector, self.SPANS)
+        vector[:] = 1.0
+        assert np.all(leaves["all"].data == 0.0)
+
 
 class TestSpecialFunctions:
     def test_lgamma_factorial_values(self):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 
 from etproc import autodiff as ad
-from etproc.autodiff import Tape, Tensor, backward
+from etproc.autodiff import Tape, Tensor, as_tensor, backward
 from etproc.distributions import (
     NLL_PROB_FLOOR,
     SeededRng,
@@ -27,6 +27,7 @@ from etproc.distributions import (
     dirichlet_sample_many,
     gaussian_kl_diag,
     gaussian_kl_diag_value,
+    gaussian_reparam,
     gaussian_reparam_sample,
 )
 
@@ -358,3 +359,177 @@ class TestCategoricalNll:
         vals, floored = categorical_nll_batch(probs, np.array([1, 0]))
         assert floored == 1
         assert vals[0] == pytest.approx(-np.log(NLL_PROB_FLOOR))
+
+
+# ---------------------------------------------------------------------------
+# fused tape primitives against the graphs of elementary ops they replaced
+
+
+def unfused_gaussian_kl(mq, lq, mp, lp):
+    inv_var_p = as_tensor(1.0 / np.exp(lp))
+    diff = ad.sub(mq, as_tensor(mp))
+    quad = ad.mul(ad.add(ad.exp(lq), ad.mul(diff, diff)), inv_var_p)
+    inner = ad.sub(ad.add(quad, as_tensor(lp)), lq)
+    total = ad.add(ad.tsum(inner), as_tensor(np.array(-float(mq.data.size))))
+    return ad.scale(0.5, total)
+
+
+def unfused_reparam(mean, logvar, eps):
+    return ad.add(mean, ad.mul(ad.exp(ad.scale(0.5, logvar)), as_tensor(eps)))
+
+
+def unfused_expected_log_prob_rows(alpha, labels):
+    n, k = alpha.shape
+    ones = np.ones((k, 1))
+    psi_sel = ad.matmul(ad.mul(ad.digamma(alpha), np.eye(k)[labels]), ones)
+    return ad.sub(psi_sel, ad.digamma(ad.matmul(alpha, ones)))
+
+
+def unfused_kl_rows(alpha_q, p):
+    n, k = alpha_q.shape
+    ones = np.ones((k, 1))
+    a0 = ad.matmul(alpha_q, ones)
+    lg_a0 = ad.lgamma(a0)
+    sum_lg_a = ad.matmul(ad.lgamma(alpha_q), ones)
+    psi_a = ad.digamma(alpha_q)
+    psi_a0_full = ad.matmul(ad.digamma(a0), np.ones((1, k)))
+    cross = ad.matmul(ad.mul(ad.sub(alpha_q, p), ad.sub(psi_a, psi_a0_full)), ones)
+    const = float(np.sum(special.gammaln(p)) - special.gammaln(p.sum()))
+    return ad.add(ad.add(ad.sub(lg_a0, sum_lg_a), cross), np.full((n, 1), const))
+
+
+def unfused_moments_rows(alpha):
+    n, k = alpha.shape
+    a0 = ad.matmul(ad.matmul(alpha, np.ones((k, 1))), np.ones((1, k)))
+    inv_a0 = ad.reciprocal(a0)
+    mean = ad.mul(alpha, inv_a0)
+    inv_a0p1 = ad.reciprocal(ad.add(a0, np.ones((n, k))))
+    var = ad.mul(ad.mul(ad.mul(mean, ad.sub(a0, alpha)), inv_a0), inv_a0p1)
+    return mean, var
+
+
+def value_and_grad(build_loss, x0):
+    tape = Tape()
+    leaf = tape.leaf(x0)
+    loss = build_loss(leaf)
+    return float(loss.data), backward(loss)[leaf.node_id]
+
+
+def finite_diff_grad(build_loss, x0, step=1e-6):
+    grad = np.zeros_like(x0)
+    for idx in np.ndindex(x0.shape):
+        up, dn = x0.copy(), x0.copy()
+        up[idx] += step
+        dn[idx] -= step
+        grad[idx] = (value_and_grad(build_loss, up)[0]
+                     - value_and_grad(build_loss, dn)[0]) / (2 * step)
+    return grad
+
+
+def dot(t, w):
+    """Scalar sum of t * w, so every entry of t gets its own weight."""
+    return ad.tsum(ad.mul(t, Tensor(w)))
+
+
+class TestFusedPrimitives:
+    """Each fused primitive: central finite differences, and values and
+    gradients of the unfused graph, to 1e-12 (bit for bit at K = 2, where
+    every row sum has two terms)."""
+
+    def assert_matches_unfused(self, fused, unfused, x0, exact):
+        v1, g1 = value_and_grad(fused, x0)
+        v2, g2 = value_and_grad(unfused, x0)
+        assert v1 == pytest.approx(v2, rel=0, abs=1e-12)
+        np.testing.assert_allclose(g1, g2, rtol=0, atol=1e-12)
+        if exact:
+            assert np.array_equal(g1, g2)
+
+    def assert_finite_differences(self, build, x0):
+        _, analytic = value_and_grad(build, x0)
+        np.testing.assert_allclose(analytic, finite_diff_grad(build, x0),
+                                   rtol=1e-5, atol=1e-7)
+
+    @staticmethod
+    def gaussian_builds(kl, prior):
+        # rows of the leaf: posterior means, posterior log-variances
+        def build(x):
+            m, lv = ad.unstack(x)
+            return ad.scale(0.3, kl(m, lv, *prior))
+        return build
+
+    @pytest.mark.parametrize("prior", ["arrays", "scalars"])
+    def test_gaussian_kl(self, prior):
+        rng = np.random.default_rng(40)
+        x0 = np.stack([rng.normal(size=5), rng.uniform(-2.0, 1.0, size=5)])
+        mp, lp = ((rng.normal(size=5), rng.normal(size=5)) if prior == "arrays"
+                  else (0.0, float(np.log(0.5))))
+        fused = self.gaussian_builds(gaussian_kl_diag, (mp, lp))
+        unfused = self.gaussian_builds(
+            unfused_gaussian_kl, (np.broadcast_to(mp, 5), np.broadcast_to(lp, 5)))
+        self.assert_matches_unfused(fused, unfused, x0, exact=True)
+        self.assert_finite_differences(fused, x0)
+
+    def test_gaussian_reparam(self):
+        rng = np.random.default_rng(41)
+        x0 = np.stack([rng.normal(size=(2, 3)), rng.uniform(-2.0, 1.0, size=(2, 3))])
+        eps, w = rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
+
+        def build(reparam):
+            def loss(x):
+                m, lv = ad.unstack(x)
+                return dot(ad.tanh(reparam(m, lv, eps)), w)
+            return loss
+
+        self.assert_matches_unfused(build(gaussian_reparam), build(unfused_reparam), x0,
+                                    exact=True)
+        self.assert_finite_differences(build(gaussian_reparam), x0)
+
+    def test_gaussian_reparam_shape_mismatch(self):
+        with pytest.raises(ValueError, match="reparam"):
+            gaussian_reparam(np.zeros(2), np.zeros(2), np.zeros(3))
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_expected_log_prob_rows(self, k):
+        rng = np.random.default_rng(42 + k)
+        x0 = rng.uniform(0.3, 6.0, size=(5, k))
+        labels = rng.integers(0, k, size=5)
+        w = rng.normal(size=(5, 1))
+        # a second consumer of alpha checks the order of accumulation
+        w2 = rng.normal(size=(5, k))
+
+        def build(rows):
+            return lambda x: ad.add(dot(rows(x, labels), w), dot(ad.tanh(x), w2))
+
+        self.assert_matches_unfused(build(dirichlet_expected_log_prob_rows),
+                                    build(unfused_expected_log_prob_rows), x0, exact=k == 2)
+        self.assert_finite_differences(build(dirichlet_expected_log_prob_rows), x0)
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_kl_rows(self, k):
+        rng = np.random.default_rng(46 + k)
+        x0 = rng.uniform(0.3, 6.0, size=(5, k))
+        p = rng.uniform(0.5, 2.0, size=k)
+        w, w2 = rng.normal(size=(5, 1)), rng.normal(size=(5, k))
+
+        def build(rows):
+            return lambda x: ad.add(dot(ad.tanh(x), w2), dot(rows(x, p), w))
+
+        self.assert_matches_unfused(build(dirichlet_kl_rows), build(unfused_kl_rows), x0,
+                                    exact=k == 2)
+        self.assert_finite_differences(build(dirichlet_kl_rows), x0)
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_moments_rows(self, k):
+        rng = np.random.default_rng(50 + k)
+        x0 = rng.uniform(0.3, 6.0, size=(5, k))
+        w1, w2, w3 = (rng.normal(size=(5, k)) for _ in range(3))
+
+        def build(moments):
+            def loss(x):
+                mean, var = moments(x)
+                return ad.add(ad.add(dot(mean, w1), dot(var, w2)), dot(ad.tanh(x), w3))
+            return loss
+
+        self.assert_matches_unfused(build(dirichlet_moments_rows),
+                                    build(unfused_moments_rows), x0, exact=k == 2)
+        self.assert_finite_differences(build(dirichlet_moments_rows), x0)

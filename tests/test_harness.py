@@ -21,6 +21,7 @@ from etproc.harness import (
     resolve_config,
     run_decomposition,
     run_experiment,
+    run_single_seed,
 )
 from etproc.models import load_checkpoint, make_model
 
@@ -193,6 +194,20 @@ class TestSeedLoop:
         parallel = run_experiment(resolve_config(None, dict(base, workers=2)))
         assert serial["per_seed"] == parallel["per_seed"]
         assert serial["aggregate"] == parallel["aggregate"]
+
+    def test_single_seed_returns_row_and_model(self, monkeypatch):
+        cfg = resolve_config(None, dict(FAST, model="edl"))
+        row, model = run_single_seed(cfg, 7)
+        assert row["failed"] is False and model.kind == "edl"
+
+        def boom(*args, **kwargs):
+            raise harness.models_mod.TrainingDiverged(2, 0, float("nan"))
+
+        monkeypatch.setattr(harness.models_mod, "train", boom)
+        row, model = run_single_seed(cfg, 7)
+        assert model is None
+        assert row["failed"] is True and row["nll"] is None
+        assert "epoch 2" in row["failure"]
 
     def test_aggregate_recomputation(self):
         rows = [
@@ -379,6 +394,24 @@ decomposition_samples = 64
         assert cli.main(["run", "--config", cfg, "--task", "fmnist-vs-mnist",
                          "--data-dir", str(tmp_path / "nope"),
                          "--out", str(tmp_path / "r.json")]) == 2
+        assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "decompose"])
+    @pytest.mark.parametrize("case, edit", [
+        ("missing", lambda a: a.pop("net.W1")),
+        ("unknown", lambda a: a.update({"net.extra": np.zeros(2)})),
+        ("mis-shaped", lambda a: a.update({"net.b0": np.zeros(1)})),
+    ])
+    def test_bad_checkpoint_exit_code(self, tmp_path, capsys, command, case, edit):
+        cfg = self.fast_config(tmp_path)
+        ckpt = str(tmp_path / "bnn.npz")
+        assert cli.main(["train", "--config", cfg, "--model", "bnn", "--out", ckpt]) == 0
+        with np.load(ckpt) as npz:
+            arrays = {k: npz[k] for k in npz.files}
+        edit(arrays)
+        np.savez(ckpt, **arrays)
+        assert cli.main([command, "--config", cfg, "--model", "bnn", "--checkpoint", ckpt,
+                         "--out", str(tmp_path / "out.json")]) == 2
         assert "data error" in capsys.readouterr().err
 
     def test_training_failure_exit_code(self, tmp_path, capsys, monkeypatch):

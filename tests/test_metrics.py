@@ -19,6 +19,7 @@ from etproc.metrics import (
     decompose_pbm,
     ece,
     entropy,
+    entropy_rows,
     error_rate,
     nll,
     risk_product_check,
@@ -140,6 +141,29 @@ class TestAuroc:
         with pytest.raises(ValueError):
             auroc([], [1.0])
 
+    def test_equals_midrank_loop(self):
+        def loop_auroc(a, b):
+            combined = np.concatenate([a, b])
+            order = np.argsort(combined, kind="mergesort")
+            combined = combined[order]
+            is_out = np.concatenate([np.zeros(len(a), bool), np.ones(len(b), bool)])[order]
+            ranks = np.empty(len(combined))
+            i = 0
+            while i < len(combined):
+                j = i
+                while j + 1 < len(combined) and combined[j + 1] == combined[i]:
+                    j += 1
+                ranks[i : j + 1] = 0.5 * (i + j) + 1.0
+                i = j + 1
+            u = ranks[is_out].sum() - len(b) * (len(b) + 1) / 2.0
+            return u / (len(a) * len(b))
+
+        rng = np.random.default_rng(4)
+        for _ in range(30):
+            a = rng.integers(0, 5, size=rng.integers(1, 300)).astype(float)
+            b = rng.normal(size=rng.integers(1, 300)).round(1)
+            assert auroc(a, b) == loop_auroc(a, b)
+
 
 class TestEntropy:
     def test_onehot(self):
@@ -154,6 +178,21 @@ class TestEntropy:
     def test_rejects_off_simplex(self):
         with pytest.raises(ValueError):
             entropy([0.5, 0.6])
+
+    @pytest.mark.parametrize("k", [2, 3, 6])
+    def test_rows_equal_per_row_loop(self, k):
+        rng = np.random.default_rng(k)
+        p = rng.uniform(size=(50, k)) * (rng.uniform(size=(50, k)) < 0.7)
+        p[:, 0] += 1e-3
+        p /= p.sum(axis=1, keepdims=True)
+        loop = np.array([-np.sum(r[r > 0] * np.log(r[r > 0])) for r in p])
+        assert np.array_equal(entropy_rows(p), loop)
+
+    def test_rows_reject_one_row_off_simplex(self):
+        p = np.full((3, 2), 0.5)
+        p[1] = [0.5, 0.51]
+        with pytest.raises(ValueError, match="simplex"):
+            entropy_rows(p)
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(1e-6, 1.0), min_size=2, max_size=6))

@@ -15,7 +15,9 @@ from etproc.distributions import (
     gaussian_kl_diag_value,
 )
 from etproc.models import (
+    FLAT,
     BnnModel,
+    CheckpointError,
     EdlModel,
     EnpModel,
     EtpModel,
@@ -557,6 +559,98 @@ class TestCheckpoints:
         np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
                  **arrays)
         with pytest.raises(ValueError, match="version"):
+            load_checkpoint(path)
+
+
+class TestFlatParameters:
+    @pytest.mark.parametrize("kind", models_mod.MODEL_KINDS)
+    def test_trainables_are_views_of_theta(self, kind):
+        model = make_model(kind, 2, 3, (4,), SeededRng(seed=0, stream=2))
+        views = model.trainable()
+        assert sum(v.size for v in views.values()) == model.theta.size
+        assert np.array_equal(np.concatenate([v.ravel() for v in views.values()]),
+                              model.theta)
+        for name, view in views.items():
+            start, stop, shape = model.spans[name]
+            assert view.shape == shape
+            view[...] = 7.0
+            assert np.all(model.theta[start:stop] == 7.0), name
+
+    @pytest.mark.parametrize("kind, limit", [("bnn", 20), ("edl", 40), ("enp", 48),
+                                             ("etp", 35)])
+    def test_tape_records_and_adam_updates_per_step(self, kind, limit, monkeypatch):
+        records, updates = [], []
+
+        def counting_backward(loss):
+            records.append(len(loss.tape._records))
+            return backward(loss)
+
+        def counting_adam(params, grads, state, **kw):
+            updates.append(sorted(params))
+            return ad.adam_step(params, grads, state, **kw)
+
+        monkeypatch.setattr(models_mod, "backward", counting_backward)
+        monkeypatch.setattr(models_mod, "adam_step", counting_adam)
+        ds, _ = gen_two_gaussians(20, SeededRng(seed=0, stream=1))
+        model = make_model(kind, 1, 2, (32,), SeededRng(seed=0, stream=2))
+        train(model, ds, TrainConfig(epochs=3, batch_size=40), SeededRng(seed=0, stream=4))
+        assert len(records) == 3 and max(records) <= limit, records
+        assert updates == [["theta"]] * 3
+
+    def test_flat_gradient_matches_per_array_leaves(self):
+        xb, yb = small_batch(seed=30)
+        model = BnnModel(2, 2, (4,), SeededRng(seed=3, stream=2))
+        loss, leaves = model.loss(Tape(), xb, yb, SeededRng(seed=31), n_total=6)
+        grads = backward(loss)
+        flat = grads[leaves[FLAT].node_id]
+        for name, (start, stop, shape) in model.spans.items():
+            assert np.array_equal(grads[leaves[name].node_id], flat[start:stop].reshape(shape))
+
+
+class TestMemoryNoise:
+    def test_one_draw_matches_a_draw_per_sample(self):
+        rng = np.random.default_rng(32)
+        model = EtpModel(2, 3, (4,), SeededRng(seed=4, stream=2), memory_cells=5)
+        model.memory = rng.normal(size=(5, 3)) * 0.3
+        ctx_x, ctx_y = rng.normal(size=(4, 2)), rng.integers(0, 3, size=4)
+        # replica of the update with one memory draw per sample
+        v = model.encoder.forward_np(ctx_x)
+        info = np.eye(3)[ctx_y] + softmax_np(v)
+        draw_rng = SeededRng(seed=5)
+        acc = np.zeros_like(model.memory)
+        for _ in range(3):
+            phi, _ = model.attend_np(v, model.draw_memory(draw_rng))
+            acc += np.tanh(model.gamma * model.memory + (1.0 - model.gamma) * (phi.T @ info))
+        model.memory_update(ctx_x, ctx_y, SeededRng(seed=5), n_samples=3)
+        assert np.array_equal(model.memory, acc / 3)
+
+
+class TestCheckpointValidation:
+    def corrupt(self, path, edit):
+        with np.load(path) as npz:
+            arrays = {k: npz[k] for k in npz.files}
+        edit(arrays)
+        np.savez(path, **arrays)
+
+    @pytest.mark.parametrize("case, edit, message", [
+        ("missing", lambda a: a.pop("net.W1"), "missing \\['net.W1'\\]"),
+        ("unknown", lambda a: a.update({"net.W9": np.zeros(3)}), "unknown \\['net.W9'\\]"),
+        ("mis-shaped", lambda a: a.update({"net.b0": np.zeros(1)}), "'net.b0' has shape"),
+    ])
+    def test_rejected(self, case, edit, message, tmp_path):
+        model = make_model("bnn", 1, 2, (32,), SeededRng(seed=0, stream=2))
+        path = tmp_path / f"{case}.npz"
+        save_checkpoint(model, path)
+        self.corrupt(path, edit)
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path)
+
+    def test_etp_memory_shape_checked(self, tmp_path):
+        model = make_model("etp", 1, 2, (4,), SeededRng(seed=0, stream=2))
+        path = tmp_path / "etp.npz"
+        save_checkpoint(model, path)
+        self.corrupt(path, lambda a: a.update({"__memory__": np.zeros((3, 2))}))
+        with pytest.raises(CheckpointError, match="__memory__"):
             load_checkpoint(path)
 
 
