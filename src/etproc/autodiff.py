@@ -80,23 +80,8 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, tracked={self.node_id is not None})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def as_tensor(x) -> Tensor:
@@ -139,48 +124,60 @@ def emit(data, parent_tensors, vjps):
 # primitives
 
 
+def _swap(x):
+    return np.swapaxes(x, -1, -2)
+
+
+def _sum_stack(x, ndim):
+    """Sum a VJP term over the stack axis its operand does not have."""
+    return x.sum(axis=0) if x.ndim > ndim else x
+
+
 def matmul(a, b) -> Tensor:
+    """a @ b of 2-D operands; either may lead with a stack axis of S slices,
+    and a 2-D operand then meets every slice."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+    na, nb = a.data.ndim, b.data.ndim
+    if (na not in (2, 3) or nb not in (2, 3) or a.shape[-1] != b.shape[-2]
+            or (na == nb == 3 and a.shape[0] != b.shape[0])):
         raise ShapeMismatchError(f"matmul: {a.shape} @ {b.shape}")
-    out = a.data @ b.data
-    return emit(out, (a, b), (lambda g, b=b: g @ b.data.T, lambda g, a=a: a.data.T @ g))
+    return emit(a.data @ b.data, (a, b),
+                (lambda g: _sum_stack(g @ _swap(b.data), na),
+                 lambda g: _sum_stack(_swap(a.data) @ g, nb)))
 
 
 def transpose(a) -> Tensor:
+    """Swap the last two axes of a 2-D tensor or of each slice of a stack."""
     a = as_tensor(a)
-    if a.data.ndim != 2:
-        raise ShapeMismatchError(f"transpose: expected 2-D, got {a.shape}")
-    return emit(a.data.T.copy(), (a,), (lambda g: g.T,))
+    if a.data.ndim not in (2, 3):
+        raise ShapeMismatchError(f"transpose: expected 2-D or 3-D, got {a.shape}")
+    return emit(_swap(a.data).copy(), (a,), (_swap,))
 
 
-def _binary_shapes_ok(a, b):
-    # same shape, or row-wise bias: (N, D) op (D,)
+def _broadcast_operand(name, a, b):
+    """b's data laid out to broadcast against a, and the VJP that reduces an
+    adjoint of a's shape to b's shape."""
     if a.shape == b.shape:
-        return "same"
-    if a.data.ndim == 2 and b.data.ndim == 1 and a.shape[1] == b.shape[0]:
-        return "bias"
-    return None
+        return b.data, lambda g: g
+    if a.data.ndim >= 2 and b.shape == a.shape[-1:]:
+        # one bias for every row (of every slice)
+        return b.data, lambda g: g.reshape(-1, g.shape[-1]).sum(axis=0)
+    if a.data.ndim == 3 and b.shape == (a.shape[0], a.shape[2]):
+        # one bias per slice
+        return b.data[:, None, :], lambda g: g.sum(axis=1)
+    raise ShapeMismatchError(f"{name}: {a.shape} with {b.shape}")
 
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    mode = _binary_shapes_ok(a, b)
-    if mode is None:
-        raise ShapeMismatchError(f"add: {a.shape} + {b.shape}")
-    out = a.data + b.data
-    vjp_b = (lambda g: g) if mode == "same" else (lambda g: g.sum(axis=0))
-    return emit(out, (a, b), (lambda g: g, vjp_b))
+    bd, reduce = _broadcast_operand("add", a, b)
+    return emit(a.data + bd, (a, b), (lambda g: g, reduce))
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    mode = _binary_shapes_ok(a, b)
-    if mode is None:
-        raise ShapeMismatchError(f"sub: {a.shape} - {b.shape}")
-    out = a.data - b.data
-    vjp_b = (lambda g: -g) if mode == "same" else (lambda g: -g.sum(axis=0))
-    return emit(out, (a, b), (lambda g: g, vjp_b))
+    bd, reduce = _broadcast_operand("sub", a, b)
+    return emit(a.data - bd, (a, b), (lambda g: g, lambda g: -reduce(g)))
 
 
 def mul(a, b) -> Tensor:
@@ -199,8 +196,7 @@ def scale(c: float, a) -> Tensor:
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
-    mask = a.data > 0.0
-    return emit(np.where(mask, a.data, 0.0), (a,), (lambda g: g * mask,))
+    return emit(np.maximum(a.data, 0.0), (a,), (lambda g: g * (a.data > 0.0),))
 
 
 def tanh(a) -> Tensor:
@@ -231,20 +227,21 @@ def reciprocal(a) -> Tensor:
 def clip_upper(a, hi: float) -> Tensor:
     """min(a, hi) elementwise; gradient blocked where clipped."""
     a = as_tensor(a)
-    mask = a.data < hi
-    return emit(np.where(mask, a.data, hi), (a,), (lambda g: g * mask,))
+    return emit(np.minimum(a.data, hi), (a,), (lambda g: g * (a.data < hi),))
 
 
 def softmax_rows(a) -> Tensor:
+    """Softmax over the last axis of a 2-D tensor or of each slice of a stack."""
     a = as_tensor(a)
-    if a.data.ndim != 2:
-        raise ShapeMismatchError(f"softmax-rows: expected 2-D, got {a.shape}")
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=1, keepdims=True)
+    if a.data.ndim not in (2, 3):
+        raise ShapeMismatchError(f"softmax-rows: expected 2-D or 3-D, got {a.shape}")
+    # one buffer for the shift, the exponential and the normalisation
+    out = a.data - a.data.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
 
     def vjp(g):
-        dot = (g * out).sum(axis=1, keepdims=True)
+        dot = (g * out).sum(axis=-1, keepdims=True)
         return out * (g - dot)
 
     return emit(out, (a,), (vjp,))
@@ -330,30 +327,6 @@ def digamma(a) -> Tensor:
     if np.any(a.data <= 0.0):
         raise ValueError("digamma: input must be positive")
     return emit(special.psi(a.data), (a,), (lambda g: g * special.polygamma(1, a.data),))
-
-
-_PRIMITIVES = {
-    "matmul": lambda ops: matmul(*ops),
-    "add": lambda ops: add(*ops),
-    "sub": lambda ops: sub(*ops),
-    "elementwise-mul": lambda ops: mul(*ops),
-    "relu": lambda ops: relu(*ops),
-    "tanh": lambda ops: tanh(*ops),
-    "exp": lambda ops: exp(*ops),
-    "log": lambda ops: log(*ops),
-    "softmax-rows": lambda ops: softmax_rows(*ops),
-    "sum": lambda ops: tsum(*ops),
-    "mean": lambda ops: tmean(*ops),
-    "concat": lambda ops: concat(ops, axis=0),
-    "broadcast-scale": lambda ops: scale(float(ops[0].data), ops[1]),
-}
-
-
-def apply_primitive(kind: str, operands) -> Tensor:
-    """Dispatch by primitive name; operands is a list of Tensors."""
-    if kind not in _PRIMITIVES:
-        raise ValueError(f"unknown primitive kind: {kind}")
-    return _PRIMITIVES[kind](list(operands))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ on all seeds.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -74,6 +75,17 @@ def _resolve(args) -> harness.ExperimentConfig:
     return harness.resolve_config(args.config, overrides)
 
 
+def _checkpoint_config(cfg, model, meta) -> harness.ExperimentConfig:
+    """The config with the checkpoint's model kind, and its task and seed
+    where its metadata records them."""
+    values = {"model": model.kind}
+    if meta.get("task") is not None:
+        values["task"] = meta["task"]
+    if meta.get("seed") is not None:
+        values["seeds"] = (meta["seed"],)
+    return dataclasses.replace(cfg, **values).validate()
+
+
 def cmd_train(args):
     cfg = _resolve(args)
     seed = cfg.seeds[0]
@@ -93,19 +105,18 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    cfg = _resolve(args)
     model, meta = models.load_checkpoint(args.checkpoint)
-    seed = meta.get("seed") or cfg.seeds[0]
+    cfg = _checkpoint_config(_resolve(args), model, meta)
+    seed = cfg.seeds[0]
     _, test_ds, ood_ds, _ = harness.build_task_data(cfg, seed)
+    if (test_ds.features.shape[1], test_ds.num_classes) != (model.input_dim, model.num_classes):
+        raise ConfigError(
+            f"checkpoint model does not fit task {cfg.task}: it takes {model.input_dim} inputs "
+            f"and {model.num_classes} classes, the data has {test_ds.features.shape[1]} "
+            f"and {test_ds.num_classes}")
     row = harness.evaluate_model(cfg, model, test_ds, ood_ds)
     row["seed"] = seed
-    report = {
-        "schema_version": harness.SCHEMA_VERSION,
-        "config": harness.config_dict(cfg),
-        "per_seed": [row],
-        "aggregate": harness.aggregate_rows([row]),
-        "runtime_s_per_epoch": None,
-    }
+    report = harness.build_report(harness.config_dict(cfg), [row])
     harness.emit_report(report, args.format, args.out)
     print(f"wrote report {args.out}")
     return 0
@@ -125,12 +136,12 @@ def cmd_run(args):
 
 
 def cmd_decompose(args):
-    cfg = _resolve(args)
     model, meta = models.load_checkpoint(args.checkpoint)
-    task = meta.get("task", cfg.task)
-    probes = DEFAULT_PROBES.get(task)
-    if probes is None:
-        probes = np.zeros((1, model.trainable()[next(iter(model.trainable()))].shape[0]))
+    cfg = _checkpoint_config(_resolve(args), model, meta)
+    probes = np.asarray(DEFAULT_PROBES.get(cfg.task, np.zeros((1, model.input_dim))))
+    if probes.shape[1] != model.input_dim:
+        raise ConfigError(f"checkpoint model does not fit task {cfg.task}: it takes "
+                          f"{model.input_dim} inputs, the probes have {probes.shape[1]}")
     rows = harness.run_decomposition(cfg, model, probes)
     with open(args.out, "w") as f:
         json.dump({"schema_version": harness.SCHEMA_VERSION, "rows": rows}, f, indent=2)

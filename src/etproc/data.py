@@ -1,6 +1,6 @@
 """Datasets: synthetic two-Gaussian task, Iris on two principal
 components, IDX binary reader/writer, z-scoring, feature corruption,
-and deterministic split/shuffle/batch plumbing.
+and deterministic shuffled minibatches.
 """
 
 from __future__ import annotations
@@ -224,25 +224,6 @@ def _box_blur_2d(img, w):
         for dj in range(w):
             out += padded[di : di + img.shape[0], dj : dj + img.shape[1]]
     return out / (w * w)
-
-
-def split_shuffle_batch(ds: LabeledDataset, fractions, rng: SeededRng):
-    """Disjoint, exhaustive splits; fractions must sum to 1."""
-    fr = np.asarray(fractions, dtype=np.float64)
-    if abs(fr.sum() - 1.0) > 1e-9:
-        raise ValueError(f"fractions sum to {fr.sum()}, expected 1")
-    n = len(ds)
-    perm = rng.permutation(n)
-    bounds = np.round(np.cumsum(fr) * n).astype(int)
-    splits = []
-    lo = 0
-    for hi in bounds:
-        idx = perm[lo:hi]
-        splits.append(
-            LabeledDataset(ds.features[idx], ds.labels[idx], ds.num_classes, ds.provenance)
-        )
-        lo = hi
-    return splits
 
 
 def batch_iterator(ds: LabeledDataset, batch_size: int, rng: SeededRng, epoch: int):

@@ -1,4 +1,5 @@
-"""Closed-form densities, samplers, moments, and divergences.
+"""Seeded random streams, closed-form moments and divergences, and the
+reparameterised Gaussian draw.
 
 Categorical, Dirichlet, and diagonal-Gaussian laws shared by all four
 models. Tensor-valued variants (suffix ``_rows``) are differentiable on
@@ -33,13 +34,6 @@ class SeededRng:
             raise ValueError(f"unsupported rng algorithm: {self.algorithm}")
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
         self._gen = np.random.Generator(np.random.PCG64(ss))
-
-    def spawn(self, stream: int) -> "SeededRng":
-        return SeededRng(seed=self.seed, stream=stream)
-
-    @property
-    def generator(self) -> np.random.Generator:
-        return self._gen
 
     def normal(self, size=None):
         return self._gen.standard_normal(size)
@@ -187,58 +181,25 @@ def dirichlet_expected_log_prob_rows(alpha: Tensor, labels) -> Tensor:
     return ad.emit(out, (alpha,), (vjp,))
 
 
-def dirichlet_sample(alpha, rng: SeededRng):
-    """One draw from Dir(alpha) via Gamma samples.
-
-    Entries with alpha_k < 1 use the boosting identity (draw Gamma(a+1),
-    scale by U^(1/a)) for numerical robustness.
-    """
-    a = _check_alpha(alpha)
-    g = np.empty_like(a)
-    small = a < 1.0
-    if np.any(~small):
-        g[~small] = rng.generator.gamma(a[~small])
-    if np.any(small):
-        boost = rng.generator.gamma(a[small] + 1.0)
-        u = rng.uniform(size=small.sum())
-        g[small] = boost * u ** (1.0 / a[small])
-    g = np.maximum(g, np.finfo(np.float64).tiny)
-    return g / g.sum()
-
-
-def dirichlet_sample_many(alpha, n: int, rng: SeededRng):
-    """n i.i.d. draws from Dir(alpha), shape (n, K)."""
-    a = _check_alpha(alpha)
-    g = np.empty((n, len(a)))
-    small = a < 1.0
-    if np.any(~small):
-        g[:, ~small] = rng.generator.gamma(a[~small], size=(n, int((~small).sum())))
-    if np.any(small):
-        boost = rng.generator.gamma(a[small] + 1.0, size=(n, int(small.sum())))
-        u = rng.uniform(size=(n, int(small.sum())))
-        g[:, small] = boost * u ** (1.0 / a[small])
-    g = np.maximum(g, np.finfo(np.float64).tiny)
-    return g / g.sum(axis=1, keepdims=True)
-
-
 # ---------------------------------------------------------------------------
 # diagonal Gaussian
 
 
 def gaussian_reparam(mean, logvar, eps) -> Tensor:
-    """mean + exp(logvar/2) * eps for given standard-normal noise; one record."""
+    """mean + exp(logvar/2) * eps for given standard-normal noise; one record.
+
+    The noise may lead with a stack axis, (S, *mean.shape), for S draws at
+    once; the VJPs then sum over it.
+    """
     mean, logvar = as_tensor(mean), as_tensor(logvar)
     eps = np.asarray(eps, dtype=np.float64)
-    if mean.shape != logvar.shape or mean.shape != eps.shape:
+    if mean.shape != logvar.shape or eps.shape[eps.ndim - mean.data.ndim:] != mean.shape:
         raise ValueError(f"reparam: {mean.shape} vs {logvar.shape} vs noise {eps.shape}")
     sd = np.exp(0.5 * logvar.data)
+    stack = tuple(range(eps.ndim - mean.data.ndim))
+    unstack = (lambda t: t.sum(axis=stack)) if stack else (lambda t: t)
     return ad.emit(mean.data + sd * eps, (mean, logvar),
-                   (lambda g: g, lambda g: 0.5 * (g * eps * sd)))
-
-
-def gaussian_reparam_sample(mean: Tensor, logvar: Tensor, rng: SeededRng) -> Tensor:
-    """mean + exp(logvar/2) * eps with eps ~ N(0, I); differentiable."""
-    return gaussian_reparam(mean, logvar, rng.normal(size=np.shape(as_tensor(mean).data)))
+                   (unstack, lambda g: unstack(0.5 * (g * eps * sd))))
 
 
 def gaussian_kl_diag(mean_q, logvar_q, mean_p, logvar_p):
@@ -275,16 +236,6 @@ def gaussian_kl_diag_value(mean_q, logvar_q, mean_p, logvar_p) -> float:
 
 # ---------------------------------------------------------------------------
 # categorical
-
-
-def categorical_nll(probs, label: int) -> float:
-    """-log p_label with a 1e-12 probability floor."""
-    p = np.asarray(probs, dtype=np.float64)
-    if abs(p.sum() - 1.0) > 1e-6:
-        raise ValueError(f"probs do not sum to 1: sum={p.sum()}")
-    if not 0 <= label < len(p):
-        raise IndexError(f"label {label} out of range for K={len(p)}")
-    return float(-np.log(max(p[label], NLL_PROB_FLOOR)))
 
 
 def categorical_nll_batch(probs, labels):

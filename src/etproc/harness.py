@@ -132,8 +132,6 @@ def _coerce(key: str, raw: str):
                 return False
             raise ValueError(raw)
         current = getattr(ExperimentConfig(), key)
-        if isinstance(current, bool):
-            raise AssertionError  # handled above
         if isinstance(current, int):
             return int(raw)
         if isinstance(current, float):
@@ -253,14 +251,9 @@ def build_model(cfg: ExperimentConfig, input_dim: int, num_classes: int, rng: Se
 
 
 def train_config(cfg: ExperimentConfig) -> models_mod.TrainConfig:
+    """The training keys of the config; every TrainConfig field is one."""
     return models_mod.TrainConfig(
-        epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr,
-        adam_beta1=cfg.adam_beta1, adam_beta2=cfg.adam_beta2, adam_eps=cfg.adam_eps,
-        n_train_samples=cfg.n_train_samples, n_train_z_samples=cfg.n_train_z_samples,
-        context_fraction=cfg.context_fraction,
-        memory_update_samples=cfg.memory_update_samples,
-        edl_anneal_epochs=cfg.edl_anneal_epochs,
-    )
+        **{f.name: getattr(cfg, f.name) for f in fields(models_mod.TrainConfig)})
 
 
 # ---------------------------------------------------------------------------
@@ -315,13 +308,22 @@ def run_single_seed(cfg: ExperimentConfig, seed: int):
     return row, model
 
 
-def _run_seed_for_pool(args):
-    cfg_values, seed = args
-    cfg = ExperimentConfig(**cfg_values).validate()
+def _seed_row(cfg: ExperimentConfig, seed: int):
     return run_single_seed(cfg, seed)[0]
 
 
 METRIC_KEYS = ("err_pct", "ece_pct", "nll", "auroc_ood_pct")
+
+
+def build_report(config: dict, rows, runtime_s_per_epoch=None) -> dict:
+    """A report: the config, the metrics of each seed's row and their aggregate."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "config": config,
+        "per_seed": [{k: r.get(k) for k in ("seed", *METRIC_KEYS)} for r in rows],
+        "aggregate": aggregate_rows(rows),
+        "runtime_s_per_epoch": runtime_s_per_epoch,
+    }
 
 
 def aggregate_rows(rows):
@@ -346,11 +348,8 @@ def run_experiment(cfg: ExperimentConfig, keep_models=False):
     rows = []
     kept = {}
     if cfg.workers > 1 and not keep_models:
-        cfg_values = config_dict(cfg)
-        cfg_values["hidden"] = tuple(cfg_values["hidden"])
-        cfg_values["seeds"] = tuple(cfg_values["seeds"])
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            rows = list(pool.map(_run_seed_for_pool, [(cfg_values, s) for s in cfg.seeds]))
+            rows = list(pool.map(_seed_row, [cfg] * len(cfg.seeds), cfg.seeds))
     else:
         for seed in cfg.seeds:
             row, model = run_single_seed(cfg, seed)
@@ -361,16 +360,8 @@ def run_experiment(cfg: ExperimentConfig, keep_models=False):
     if all(r.get("failed") for r in rows):
         raise models_mod.TrainingDiverged(-1, -1, float("nan"))
     runtimes = [r.get("runtime_s_per_epoch") for r in rows if r.get("runtime_s_per_epoch")]
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "config": config_dict(cfg),
-        "per_seed": [
-            {k: r.get(k) for k in ("seed", "err_pct", "ece_pct", "nll", "auroc_ood_pct")}
-            for r in rows
-        ],
-        "aggregate": aggregate_rows(rows),
-        "runtime_s_per_epoch": (float(np.mean(runtimes)) if (runtimes and cfg.include_runtime) else None),
-    }
+    report = build_report(config_dict(cfg), rows, (
+        float(np.mean(runtimes)) if (runtimes and cfg.include_runtime) else None))
     if keep_models:
         return report, kept
     return report
@@ -382,29 +373,15 @@ def run_experiment(cfg: ExperimentConfig, keep_models=False):
 
 def run_decomposition(cfg: ExperimentConfig, model, probe_inputs):
     """Per-probe predictive-variance decomposition rows."""
+    if not hasattr(model, "decompose"):
+        raise ConfigError(
+            f"model kind '{model.kind}' has no defined predictive-variance "
+            "decomposition (single-term uncertainty); use bnn or etp")
     probes = np.atleast_2d(np.asarray(probe_inputs, dtype=np.float64))
     rng = SeededRng(seed=0, stream=7)
     rows = []
     for x in probes:
-        if model.kind == "bnn":
-            def sampler(_s, x=x):
-                w = model.net.sample_weights_np(rng)
-                z = model.net.forward_np(x[None, :], w)
-                e = np.exp(z - z.max())
-                return (e / e.sum()).ravel()
-
-            triple = metrics_mod.decompose_pbm(sampler, cfg.decomposition_samples)
-        elif model.kind == "etp":
-            def alpha_sampler(_s, x=x):
-                w = model.encoder.sample_weights_np(rng)
-                v = model.encoder.forward_np(x[None, :], w)
-                return model.concentration_np(v, model.draw_memory(rng)).ravel()
-
-            triple = metrics_mod.decompose_cbm(alpha_sampler, cfg.decomposition_samples)
-        else:
-            raise ConfigError(
-                f"model kind '{model.kind}' has no defined predictive-variance "
-                "decomposition (single-term uncertainty); use bnn or etp")
+        triple = model.decompose(x[None, :], rng, cfg.decomposition_samples)
         rows.append({
             "input": [float(v) for v in x],
             "reducible": triple.reducible.tolist(),
@@ -452,18 +429,25 @@ def emit_report(report: dict, fmt: str, path):
 
 
 def reaggregate(per_seed_paths):
-    """Re-aggregate previously emitted per-seed JSON reports."""
+    """Re-aggregate previously emitted per-seed JSON reports.
+
+    Raises ConfigError unless the reports' configs agree in every key but
+    ``seeds`` and no seed appears twice; the merged config lists every seed.
+    """
     rows = []
-    config = None
+    config = first = None
     for p in per_seed_paths:
         with open(p) as f:
             rep = json.load(f)
-        config = config or rep.get("config")
+        other = {k: v for k, v in (rep.get("config") or {}).items() if k != "seeds"}
+        if first is None:
+            config, first, first_path = rep.get("config"), other, p
+        elif other != first:
+            keys = sorted(k for k in first.keys() | other.keys() if first.get(k) != other.get(k))
+            raise ConfigError(f"report {p} has another config than {first_path}: {keys}")
         rows.extend(rep["per_seed"])
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "config": config,
-        "per_seed": rows,
-        "aggregate": aggregate_rows(rows),
-        "runtime_s_per_epoch": None,
-    }
+    seeds = [r["seed"] for r in rows]
+    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+    if repeated:
+        raise ConfigError(f"seeds reported more than once: {repeated}")
+    return build_report(config and dict(config, seeds=seeds), rows)

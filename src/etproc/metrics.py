@@ -223,13 +223,6 @@ class MixtureOracle:
         return float(val)
 
 
-def bayes_oracle(oracle: MixtureOracle, x):
-    """(f_true row, point risk of the Bayes rule, irreducible risk) at x."""
-    f = oracle.f_true(x)[0]
-    risk = oracle.point_risk(f, x)[0]
-    return f, float(risk), float(oracle.irreducible_risk(x)[0])
-
-
 def risk_product_check(pi: float, pi_prime: float) -> bool:
     """Ordering consistency of min(1-p, p) and (1-p)p on [0.5, 1]."""
     if not (0.5 <= pi <= 1.0 and 0.5 <= pi_prime <= 1.0):

@@ -1,9 +1,21 @@
 """The four classifiers of the ablation: BNN, EDL, ENP, and ETP.
 
-All share one interface: ``loss(tape, ...)`` builds a differentiable
-scalar on the tape, ``predict`` returns class probabilities, and
-``trainable()`` exposes the parameter arrays updated by Adam. The ETP
-memory update is numpy-only and never touches the tape.
+Each model has one forward path, built from ``autodiff`` ops. A training
+step records it on a tape; prediction, the ETP memory update and the
+variance decomposition run the same code untracked, since an op whose
+operands are on no tape records nothing. Where draws are independent
+(the ETP memory update, the decomposition) the untracked path stacks
+them on a leading axis instead of looping over them.
+
+The models share one protocol, so no caller branches on the model kind:
+
+- ``step_loss(tape, xb, yb, rng, cfg, epoch, n_total)`` builds the scalar
+  loss of one training step (ETP updates its memory first);
+- ``predict(x, rng, n_samples, n_samples_z)`` returns class probabilities;
+- ``hyper()`` gives the constructor arguments that rebuild the model, and
+  ``checkpoint_arrays()`` the arrays a checkpoint stores;
+- ``decompose(x, rng, n_samples)``, on BNN and ETP only, splits the
+  predictive variance at one input.
 
 Each model keeps its trainables in one contiguous float64 vector,
 ``theta``, in ``trainable()`` order; the per-array dicts of its networks
@@ -19,7 +31,8 @@ log-variances are each one block, so its weight KL is one tape record.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import zipfile
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,16 +47,16 @@ from .distributions import (
     gaussian_kl_diag,
     gaussian_reparam,
 )
+from .metrics import decompose_cbm, decompose_pbm
 
 LOG_ALPHA_CAP = np.log(1e6)
 LOGVAR_INIT = -6.0
 
-MODEL_KINDS = ("bnn", "edl", "enp", "etp")
 FLAT = "theta"  # span name of the whole parameter vector
 
 
 class CheckpointError(ValueError):
-    """A checkpoint whose arrays do not match the model it describes."""
+    """A checkpoint file that does not hold the model it describes."""
 
 
 class TrainingDiverged(RuntimeError):
@@ -67,19 +80,17 @@ class MlpSpec:
             raise ValueError(f"unknown activation: {self.activation}")
 
 
-def _init_layer(rng: SeededRng, fan_in, fan_out):
-    bound = 1.0 / np.sqrt(fan_in)
-    w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-    b = rng.uniform(-bound, bound, size=fan_out)
-    return w, b
+class _Model:
+    """Trainables packed into one contiguous vector ``theta``, and the
+    parts of the model protocol that every kind shares."""
 
+    HYPER = ()  # constructor arguments beyond the architecture
+    clamp_events = 0  # entries the concentration cap has clamped
 
-def _activate(t: Tensor, kind: str) -> Tensor:
-    return ad.relu(t) if kind == "relu" else ad.tanh(t)
-
-
-class _PackedModel:
-    """Trainables packed into one contiguous vector ``theta``."""
+    def __init__(self, input_dim, num_classes, hidden):
+        self.input_dim = input_dim
+        self.num_classes = num_classes
+        self.hidden = tuple(hidden)
 
     def _pack(self, groups):
         """Move the arrays of the name -> array dicts in ``groups`` into
@@ -107,41 +118,63 @@ class _PackedModel:
         """Tape leaves for every span of ``theta``."""
         return tape.flat_leaves(self.theta, self.spans)
 
+    def hyper(self):
+        """The constructor arguments that rebuild this model."""
+        return {"input_dim": self.input_dim, "hidden": list(self.hidden),
+                **{name: getattr(self, name) for name in self.HYPER}}
 
-class DeterministicMlp:
+    def checkpoint_arrays(self):
+        """Name -> array of everything a checkpoint stores."""
+        return self.trainable()
+
+    def _capped_exp(self, raw: Tensor) -> Tensor:
+        """exp(min(raw, LOG_ALPHA_CAP)), counting the entries the cap clamps."""
+        self.clamp_events += int(np.sum(raw.data >= LOG_ALPHA_CAP))
+        return ad.exp(ad.clip_upper(raw, LOG_ALPHA_CAP))
+
+
+class _Mlp:
+    """An MLP's layout: weights named f"{prefix}.W{i}" and f"{prefix}.b{i}"
+    by layer, their initial values and the forward pass over them."""
+
+    def __init__(self, spec: MlpSpec, prefix: str):
+        self.spec = spec
+        self.prefix = prefix
+        self.n_layers = len(spec.hidden) + 1
+
+    def _initial_weights(self, rng: SeededRng):
+        """Fan-in-scaled uniform weights and biases, layer by layer."""
+        dims = [self.spec.in_dim, *self.spec.hidden, self.spec.out_dim]
+        weights = {}
+        for i in range(self.n_layers):
+            bound = 1.0 / np.sqrt(dims[i])
+            weights[f"{self.prefix}.W{i}"] = rng.uniform(-bound, bound, size=(dims[i], dims[i + 1]))
+            weights[f"{self.prefix}.b{i}"] = rng.uniform(-bound, bound, size=dims[i + 1])
+        return weights
+
+    def forward(self, x, weights) -> Tensor:
+        """Forward pass under the named weights, which may lead with a stack axis."""
+        h = as_tensor(x)
+        for i in range(self.n_layers):
+            h = ad.add(ad.matmul(h, weights[f"{self.prefix}.W{i}"]),
+                       weights[f"{self.prefix}.b{i}"])
+            if i < self.n_layers - 1:
+                h = ad.relu(h) if self.spec.activation == "relu" else ad.tanh(h)
+        return h
+
+
+class DeterministicMlp(_Mlp):
     """Point-estimate MLP; weights live in a flat name->array dict."""
 
     def __init__(self, spec: MlpSpec, rng: SeededRng, prefix: str):
-        self.spec = spec
-        self.prefix = prefix
-        self.params = {}
-        dims = [spec.in_dim, *spec.hidden, spec.out_dim]
-        for i in range(len(dims) - 1):
-            w, b = _init_layer(rng, dims[i], dims[i + 1])
-            self.params[f"{prefix}.W{i}"] = w
-            self.params[f"{prefix}.b{i}"] = b
-        self.n_layers = len(dims) - 1
+        super().__init__(spec, prefix)
+        self.params = self._initial_weights(rng)
 
-    def forward(self, x: Tensor, leaves=None) -> Tensor:
-        h = as_tensor(x)
-        get = (leaves or self.params).__getitem__
-        for i in range(self.n_layers):
-            h = ad.add(ad.matmul(h, as_tensor(get(f"{self.prefix}.W{i}"))),
-                       as_tensor(get(f"{self.prefix}.b{i}")))
-            if i < self.n_layers - 1:
-                h = _activate(h, self.spec.activation)
-        return h
-
-    def forward_np(self, x):
-        h = np.asarray(x, dtype=np.float64)
-        for i in range(self.n_layers):
-            h = h @ self.params[f"{self.prefix}.W{i}"] + self.params[f"{self.prefix}.b{i}"]
-            if i < self.n_layers - 1:
-                h = np.maximum(h, 0.0) if self.spec.activation == "relu" else np.tanh(h)
-        return h
+    def forward(self, x, leaves=None) -> Tensor:
+        return super().forward(x, leaves or self.params)
 
 
-class VariationalMlp:
+class VariationalMlp(_Mlp):
     """Mean-field Gaussian posterior over MLP weights.
 
     Means are fan-in-scaled uniform; log-variances start at -6 so the
@@ -149,71 +182,35 @@ class VariationalMlp:
     """
 
     def __init__(self, spec: MlpSpec, rng: SeededRng, prefix: str):
-        self.spec = spec
-        self.prefix = prefix
-        self.means = {}
-        self.logvars = {}
-        dims = [spec.in_dim, *spec.hidden, spec.out_dim]
-        for i in range(len(dims) - 1):
-            w, b = _init_layer(rng, dims[i], dims[i + 1])
-            self.means[f"{prefix}.W{i}"] = w
-            self.means[f"{prefix}.b{i}"] = b
-            self.logvars[f"{prefix}.W{i}.logvar"] = np.full_like(w, LOGVAR_INIT)
-            self.logvars[f"{prefix}.b{i}.logvar"] = np.full_like(b, LOGVAR_INIT)
-        self.n_layers = len(dims) - 1
+        super().__init__(spec, prefix)
+        self.means = self._initial_weights(rng)
+        self.logvars = {f"{name}.logvar": np.full_like(m, LOGVAR_INIT)
+                        for name, m in self.means.items()}
+        self.n_weights = sum(m.size for m in self.means.values())
 
     def groups(self):
         """The means and the log-variances, as two blocks of ``theta``."""
         return {f"{self.prefix}.means": self.means, f"{self.prefix}.logvars": self.logvars}
 
-    def sampled_weights(self, leaves, rng: SeededRng):
-        """Reparameterized weight tensors mean + exp(logvar/2) * eps, one
-        record per array; one draw gives the noise of all of them."""
-        eps = rng.normal(size=sum(m.size for m in self.means.values()))
+    def sampled_weights(self, params, eps):
+        """Reparameterized weights mean + exp(logvar/2) * eps, one record per
+        array. ``eps`` is the noise of all arrays, (n_weights,), or of S
+        stacked draws, (S, n_weights), which gives stacked weights."""
+        stack = eps.shape[:-1]
         weights = {}
         start = 0
         for name, m in self.means.items():
             stop = start + m.size
-            weights[name] = gaussian_reparam(leaves[name], leaves[f"{name}.logvar"],
-                                             eps[start:stop].reshape(m.shape))
+            weights[name] = gaussian_reparam(params[name], params[f"{name}.logvar"],
+                                             eps[..., start:stop].reshape(*stack, *m.shape))
             start = stop
         return weights
-
-    def forward(self, x: Tensor, weights) -> Tensor:
-        h = as_tensor(x)
-        for i in range(self.n_layers):
-            h = ad.add(ad.matmul(h, weights[f"{self.prefix}.W{i}"]),
-                       weights[f"{self.prefix}.b{i}"])
-            if i < self.n_layers - 1:
-                h = _activate(h, self.spec.activation)
-        return h
-
-    def sample_weights_np(self, rng: SeededRng):
-        out = {}
-        for name, m in self.means.items():
-            sd = np.exp(0.5 * self.logvars[f"{name}.logvar"])
-            out[name] = m + sd * rng.normal(size=m.shape)
-        return out
-
-    def forward_np(self, x, weights=None):
-        weights = weights or self.means
-        h = np.asarray(x, dtype=np.float64)
-        for i in range(self.n_layers):
-            h = h @ weights[f"{self.prefix}.W{i}"] + weights[f"{self.prefix}.b{i}"]
-            if i < self.n_layers - 1:
-                h = np.maximum(h, 0.0) if self.spec.activation == "relu" else np.tanh(h)
-        return h
 
     def kl_to_prior(self, leaves, beta: float) -> Tensor:
         """KL of the whole posterior to the N(0, 1/beta I) prior."""
         return gaussian_kl_diag(leaves[f"{self.prefix}.means"],
                                 leaves[f"{self.prefix}.logvars"],
                                 0.0, float(np.log(1.0 / beta)))
-
-
-def _softmax_np(z):
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def _onehot(labels, k):
@@ -228,26 +225,36 @@ def _nll_rows(probs: Tensor, labels) -> Tensor:
     return ad.scale(-1.0, ad.take_labels(ad.log(probs), labels))
 
 
+def _choose_context(xb, yb, fraction, rng):
+    """Context subset drawn without replacement within the batch."""
+    n_ctx = max(1, int(round(fraction * len(yb))))
+    idx = rng.permutation(len(yb))[:n_ctx]
+    return xb[idx], yb[idx]
+
+
 # ---------------------------------------------------------------------------
 # BNN
 
 
-class BnnModel(_PackedModel):
+class BnnModel(_Model):
     kind = "bnn"
+    HYPER = ("beta",)
 
     def __init__(self, input_dim, num_classes, hidden, rng, beta=1.0):
-        self.num_classes = num_classes
+        super().__init__(input_dim, num_classes, hidden)
         self.beta = beta
-        self.net = VariationalMlp(MlpSpec(input_dim, tuple(hidden), num_classes), rng, "net")
+        self.net = VariationalMlp(MlpSpec(input_dim, self.hidden, num_classes), rng, "net")
         self._pack(self.net.groups())
+
+    def _probs(self, x: Tensor, params, eps) -> Tensor:
+        return ad.softmax_rows(self.net.forward(x, self.net.sampled_weights(params, eps)))
 
     def loss(self, tape, xb, yb, rng, n_total, n_samples=1):
         leaves = self.leaves(tape)
         x = as_tensor(xb)
         acc = None
         for _ in range(n_samples):
-            weights = self.net.sampled_weights(leaves, rng)
-            probs = ad.softmax_rows(self.net.forward(x, weights))
+            probs = self._probs(x, leaves, rng.normal(size=self.net.n_weights))
             term = ad.tmean(_nll_rows(probs, yb))
             acc = term if acc is None else ad.add(acc, term)
         nll = ad.scale(1.0 / n_samples, acc)
@@ -256,33 +263,39 @@ class BnnModel(_PackedModel):
         loss = ad.add(nll, ad.scale(1.0 / n_total, kl))
         return loss, leaves
 
-    def predict(self, x, rng, n_samples=16):
-        x = np.atleast_2d(x)
-        acc = np.zeros((len(x), self.num_classes))
+    def step_loss(self, tape, xb, yb, rng, cfg, epoch, n_total):
+        return self.loss(tape, xb, yb, rng, n_total, n_samples=cfg.n_train_samples)
+
+    def predict(self, x, rng, n_samples=16, n_samples_z=8):
+        x = as_tensor(np.atleast_2d(x))
+        params = self.trainable()
+        acc = np.zeros((x.shape[0], self.num_classes))
         for _ in range(n_samples):
-            w = self.net.sample_weights_np(rng)
-            acc += _softmax_np(self.net.forward_np(x, w))
+            acc += self._probs(x, params, rng.normal(size=self.net.n_weights)).data
         return acc / n_samples
+
+    def decompose(self, x, rng, n_samples):
+        """Two-term variance split at one input x, (1, D), over n_samples
+        weight draws, stacked."""
+        eps = rng.normal(size=(n_samples, self.net.n_weights))
+        probs = self._probs(as_tensor(x), self.trainable(), eps).data  # (S, 1, K)
+        return decompose_pbm(lambda s: probs[s, 0], n_samples)
 
 
 # ---------------------------------------------------------------------------
 # EDL
 
 
-class EdlModel(_PackedModel):
+class EdlModel(_Model):
     kind = "edl"
 
     def __init__(self, input_dim, num_classes, hidden, rng):
-        self.num_classes = num_classes
-        self.net = DeterministicMlp(MlpSpec(input_dim, tuple(hidden), num_classes), rng, "net")
-        self.clamp_events = 0
+        super().__init__(input_dim, num_classes, hidden)
+        self.net = DeterministicMlp(MlpSpec(input_dim, self.hidden, num_classes), rng, "net")
         self._pack({"net": self.net.params})
 
-    def _alpha(self, x: Tensor, leaves) -> Tensor:
-        raw = self.net.forward(x, leaves)
-        clipped = ad.clip_upper(raw, LOG_ALPHA_CAP)
-        self.clamp_events += int(np.sum(raw.data >= LOG_ALPHA_CAP))
-        return ad.exp(clipped)
+    def _alpha(self, x: Tensor, leaves=None) -> Tensor:
+        return self._capped_exp(self.net.forward(x, leaves))
 
     def loss(self, tape, xb, yb, lam):
         """Analytic expected squared error plus annealed KL to Dir(1,...,1).
@@ -301,6 +314,10 @@ class EdlModel(_PackedModel):
         loss = ad.tmean(ad.add(per["sq"], ad.scale(lam, per["kl"])))
         return loss, leaves
 
+    def step_loss(self, tape, xb, yb, rng, cfg, epoch, n_total):
+        lam = min(1.0, epoch / cfg.edl_anneal_epochs) if cfg.edl_anneal_epochs > 0 else 1.0
+        return self.loss(tape, xb, yb, lam)
+
     def per_sample_terms(self, alpha: Tensor, yb):
         """(N,1) tensors: squared-error-plus-variance term and the KL term.
 
@@ -318,9 +335,8 @@ class EdlModel(_PackedModel):
         return {"sq": sq, "kl": kl}
 
     def per_sample_loss_np(self, x, y, lam):
-        alpha = self.alpha_np(x)
-        tensors = self.per_sample_terms(as_tensor(alpha), y)
-        return (tensors["sq"].data + lam * tensors["kl"].data).ravel()
+        per = self.per_sample_terms(self._alpha(as_tensor(np.atleast_2d(x))), y)
+        return (per["sq"].data + lam * per["kl"].data).ravel()
 
     def per_sample_negative_elbo_np(self, x, y):
         """The constant K/2 * log(pi) plus the per-sample loss at lam = 1.
@@ -335,12 +351,8 @@ class EdlModel(_PackedModel):
         const = 0.5 * k * np.log(np.pi)
         return const + self.per_sample_loss_np(x, y, lam=1.0)
 
-    def alpha_np(self, x):
-        raw = self.net.forward_np(np.atleast_2d(x))
-        return np.exp(np.minimum(raw, LOG_ALPHA_CAP))
-
-    def predict(self, x, rng=None, n_samples=1):
-        alpha = self.alpha_np(x)
+    def predict(self, x, rng=None, n_samples=16, n_samples_z=8):
+        alpha = self._alpha(as_tensor(np.atleast_2d(x))).data
         return alpha / alpha.sum(axis=1, keepdims=True)
 
 
@@ -348,22 +360,10 @@ class EdlModel(_PackedModel):
 # ETP
 
 
-def etp_attend(embedding, memory_draw, key_fn=None):
-    """Dot-product attention over memory cells (numpy, single query).
-
-    Returns (weights over R cells, read vector = convex combination).
-    """
-    v = np.asarray(embedding, dtype=np.float64)
-    z = np.atleast_2d(np.asarray(memory_draw, dtype=np.float64))
-    keys = z if key_fn is None else np.atleast_2d(key_fn(z))
-    scores = keys @ v / np.sqrt(len(v))
-    e = np.exp(scores - scores.max())
-    weights = e / e.sum()
-    return weights, weights @ z
-
-
-class EtpModel(_PackedModel):
+class EtpModel(_Model):
     kind = "etp"
+    HYPER = ("memory_cells", "gamma", "kappa2", "beta", "beta_reg", "combiner",
+             "identity_keys", "update_tanh")
 
     def __init__(self, input_dim, num_classes, hidden, rng,
                  memory_cells=16, gamma=0.9, kappa2=0.1, beta=1.0, beta_reg=0.0,
@@ -374,7 +374,8 @@ class EtpModel(_PackedModel):
             raise ValueError("kappa2 must be positive")
         if combiner not in ("residual", "direct"):
             raise ValueError(f"unknown combiner mode: {combiner}")
-        self.num_classes = num_classes
+        super().__init__(input_dim, num_classes, hidden)
+        self.memory_cells = memory_cells
         self.gamma = gamma
         self.kappa2 = kappa2
         self.beta = beta
@@ -382,8 +383,7 @@ class EtpModel(_PackedModel):
         self.combiner = combiner
         self.identity_keys = identity_keys
         self.update_tanh = update_tanh
-        self.clamp_events = 0
-        self.encoder = VariationalMlp(MlpSpec(input_dim, tuple(hidden), num_classes), rng, "enc")
+        self.encoder = VariationalMlp(MlpSpec(input_dim, self.hidden, num_classes), rng, "enc")
         if identity_keys:
             self.keynet = None
         else:
@@ -394,74 +394,54 @@ class EtpModel(_PackedModel):
             groups["key"] = self.keynet.params
         self._pack(groups)
 
+    def checkpoint_arrays(self):
+        return {**self.trainable(), "__memory__": self.memory}
+
     # -- attention / concentration ------------------------------------------
 
-    def _keys(self, z: Tensor, leaves=None) -> Tensor:
-        if self.keynet is None:
-            return z
-        return self.keynet.forward(z, leaves)
-
-    def _keys_np(self, z):
-        return z if self.keynet is None else self.keynet.forward_np(z)
-
     def attend(self, v: Tensor, z, leaves=None):
-        """Batched attention: v (N,K), memory draw z (R,K)."""
+        """Attention of embeddings v, (N, K), over a memory draw z, (R, K).
+        Either may lead with a stack axis of S draws."""
         zc = as_tensor(z)
-        keys = self._keys(zc, leaves)
+        keys = zc if self.keynet is None else self.keynet.forward(zc, leaves)
         scores = ad.scale(1.0 / np.sqrt(self.num_classes),
                           ad.matmul(v, ad.transpose(keys)))
         phi = ad.softmax_rows(scores)
         return phi, ad.matmul(phi, zc)
 
-    def attend_np(self, v, z):
-        keys = self._keys_np(z)
-        scores = v @ keys.T / np.sqrt(self.num_classes)
-        phi = _softmax_np(scores)
-        return phi, phi @ z
-
-    def _exponent(self, v: Tensor, read: Tensor) -> Tensor:
-        if self.combiner == "residual":
-            return ad.add(v, ad.tanh(read))
-        return read
+    def _evidence(self, read: Tensor) -> Tensor:
+        """The memory's share of the log-concentration."""
+        return ad.tanh(read) if self.combiner == "residual" else read
 
     def concentration(self, v: Tensor, z, leaves=None) -> Tensor:
         """Dirichlet concentrations for embeddings v under memory draw z."""
         _, read = self.attend(v, z, leaves)
-        expo = self._exponent(v, read)
-        self.clamp_events += int(np.sum(expo.data >= LOG_ALPHA_CAP))
-        return ad.exp(ad.clip_upper(expo, LOG_ALPHA_CAP))
+        evidence = self._evidence(read)
+        return self._capped_exp(ad.add(v, evidence) if self.combiner == "residual" else evidence)
 
-    def concentration_np(self, v, z):
-        _, read = self.attend_np(v, z)
-        expo = v + np.tanh(read) if self.combiner == "residual" else read
-        return np.exp(np.minimum(expo, LOG_ALPHA_CAP))
-
-    def draw_memory(self, rng: SeededRng):
-        return self.memory + np.sqrt(self.kappa2) * rng.normal(size=self.memory.shape)
+    def draw_memory(self, rng: SeededRng, n_draws=None):
+        """A memory draw M + sqrt(kappa2) * noise, (R, K), or a stack of
+        n_draws of them, (S, R, K), from one call to the stream."""
+        shape = self.memory.shape if n_draws is None else (n_draws, *self.memory.shape)
+        return self.memory + np.sqrt(self.kappa2) * rng.normal(size=shape)
 
     # -- memory update (gradient-detached) ----------------------------------
 
     def memory_update(self, ctx_x, ctx_y, rng: SeededRng, n_samples=8):
-        """Explicit retention/update rule; runs entirely outside the tape."""
-        ctx_x = np.atleast_2d(np.asarray(ctx_x, dtype=np.float64)) if len(ctx_x) else np.zeros((0, 1))
+        """Explicit retention/update rule, on all n_samples memory draws at
+        once; it runs untracked, outside the tape."""
         ctx_y = np.asarray(ctx_y, dtype=np.int64)
         if len(ctx_y) and (ctx_y.min() < 0 or ctx_y.max() >= self.num_classes):
             raise ValueError("context labels outside [0, K)")
+        z = self.draw_memory(rng, n_samples)                      # (S, R, K)
+        contrib = np.zeros_like(z)
         if len(ctx_y):
-            v = self.encoder.forward_np(ctx_x)
-            info = _onehot(ctx_y, self.num_classes) + _softmax_np(v)
-        acc = np.zeros_like(self.memory)
-        noise = np.sqrt(self.kappa2) * rng.normal(size=(n_samples, *self.memory.shape))
-        for s in range(n_samples):
-            z = self.memory + noise[s]
-            if len(ctx_y):
-                phi, _ = self.attend_np(v, z)           # (C, R)
-                contrib = phi.T @ info                   # (R, K)
-            else:
-                contrib = 0.0
-            update = self.gamma * self.memory + (1.0 - self.gamma) * contrib
-            acc += np.tanh(update) if self.update_tanh else update
-        self.memory = acc / n_samples
+            v = self.encoder.forward(as_tensor(np.atleast_2d(ctx_x)), self.encoder.means)
+            info = _onehot(ctx_y, self.num_classes) + ad.softmax_rows(v).data
+            phi, _ = self.attend(v, z)                             # (S, C, R)
+            contrib = np.swapaxes(phi.data, -1, -2) @ info         # (S, R, K)
+        update = self.gamma * self.memory + (1.0 - self.gamma) * contrib
+        self.memory = (np.tanh(update) if self.update_tanh else update).sum(axis=0) / n_samples
         return self.memory
 
     # -- objective ----------------------------------------------------------
@@ -474,7 +454,7 @@ class EtpModel(_PackedModel):
         x = as_tensor(np.atleast_2d(xb))
         acc = None
         for _ in range(s_w):
-            weights = self.encoder.sampled_weights(leaves, rng)
+            weights = self.encoder.sampled_weights(leaves, rng.normal(size=self.encoder.n_weights))
             v = self.encoder.forward(x, weights)
             for _ in range(s_z):
                 alpha = self.concentration(v, self.draw_memory(rng), leaves)
@@ -490,18 +470,40 @@ class EtpModel(_PackedModel):
             raise FloatingPointError("non-finite free energy")
         return loss, leaves
 
+    def step_loss(self, tape, xb, yb, rng, cfg, epoch, n_total):
+        cx, cy = _choose_context(xb, yb, cfg.context_fraction, rng)
+        self.memory_update(cx, cy, rng, n_samples=cfg.memory_update_samples)
+        return self.free_energy(tape, xb, yb, rng, n_total,
+                                s_w=cfg.n_train_samples, s_z=cfg.n_train_z_samples)
+
     # -- prediction ---------------------------------------------------------
 
-    def predict(self, x, rng, n_samples_w=16, n_samples_z=8):
-        x = np.atleast_2d(x)
-        acc = np.zeros((len(x), self.num_classes))
-        for _ in range(n_samples_w):
-            w = self.encoder.sample_weights_np(rng)
-            v = self.encoder.forward_np(x, w)
+    def predict(self, x, rng, n_samples=16, n_samples_z=8):
+        """Mean class probabilities over n_samples weight draws, each with
+        n_samples_z memory draws; one draw at a time bounds the memory."""
+        x = as_tensor(np.atleast_2d(x))
+        params = self.trainable()
+        acc = np.zeros((x.shape[0], self.num_classes))
+        for _ in range(n_samples):
+            eps = rng.normal(size=self.encoder.n_weights)
+            v = self.encoder.forward(x, self.encoder.sampled_weights(params, eps))
             for _ in range(n_samples_z):
-                alpha = self.concentration_np(v, self.draw_memory(rng))
+                alpha = self.concentration(v, self.draw_memory(rng)).data
                 acc += alpha / alpha.sum(axis=1, keepdims=True)
-        return acc / (n_samples_w * n_samples_z)
+        return acc / (n_samples * n_samples_z)
+
+    def decompose(self, x, rng, n_samples):
+        """Three-term variance split at one input x, (1, D), over n_samples
+        stacked draws of the weights and the memory. One block of noise
+        holds them all; its rows keep each draw's stream order, weights
+        first, then memory."""
+        n_w = self.encoder.n_weights
+        noise = rng.normal(size=(n_samples, n_w + self.memory.size))
+        weights = self.encoder.sampled_weights(self.trainable(), noise[:, :n_w])
+        z = self.memory + np.sqrt(self.kappa2) * noise[:, n_w:].reshape(
+            n_samples, *self.memory.shape)
+        alpha = self.concentration(self.encoder.forward(as_tensor(x), weights), z).data
+        return decompose_cbm(lambda s: alpha[s, 0], n_samples)
 
     def memory_evidence(self, x, rng, n_samples=10):
         """Mean memory-induced evidence per class at the given inputs.
@@ -509,35 +511,31 @@ class EtpModel(_PackedModel):
         For the residual combiner this is the additive tanh(read) term;
         for the direct combiner it is the raw attention read.
         """
-        x = np.atleast_2d(x)
-        v = self.encoder.forward_np(x)
-        acc = np.zeros((len(x), self.num_classes))
-        for _ in range(n_samples):
-            _, read = self.attend_np(v, self.draw_memory(rng))
-            acc += np.tanh(read) if self.combiner == "residual" else read
-        return acc / n_samples
+        v = self.encoder.forward(as_tensor(np.atleast_2d(x)), self.encoder.means)
+        _, read = self.attend(v, self.draw_memory(rng, n_samples))
+        return self._evidence(read).data.sum(axis=0) / n_samples
 
 
 # ---------------------------------------------------------------------------
 # ENP
 
 
-class EnpModel(_PackedModel):
+class EnpModel(_Model):
     kind = "enp"
+    HYPER = ("kappa2", "beta_reg", "aggregation")
 
     def __init__(self, input_dim, num_classes, hidden, rng,
                  kappa2=0.1, beta_reg=0.0, aggregation="mean"):
         if aggregation not in ("mean", "attention"):
             raise ValueError(f"unknown aggregation mode: {aggregation}")
-        self.num_classes = num_classes
+        super().__init__(input_dim, num_classes, hidden)
         self.kappa2 = kappa2
         self.beta_reg = beta_reg
         self.aggregation = aggregation
-        self.clamp_events = 0
         k = num_classes
-        self.embed = DeterministicMlp(MlpSpec(input_dim, tuple(hidden), k), rng, "emb")
-        self.encoder = DeterministicMlp(MlpSpec(input_dim + k, tuple(hidden), 2 * k), rng, "ctx")
-        self.head = DeterministicMlp(MlpSpec(2 * k, tuple(hidden), k), rng, "head")
+        self.embed = DeterministicMlp(MlpSpec(input_dim, self.hidden, k), rng, "emb")
+        self.encoder = DeterministicMlp(MlpSpec(input_dim + k, self.hidden, 2 * k), rng, "ctx")
+        self.head = DeterministicMlp(MlpSpec(2 * k, self.hidden, k), rng, "head")
         # constant selectors splitting encoder output into (mu, logvar)
         eye = np.eye(k)
         self._sel_mu = np.vstack([eye, np.zeros((k, k))])
@@ -545,10 +543,8 @@ class EnpModel(_PackedModel):
         self._pack({"emb": self.embed.params, "ctx": self.encoder.params,
                     "head": self.head.params})
 
-    def _alpha(self, e: Tensor, z: Tensor, leaves) -> Tensor:
-        raw = self.head.forward(ad.concat([e, z], axis=1), leaves)
-        self.clamp_events += int(np.sum(raw.data >= LOG_ALPHA_CAP))
-        return ad.exp(ad.clip_upper(raw, LOG_ALPHA_CAP))
+    def _alpha(self, e: Tensor, z, leaves=None) -> Tensor:
+        return self._capped_exp(self.head.forward(ad.concat([e, z], axis=1), leaves))
 
     def loss(self, tape, xb, yb, ctx_x, ctx_y, rng, n_total):
         if len(ctx_y) == 0:
@@ -582,6 +578,10 @@ class EnpModel(_PackedModel):
         loss = ad.add(enll, ad.scale(len(yb) / n_total, kl))
         return loss, leaves
 
+    def step_loss(self, tape, xb, yb, rng, cfg, epoch, n_total):
+        cx, cy = _choose_context(xb, yb, cfg.context_fraction, rng)
+        return self.loss(tape, xb, yb, cx, cy, rng, n_total)
+
     def _kl_rows_to_pred_prior(self, mu: Tensor, lv: Tensor) -> Tensor:
         """Mean per-target KL(N(mu, e^lv) || N(1, kappa^2 I))."""
         n, k = mu.shape
@@ -592,21 +592,29 @@ class EnpModel(_PackedModel):
         per_row = ad.scale(0.5, ad.sum_rows(inner))
         return ad.tmean(per_row)
 
-    def alpha_np(self, x, z):
-        e = self.embed.forward_np(np.atleast_2d(x))
-        zfull = np.broadcast_to(z, e.shape) if z.ndim == 1 else z
-        raw = self.head.forward_np(np.concatenate([e, zfull], axis=1))
-        return np.exp(np.minimum(raw, LOG_ALPHA_CAP))
-
-    def predict(self, x, rng, n_samples=16):
+    def predict(self, x, rng, n_samples=16, n_samples_z=8):
         """Prediction-time path: Z ~ N(1, kappa^2 I), no context set."""
-        x = np.atleast_2d(x)
-        acc = np.zeros((len(x), self.num_classes))
+        e = self.embed.forward(as_tensor(np.atleast_2d(x)))
+        acc = np.zeros(e.shape)
         for _ in range(n_samples):
             z = 1.0 + np.sqrt(self.kappa2) * rng.normal(size=self.num_classes)
-            alpha = self.alpha_np(x, z)
+            alpha = self._alpha(e, np.broadcast_to(z, e.shape)).data
             acc += alpha / alpha.sum(axis=1, keepdims=True)
         return acc / n_samples
+
+
+MODEL_CLASSES = {cls.kind: cls for cls in (BnnModel, EdlModel, EnpModel, EtpModel)}
+MODEL_KINDS = tuple(MODEL_CLASSES)
+
+
+def make_model(kind, input_dim, num_classes, hidden, rng: SeededRng, **hyper):
+    """A new model of the given kind. ``hyper`` may hold the arguments of
+    every kind; each kind takes those its class names in ``HYPER``."""
+    if kind not in MODEL_CLASSES:
+        raise ValueError(f"unknown model kind: {kind}")
+    cls = MODEL_CLASSES[kind]
+    return cls(input_dim, num_classes, hidden, rng,
+               **{name: hyper[name] for name in cls.HYPER if name in hyper})
 
 
 # ---------------------------------------------------------------------------
@@ -634,13 +642,6 @@ class TrainConfig:
             raise ValueError("context_fraction must lie in (0, 1]")
 
 
-def _choose_context(xb, yb, fraction, rng):
-    """Context subset drawn without replacement within the batch."""
-    n_ctx = max(1, int(round(fraction * len(yb))))
-    idx = rng.permutation(len(yb))[:n_ctx]
-    return xb[idx], yb[idx]
-
-
 def train(model, ds: LabeledDataset, cfg: TrainConfig, rng: SeededRng):
     """Optimize a model with Adam; returns the per-epoch mean loss trace.
 
@@ -651,26 +652,9 @@ def train(model, ds: LabeledDataset, cfg: TrainConfig, rng: SeededRng):
     n_total = len(ds)
     trace = []
     for epoch in range(cfg.epochs):
-        lam = min(1.0, epoch / cfg.edl_anneal_epochs) if cfg.edl_anneal_epochs > 0 else 1.0
         epoch_losses = []
         for b, (xb, yb) in enumerate(batch_iterator(ds, cfg.batch_size, rng, epoch)):
-            tape = ad.Tape()
-            if model.kind == "bnn":
-                loss, leaves = model.loss(tape, xb, yb, rng, n_total,
-                                          n_samples=cfg.n_train_samples)
-            elif model.kind == "edl":
-                loss, leaves = model.loss(tape, xb, yb, lam)
-            elif model.kind == "enp":
-                cx, cy = _choose_context(xb, yb, cfg.context_fraction, rng)
-                loss, leaves = model.loss(tape, xb, yb, cx, cy, rng, n_total)
-            elif model.kind == "etp":
-                cx, cy = _choose_context(xb, yb, cfg.context_fraction, rng)
-                model.memory_update(cx, cy, rng, n_samples=cfg.memory_update_samples)
-                loss, leaves = model.free_energy(tape, xb, yb, rng, n_total,
-                                                 s_w=cfg.n_train_samples,
-                                                 s_z=cfg.n_train_z_samples)
-            else:
-                raise ValueError(f"unknown model kind: {model.kind}")
+            loss, leaves = model.step_loss(ad.Tape(), xb, yb, rng, cfg, epoch, n_total)
             value = float(loss.data)
             if not np.isfinite(value):
                 raise TrainingDiverged(epoch, b, value)
@@ -685,33 +669,7 @@ def train(model, ds: LabeledDataset, cfg: TrainConfig, rng: SeededRng):
 
 def predict(model, x, rng: SeededRng, n_samples=16, n_samples_z=8):
     """Posterior predictive class probabilities for any model kind."""
-    if model.kind == "etp":
-        return model.predict(x, rng, n_samples_w=n_samples, n_samples_z=n_samples_z)
-    return model.predict(x, rng, n_samples=n_samples)
-
-
-def make_model(kind, input_dim, num_classes, hidden, rng: SeededRng, **hyper):
-    if kind == "bnn":
-        return BnnModel(input_dim, num_classes, hidden, rng,
-                        beta=hyper.get("beta", 1.0))
-    if kind == "edl":
-        return EdlModel(input_dim, num_classes, hidden, rng)
-    if kind == "enp":
-        return EnpModel(input_dim, num_classes, hidden, rng,
-                        kappa2=hyper.get("kappa2", 0.1),
-                        beta_reg=hyper.get("beta_reg", 0.0),
-                        aggregation=hyper.get("aggregation", "mean"))
-    if kind == "etp":
-        return EtpModel(input_dim, num_classes, hidden, rng,
-                        memory_cells=hyper.get("memory_cells", 16),
-                        gamma=hyper.get("gamma", 0.9),
-                        kappa2=hyper.get("kappa2", 0.1),
-                        beta=hyper.get("beta", 1.0),
-                        beta_reg=hyper.get("beta_reg", 0.0),
-                        combiner=hyper.get("combiner", "residual"),
-                        identity_keys=hyper.get("identity_keys", False),
-                        update_tanh=hyper.get("update_tanh", True))
-    raise ValueError(f"unknown model kind: {kind}")
+    return model.predict(x, rng, n_samples, n_samples_z)
 
 
 # ---------------------------------------------------------------------------
@@ -722,54 +680,35 @@ CHECKPOINT_VERSION = 1
 
 def save_checkpoint(model, path, seed=None, extra_meta=None):
     """npz container: parameter arrays plus a JSON metadata record."""
-    arrays = model.trainable()
     meta = {"format_version": CHECKPOINT_VERSION, "kind": model.kind,
-            "num_classes": model.num_classes, "seed": seed}
-    if extra_meta:
-        meta.update(extra_meta)
-    if model.kind == "bnn":
-        meta["hyper"] = {"beta": model.beta,
-                         "hidden": list(model.net.spec.hidden),
-                         "input_dim": model.net.spec.in_dim}
-    elif model.kind == "edl":
-        meta["hyper"] = {"hidden": list(model.net.spec.hidden),
-                         "input_dim": model.net.spec.in_dim}
-    elif model.kind == "enp":
-        meta["hyper"] = {"kappa2": model.kappa2, "beta_reg": model.beta_reg,
-                         "aggregation": model.aggregation,
-                         "hidden": list(model.embed.spec.hidden),
-                         "input_dim": model.embed.spec.in_dim}
-    elif model.kind == "etp":
-        arrays["__memory__"] = model.memory
-        meta["hyper"] = {"memory_cells": model.memory.shape[0], "gamma": model.gamma,
-                         "kappa2": model.kappa2, "beta": model.beta,
-                         "beta_reg": model.beta_reg, "combiner": model.combiner,
-                         "identity_keys": model.identity_keys,
-                         "update_tanh": model.update_tanh,
-                         "hidden": list(model.encoder.spec.hidden),
-                         "input_dim": model.encoder.spec.in_dim}
-    else:
-        raise ValueError(model.kind)
+            "num_classes": model.num_classes, "seed": seed, **(extra_meta or {}),
+            "hyper": model.hyper()}
     np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-             **arrays)
+             **model.checkpoint_arrays())
 
 
 def load_checkpoint(path):
     """Model and metadata from a checkpoint; CheckpointError unless the file
-    holds exactly the model's arrays, each in the model's shape."""
-    with np.load(path) as npz:
+    is an npz archive with a metadata record that holds exactly the model's
+    arrays, each in the model's shape."""
+    try:
+        npz = np.load(path)
+    except (OSError, ValueError, zipfile.BadZipFile) as exc:
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
+    if not isinstance(npz, np.lib.npyio.NpzFile):
+        raise CheckpointError(f"checkpoint {path} is not an npz archive")
+    with npz:
+        if "__meta__" not in npz.files:
+            raise CheckpointError(f"checkpoint {path} has no __meta__ record")
         meta = json.loads(bytes(npz["__meta__"]).decode())
         arrays = {k: npz[k] for k in npz.files if k != "__meta__"}
     if meta.get("format_version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"unsupported checkpoint version: {meta.get('format_version')}")
-    hyper = meta["hyper"]
-    kwargs = {k: v for k, v in hyper.items() if k not in ("hidden", "input_dim")}
-    model = make_model(meta["kind"], hyper["input_dim"], meta["num_classes"],
-                       tuple(hyper["hidden"]), SeededRng(seed=0), **kwargs)
-    targets = model.trainable()
-    if model.kind == "etp":
-        targets["__memory__"] = model.memory
+    hyper = dict(meta["hyper"])
+    model = make_model(meta["kind"], hyper.pop("input_dim"), meta["num_classes"],
+                       tuple(hyper.pop("hidden")), SeededRng(seed=0), **hyper)
+    targets = model.checkpoint_arrays()
     missing = sorted(set(targets) - set(arrays))
     unknown = sorted(set(arrays) - set(targets))
     if missing or unknown:

@@ -19,7 +19,6 @@ from etproc.autodiff import (
     Tape,
     Tensor,
     adam_step,
-    apply_primitive,
     backward,
 )
 
@@ -106,30 +105,39 @@ class TestPrimitiveValues:
         out = ad.clip_upper(Tensor([1.0, 5.0, 9.0]), 5.0)
         np.testing.assert_allclose(out.data, [1.0, 5.0, 5.0])
 
-    def test_apply_primitive_dispatch(self):
+    def test_primitives_give_finite_values(self):
         a = Tensor(np.ones((2, 2)))
-        cases = {
-            "matmul": [a, a],
-            "add": [a, a],
-            "sub": [a, a],
-            "elementwise-mul": [a, a],
-            "relu": [a],
-            "tanh": [a],
-            "exp": [a],
-            "log": [a],
-            "softmax-rows": [a],
-            "sum": [a],
-            "mean": [a],
-            "concat": [a, a],
-            "broadcast-scale": [Tensor(np.array(2.0)), a],
-        }
-        for kind, operands in cases.items():
-            out = apply_primitive(kind, operands)
-            assert np.all(np.isfinite(out.data)), kind
+        outs = [ad.matmul(a, a), ad.add(a, a), ad.sub(a, a), ad.mul(a, a), ad.relu(a),
+                ad.tanh(a), ad.exp(a), ad.log(a), ad.softmax_rows(a), ad.tsum(a),
+                ad.tmean(a), ad.concat([a, a], axis=0), ad.scale(2.0, a)]
+        for out in outs:
+            assert np.all(np.isfinite(out.data))
 
-    def test_apply_primitive_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown primitive"):
-            apply_primitive("conv2d", [Tensor(np.ones((2, 2)))])
+    def test_stacked_ops_match_each_slice(self):
+        # a leading stack axis gives each slice the result of the 2-D op, bit for bit
+        rng = np.random.default_rng(2)
+        a, b = rng.normal(size=(3, 4, 5)), rng.normal(size=(5, 2))
+        shared, per_slice = rng.normal(size=2), rng.normal(size=(3, 2))
+        out = ad.matmul(Tensor(a), Tensor(b))
+        for i in range(3):
+            assert np.array_equal(out.data[i], ad.matmul(Tensor(a[i]), Tensor(b)).data)
+            assert np.array_equal(ad.matmul(Tensor(a[i].T), Tensor(a)).data[i],
+                                  ad.matmul(Tensor(a[i].T), Tensor(a[i])).data)
+        for op in (ad.add, ad.sub):
+            for bias in (shared, per_slice):
+                got = op(out, Tensor(bias)).data
+                for i in range(3):
+                    row_bias = bias if bias.ndim == 1 else bias[i]
+                    assert np.array_equal(got[i], op(Tensor(out.data[i]), Tensor(row_bias)).data)
+        assert np.array_equal(ad.transpose(Tensor(a)).data[1], a[1].T)
+        assert np.array_equal(ad.softmax_rows(Tensor(a)).data[2],
+                              ad.softmax_rows(Tensor(a[2])).data)
+
+    def test_stack_shape_mismatches(self):
+        with pytest.raises(ShapeMismatchError, match="matmul"):
+            ad.matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4, 2))))
+        with pytest.raises(ShapeMismatchError, match="add"):
+            ad.add(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4))))
 
 
 class TestBackward:
@@ -321,6 +329,50 @@ class TestPrimitiveGradients:
             return ad.tsum(ad.mul(ad.mul(first, second), Tensor(w)))
 
         assert_grad_matches(build, rng.normal(size=(2, 2, 3)))
+
+
+class TestStackedGradients:
+    """Central finite differences for the ops that take a leading stack axis."""
+
+    def test_matmul_stack_times_matrix(self):
+        rng = np.random.default_rng(40)
+        a, b = rng.normal(size=(3, 2, 4)), rng.normal(size=(4, 3))
+        assert_grad_matches(lambda x: ad.tsum(ad.tanh(ad.matmul(x, Tensor(b)))), a)
+        assert_grad_matches(lambda w: ad.tsum(ad.tanh(ad.matmul(Tensor(a), w))), b)
+
+    def test_matmul_matrix_times_stack(self):
+        rng = np.random.default_rng(41)
+        a, b = rng.normal(size=(2, 4)), rng.normal(size=(3, 4, 3))
+        assert_grad_matches(lambda x: ad.tsum(ad.tanh(ad.matmul(x, Tensor(b)))), a)
+        assert_grad_matches(lambda w: ad.tsum(ad.tanh(ad.matmul(Tensor(a), w))), b)
+
+    def test_matmul_stack_times_stack(self):
+        rng = np.random.default_rng(42)
+        a, b = rng.normal(size=(3, 2, 4)), rng.normal(size=(3, 4, 2))
+        assert_grad_matches(lambda x: ad.tsum(ad.tanh(ad.matmul(x, Tensor(b)))), a)
+        assert_grad_matches(lambda w: ad.tsum(ad.tanh(ad.matmul(Tensor(a), w))), b)
+
+    @pytest.mark.parametrize("op", [ad.add, ad.sub])
+    @pytest.mark.parametrize("bias_shape", [(4,), (3, 4)])
+    def test_bias_on_a_stack(self, op, bias_shape):
+        rng = np.random.default_rng(43)
+        a, bias = rng.normal(size=(3, 2, 4)), rng.normal(size=bias_shape)
+        assert_grad_matches(lambda x: ad.tsum(ad.tanh(op(x, Tensor(bias)))), a)
+        assert_grad_matches(lambda b: ad.tsum(ad.tanh(op(Tensor(a), b))), bias)
+
+    def test_transpose_of_a_stack(self):
+        rng = np.random.default_rng(44)
+        w = rng.normal(size=(3, 4, 2))
+        assert_grad_matches(
+            lambda x: ad.tsum(ad.tanh(ad.matmul(ad.transpose(x), Tensor(w)))),
+            rng.normal(size=(3, 4, 2)))
+
+    def test_softmax_rows_of_a_stack(self):
+        rng = np.random.default_rng(45)
+        w = rng.normal(size=(3, 2, 4))
+        assert_grad_matches(
+            lambda x: ad.tsum(ad.mul(ad.softmax_rows(x), Tensor(w))),
+            rng.normal(size=(3, 2, 4)))
 
 
 def value_and_grad(build_loss, x0):

@@ -20,7 +20,6 @@ from etproc.data import (
     gen_two_gaussians,
     load_iris_pca2,
     read_idx,
-    split_shuffle_batch,
     write_idx,
     zscore,
 )
@@ -300,19 +299,11 @@ class TestSplitsAndBatches:
         self.ds = LabeledDataset(rng.normal(size=(100, 3)),
                                  rng.integers(0, 2, size=100), 2)
 
-    def test_identity_split(self):
-        (out,) = split_shuffle_batch(self.ds, [1.0], SeededRng(seed=0, stream=1))
-        assert len(out) == 100
-
     def test_union_is_original_multiset(self):
-        splits = split_shuffle_batch(self.ds, [0.6, 0.4], SeededRng(seed=1, stream=1))
-        merged = np.concatenate([s.features for s in splits])
+        batches = list(batch_iterator(self.ds, 32, SeededRng(seed=1, stream=1), epoch=0))
+        merged = np.concatenate([xb for xb, _ in batches])
         assert sorted(map(tuple, merged)) == sorted(map(tuple, self.ds.features))
-        assert sum(len(s) for s in splits) == 100
-
-    def test_fractions_must_sum_to_one(self):
-        with pytest.raises(ValueError, match="fractions"):
-            split_shuffle_batch(self.ds, [0.5, 0.4], SeededRng(seed=0))
+        assert [len(yb) for _, yb in batches] == [32, 32, 32, 4]
 
     def test_batch_order_deterministic(self):
         def collect():

@@ -1,12 +1,15 @@
 """Tests for config resolution, task assembly, the seed loop, report
 emission, and the command-line interface."""
 
+import importlib.util
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import etproc
 from etproc import cli, harness
 from etproc.distributions import SeededRng
 from etproc.harness import (
@@ -23,7 +26,7 @@ from etproc.harness import (
     run_experiment,
     run_single_seed,
 )
-from etproc.models import load_checkpoint, make_model
+from etproc.models import load_checkpoint, make_model, save_checkpoint
 
 
 def write_config(path, text):
@@ -325,6 +328,24 @@ class TestEmission:
                                                           seeds=(1, 2))))
         assert merged["aggregate"] == direct["aggregate"]
 
+    def write_report(self, tmp_path, name, **overrides):
+        rep = run_experiment(resolve_config(None, dict(FAST, model="edl", **overrides)))
+        path = tmp_path / name
+        emit_report(rep, "json", path)
+        return str(path)
+
+    def test_reaggregate_rejects_other_config(self, tmp_path):
+        paths = [self.write_report(tmp_path, "a.json", seeds=(1,)),
+                 self.write_report(tmp_path, "b.json", seeds=(2,), lr=0.01)]
+        with pytest.raises(ConfigError, match="lr"):
+            reaggregate(paths)
+
+    def test_reaggregate_rejects_repeated_seed(self, tmp_path):
+        paths = [self.write_report(tmp_path, "a.json", seeds=(1, 2)),
+                 self.write_report(tmp_path, "b.json", seeds=(2,))]
+        with pytest.raises(ConfigError, match="more than once: \\[2\\]"):
+            reaggregate(paths)
+
 
 class TestCli:
     def fast_config(self, tmp_path):
@@ -414,6 +435,45 @@ decomposition_samples = 64
                          "--out", str(tmp_path / "out.json")]) == 2
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["eval", "decompose"])
+    @pytest.mark.parametrize("case", ["nonexistent", "text"])
+    def test_unreadable_checkpoint_exit_code(self, tmp_path, capsys, command, case):
+        ckpt = tmp_path / "m.npz"
+        if case == "text":
+            ckpt.write_text("model = edl\n")
+        assert cli.main([command, "--config", self.fast_config(tmp_path), "--checkpoint",
+                         str(ckpt), "--out", str(tmp_path / "out.json")]) == 2
+        assert "data error" in capsys.readouterr().err
+
+    def test_eval_takes_seed_and_task_from_checkpoint(self, tmp_path):
+        cfg = self.fast_config(tmp_path)
+        ckpt = str(tmp_path / "m.npz")
+        assert cli.main(["train", "--config", cfg, "--seeds", "0", "--out", ckpt]) == 0
+        reports = []
+        for seeds, task in (("0", "two-gaussians"), ("5", "iris2d")):
+            out = tmp_path / f"eval-{seeds}.json"
+            assert cli.main(["eval", "--config", cfg, "--seeds", seeds, "--task", task,
+                             "--checkpoint", ckpt, "--out", str(out)]) == 0
+            reports.append(json.loads(out.read_text()))
+        assert reports[1] == reports[0]
+        assert reports[1]["per_seed"][0]["seed"] == 0
+        assert reports[1]["config"]["task"] == "two-gaussians"
+
+    @pytest.mark.parametrize("command, input_dim, num_classes, meta", [
+        ("eval", 2, 2, {"task": "two-gaussians"}),
+        ("eval", 1, 3, {"task": "two-gaussians"}),
+        ("eval", 2, 3, {}),
+        ("decompose", 2, 3, {}),
+    ])
+    def test_model_that_does_not_fit_the_task_rejected(self, tmp_path, capsys, command,
+                                                       input_dim, num_classes, meta):
+        ckpt = tmp_path / "m.npz"
+        model = make_model("bnn", input_dim, num_classes, (4,), SeededRng(seed=0, stream=2))
+        save_checkpoint(model, ckpt, seed=0, extra_meta=meta)
+        assert cli.main([command, "--config", self.fast_config(tmp_path), "--checkpoint",
+                         str(ckpt), "--out", str(tmp_path / "out.json")]) == 1
+        assert "does not fit" in capsys.readouterr().err
+
     def test_training_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         from etproc import models as models_mod
 
@@ -425,3 +485,15 @@ decomposition_samples = 64
         assert cli.main(["run", "--config", cfg,
                          "--out", str(tmp_path / "r.json")]) == 3
         assert "training failed" in capsys.readouterr().err
+
+
+def test_benchmark_span_table_names_existing_attributes():
+    """Every call that perfbench/tracer.py wraps exists where it looks it up."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    table = tracer.span_table(etproc)
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
+               for owner, attr, _, _ in table if attr not in vars(owner)]
+    assert table and missing == []

@@ -14,7 +14,6 @@ from etproc.metrics import (
     MixtureOracle,
     PredictionSet,
     auroc,
-    bayes_oracle,
     decompose_cbm,
     decompose_pbm,
     ece,
@@ -284,7 +283,10 @@ class TestMixtureOracle:
                                     variances=[1.0, 1.0])
 
     def test_symmetry_point(self):
-        f, risk, r_star = bayes_oracle(self.oracle, np.array([0.0]))
+        x = np.array([0.0])
+        f = self.oracle.f_true(x)[0]
+        risk = self.oracle.point_risk(f, x)[0]
+        r_star = self.oracle.irreducible_risk(x)[0]
         np.testing.assert_allclose(f, [0.5, 0.5], atol=1e-12)
         assert r_star == pytest.approx(0.5)
         assert risk == pytest.approx(0.5)

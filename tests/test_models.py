@@ -1,6 +1,11 @@
 """Tests for the four classifiers: losses against hand-evaluated and
 numpy-reimplemented oracles, the memory machinery, training loop
-behavior, and checkpoint round-trips."""
+behavior, and checkpoint round-trips.
+
+The NumPy oracles below (``mlp_np``, ``attend_np``, ``etp_alpha_np``)
+reimplement the forward passes independently of the tensor code."""
+
+import re
 
 import numpy as np
 import pytest
@@ -14,8 +19,10 @@ from etproc.distributions import (
     dirichlet_expected_log_prob,
     gaussian_kl_diag_value,
 )
+from etproc.metrics import decompose_cbm, decompose_pbm
 from etproc.models import (
     FLAT,
+    LOG_ALPHA_CAP,
     BnnModel,
     CheckpointError,
     EdlModel,
@@ -24,7 +31,6 @@ from etproc.models import (
     MlpSpec,
     TrainConfig,
     TrainingDiverged,
-    etp_attend,
     load_checkpoint,
     make_model,
     predict,
@@ -36,6 +42,31 @@ from etproc.models import (
 def softmax_np(z):
     e = np.exp(z - z.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def mlp_np(x, weights, prefix, n_layers):
+    """NumPy oracle of a ReLU MLP's forward pass."""
+    h = np.asarray(x, dtype=np.float64)
+    for i in range(n_layers):
+        h = h @ weights[f"{prefix}.W{i}"] + weights[f"{prefix}.b{i}"]
+        if i < n_layers - 1:
+            h = np.maximum(h, 0.0)
+    return h
+
+
+def attend_np(v, keys, z):
+    """NumPy oracle of scaled dot-product attention: weights and read."""
+    phi = softmax_np(v @ keys.T / np.sqrt(v.shape[-1]))
+    return phi, phi @ z
+
+
+def etp_alpha_np(model, x, z):
+    """NumPy oracle of ETP's concentrations at the encoder means under memory z."""
+    v = mlp_np(x, model.encoder.means, "enc", model.encoder.n_layers)
+    keys = z if model.keynet is None else mlp_np(z, model.keynet.params, "key", 1)
+    _, read = attend_np(v, keys, z)
+    expo = v + np.tanh(read) if model.combiner == "residual" else read
+    return np.exp(np.minimum(expo, LOG_ALPHA_CAP))
 
 
 def small_batch(seed=0, n=6, d=2, k=2):
@@ -51,7 +82,7 @@ class TestBnn:
             model.net.logvars[name][...] = -60.0
         tape = Tape()
         loss, _ = model.loss(tape, xb, yb, SeededRng(seed=1), n_total=6)
-        probs = softmax_np(model.net.forward_np(xb))
+        probs = softmax_np(mlp_np(xb, model.net.means, "net", model.net.n_layers))
         want_nll = np.mean([-np.log(probs[i, yb[i]]) for i in range(len(yb))])
         kl = sum(
             gaussian_kl_diag_value(m, model.net.logvars[f"{name}.logvar"],
@@ -122,7 +153,8 @@ class TestEdl:
 
     def test_uniform_alpha_zero_kl(self):
         model = self.make_fixed_alpha_model([1.0, 1.0])
-        terms = model.per_sample_terms(as_tensor(model.alpha_np([[0.0]])), [0])
+        alpha = np.exp(mlp_np([[0.0]], model.net.params, "net", 1))
+        terms = model.per_sample_terms(as_tensor(alpha), [0])
         assert abs(terms["kl"].data.item()) <= 1e-10
 
     def test_hand_evaluated_squared_error_term(self):
@@ -178,22 +210,34 @@ class TestEdl:
 
 
 class TestAttention:
+    @staticmethod
+    def attend_one(v, z, key_weights=None):
+        """Attention weights and read of one query under EtpModel.attend,
+        with identity keys or a linear key map."""
+        model = EtpModel(1, z.shape[1], (), SeededRng(seed=0, stream=2),
+                         memory_cells=len(z), identity_keys=key_weights is None)
+        if key_weights is not None:
+            model.keynet.params["key.W0"][...] = key_weights
+            model.keynet.params["key.b0"][...] = 0.0
+        phi, read = model.attend(as_tensor(np.atleast_2d(v)), z)
+        return phi.data[0], read.data[0]
+
     def test_single_cell(self):
         z = np.array([[0.3, -0.7]])
-        weights, read = etp_attend(np.array([1.0, 2.0]), z)
+        weights, read = self.attend_one(np.array([1.0, 2.0]), z)
         np.testing.assert_allclose(weights, [1.0])
         np.testing.assert_allclose(read, z[0])
 
     def test_zero_embedding_uniform(self):
         z = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
-        weights, read = etp_attend(np.zeros(2), z)
+        weights, read = self.attend_one(np.zeros(2), z)
         np.testing.assert_allclose(weights, 1.0 / 3.0)
         np.testing.assert_allclose(read, z.mean(axis=0))
 
     def test_hand_computed_orthogonal_cells(self):
         z = np.array([[1.0, 0.0], [0.0, 1.0]])
         v = np.array([2.0, 1.0])
-        weights, read = etp_attend(v, z)
+        weights, read = self.attend_one(v, z)
         scores = np.array([2.0, 1.0]) / np.sqrt(2.0)
         e = np.exp(scores - scores.max())
         want = e / e.sum()
@@ -202,9 +246,9 @@ class TestAttention:
 
     def test_custom_key_fn(self):
         z = np.array([[1.0, 0.0], [0.0, 1.0]])
-        # reversing keys swaps the attention scores
-        w_plain, _ = etp_attend(np.array([2.0, 1.0]), z)
-        w_rev, _ = etp_attend(np.array([2.0, 1.0]), z, key_fn=lambda c: c[::-1])
+        # keys that swap the two cells' coordinates swap the attention scores
+        w_plain, _ = self.attend_one(np.array([2.0, 1.0]), z)
+        w_rev, _ = self.attend_one(np.array([2.0, 1.0]), z, key_weights=[[0.0, 1.0], [1.0, 0.0]])
         np.testing.assert_allclose(w_rev, w_plain[::-1], atol=1e-14)
 
     def test_read_is_convex_combination(self):
@@ -212,7 +256,7 @@ class TestAttention:
         model = EtpModel(2, 3, (4,), SeededRng(seed=0, stream=2), memory_cells=6)
         v = rng.normal(size=(10, 3))
         z = rng.normal(size=(6, 3))
-        phi, read = model.attend_np(v, z)
+        phi, read = (t.data for t in model.attend(as_tensor(v), z))
         np.testing.assert_allclose(phi.sum(axis=1), 1.0, atol=1e-12)
         for k in range(3):
             assert np.all(read[:, k] >= z[:, k].min() - 1e-12)
@@ -226,7 +270,7 @@ class TestAttention:
         tape = Tape()
         leaves = {n: tape.leaf(a) for n, a in model.trainable().items()}
         phi_t, read_t = model.attend(as_tensor(v), z, leaves)
-        phi_n, read_n = model.attend_np(v, z)
+        phi_n, read_n = attend_np(v, mlp_np(z, model.keynet.params, "key", 1), z)
         np.testing.assert_allclose(phi_t.data, phi_n, atol=1e-12)
         np.testing.assert_allclose(read_t.data, read_n, atol=1e-12)
 
@@ -235,23 +279,23 @@ class TestEtpConcentration:
     def test_residual_with_zero_memory(self):
         model = EtpModel(1, 2, (4,), SeededRng(seed=0, stream=2))
         x = np.array([[0.5], [-1.0]])
-        v = model.encoder.forward_np(x)
-        alpha = model.concentration_np(v, np.zeros((16, 2)))
-        np.testing.assert_allclose(alpha, np.exp(v), atol=1e-12)
+        v = model.encoder.forward(as_tensor(x), model.encoder.means)
+        alpha = model.concentration(v, np.zeros((16, 2))).data
+        np.testing.assert_allclose(alpha, np.exp(v.data), atol=1e-12)
 
     def test_direct_single_cell(self):
         model = EtpModel(1, 2, (4,), SeededRng(seed=0, stream=2),
                          memory_cells=1, combiner="direct")
         z = np.array([[0.3, -0.7]])
-        v = model.encoder.forward_np(np.array([[1.0]]))
-        alpha = model.concentration_np(v, z)
+        v = model.encoder.forward(as_tensor(np.array([[1.0]])), model.encoder.means)
+        alpha = model.concentration(v, z).data
         np.testing.assert_allclose(alpha, np.exp(z), atol=1e-12)
 
     def test_always_positive(self):
         rng = np.random.default_rng(7)
         model = EtpModel(2, 3, (4,), SeededRng(seed=2, stream=2))
         v = rng.normal(size=(20, 3)) * 5.0
-        alpha = model.concentration_np(v, rng.normal(size=(16, 3)))
+        alpha = model.concentration(as_tensor(v), rng.normal(size=(16, 3))).data
         assert np.all(alpha > 0.0)
 
     def test_overflow_clamped_and_counted(self):
@@ -297,7 +341,7 @@ class TestMemoryUpdate:
         model.memory = np.array([[0.1, -0.2]])
         ctx_x = np.array([[0.7]])
         ctx_y = np.array([1])
-        v = model.encoder.forward_np(ctx_x)
+        v = mlp_np(ctx_x, model.encoder.means, "enc", model.encoder.n_layers)
         info = np.array([0.0, 1.0]) + softmax_np(v)[0]
         want = np.tanh(0.9 * model.memory + 0.1 * info)  # phi = 1 for R = 1
         model.memory_update(ctx_x, ctx_y, SeededRng(seed=4), n_samples=2)
@@ -350,8 +394,7 @@ class TestFreeEnergy:
         model.memory = np.random.default_rng(13).normal(size=(3, 2)) * 0.3
         tape = Tape()
         loss, _ = model.free_energy(tape, xb, yb, SeededRng(seed=12), n_total=6)
-        v = model.encoder.forward_np(xb)
-        alpha = model.concentration_np(v, model.memory)
+        alpha = etp_alpha_np(model, xb, model.memory)
         want_nll = -np.mean([dirichlet_expected_log_prob(alpha[i], yb[i])
                              for i in range(len(yb))])
         kl = sum(
@@ -410,9 +453,8 @@ class TestFreeEnergy:
         for name in model.encoder.logvars:
             model.encoder.logvars[name][...] = -60.0
         x = np.array([[0.3], [-0.8]])
-        probs = model.predict(x, SeededRng(seed=18), n_samples_w=2, n_samples_z=2)
-        v = model.encoder.forward_np(x)
-        alpha = model.concentration_np(v, model.memory)
+        probs = model.predict(x, SeededRng(seed=18), n_samples=2, n_samples_z=2)
+        alpha = etp_alpha_np(model, x, model.memory)
         np.testing.assert_allclose(probs, alpha / alpha.sum(axis=1, keepdims=True),
                                    atol=1e-9)
 
@@ -456,7 +498,10 @@ class TestEnp:
         model = EnpModel(2, 3, (4,), SeededRng(seed=3, stream=2), kappa2=1e-20)
         x = np.random.default_rng(25).normal(size=(4, 2))
         probs = model.predict(x, SeededRng(seed=26), n_samples=3)
-        alpha = model.alpha_np(x, np.ones(3))
+        e = mlp_np(x, model.embed.params, "emb", model.embed.n_layers)
+        raw = mlp_np(np.concatenate([e, np.ones((4, 3))], axis=1), model.head.params, "head",
+                     model.head.n_layers)
+        alpha = np.exp(np.minimum(raw, LOG_ALPHA_CAP))
         np.testing.assert_allclose(probs, alpha / alpha.sum(axis=1, keepdims=True),
                                    atol=1e-9)
 
@@ -613,16 +658,63 @@ class TestMemoryNoise:
         model = EtpModel(2, 3, (4,), SeededRng(seed=4, stream=2), memory_cells=5)
         model.memory = rng.normal(size=(5, 3)) * 0.3
         ctx_x, ctx_y = rng.normal(size=(4, 2)), rng.integers(0, 3, size=4)
-        # replica of the update with one memory draw per sample
-        v = model.encoder.forward_np(ctx_x)
-        info = np.eye(3)[ctx_y] + softmax_np(v)
+        # replica of the update with one memory draw and one attention per sample
+        v = model.encoder.forward(as_tensor(ctx_x), model.encoder.means)
+        info = np.eye(3)[ctx_y] + softmax_np(v.data)
         draw_rng = SeededRng(seed=5)
         acc = np.zeros_like(model.memory)
         for _ in range(3):
-            phi, _ = model.attend_np(v, model.draw_memory(draw_rng))
+            phi = model.attend(v, model.draw_memory(draw_rng))[0].data
             acc += np.tanh(model.gamma * model.memory + (1.0 - model.gamma) * (phi.T @ info))
         model.memory_update(ctx_x, ctx_y, SeededRng(seed=5), n_samples=3)
         assert np.array_equal(model.memory, acc / 3)
+
+
+    def test_one_attention_for_all_samples(self, monkeypatch):
+        model = EtpModel(2, 3, (4,), SeededRng(seed=4, stream=2), memory_cells=5)
+        calls, attend = [], model.attend
+
+        def counting_attend(v, z):
+            calls.append(z.shape)
+            return attend(v, z)
+
+        monkeypatch.setattr(model, "attend", counting_attend)
+        rng = np.random.default_rng(33)
+        model.memory_update(rng.normal(size=(4, 2)), rng.integers(0, 3, size=4),
+                            SeededRng(seed=5), n_samples=8)
+        assert calls == [(8, 5, 3)]
+
+
+class TestDecompose:
+    @pytest.mark.parametrize("kind", ["bnn", "etp"])
+    def test_stacked_draws_match_single_draws(self, kind):
+        model = make_model(kind, 1, 2, (8,), SeededRng(seed=6, stream=2))
+        if kind == "etp":
+            model.memory = np.random.default_rng(34).normal(size=model.memory.shape) * 0.3
+        net = model.net if kind == "bnn" else model.encoder
+        for logvar in net.logvars.values():
+            logvar[...] = -2.0
+        x, n = np.array([[0.4]]), 16
+        got = model.decompose(x, SeededRng(seed=7), n)
+        # replica: one weight draw, then (ETP) one memory draw, per sample
+        rng, params = SeededRng(seed=7), model.trainable()
+        draws = []
+        for _ in range(n):
+            eps = rng.normal(size=net.n_weights)
+            out = net.forward(as_tensor(x), net.sampled_weights(params, eps))
+            if kind == "bnn":
+                draws.append(ad.softmax_rows(out).data[0])
+            else:
+                draws.append(model.concentration(out, model.draw_memory(rng)).data[0])
+        split = decompose_pbm if kind == "bnn" else decompose_cbm
+        want = split(lambda s: draws[s], n)
+        for term in ("reducible", "irreducible", "data", "total"):
+            assert np.array_equal(getattr(got, term), getattr(want, term)), term
+
+    def test_only_bnn_and_etp_decompose(self):
+        kinds = [k for k in models_mod.MODEL_KINDS
+                 if hasattr(models_mod.MODEL_CLASSES[k], "decompose")]
+        assert kinds == ["bnn", "etp"]
 
 
 class TestCheckpointValidation:
@@ -651,6 +743,21 @@ class TestCheckpointValidation:
         save_checkpoint(model, path)
         self.corrupt(path, lambda a: a.update({"__memory__": np.zeros((3, 2))}))
         with pytest.raises(CheckpointError, match="__memory__"):
+            load_checkpoint(path)
+
+
+class TestUnreadableCheckpoint:
+    @pytest.mark.parametrize("case", ["missing", "text", "npy", "no-meta"])
+    def test_rejected(self, case, tmp_path):
+        path = tmp_path / "m.npz"
+        if case == "text":
+            path.write_text("not a checkpoint\n")
+        elif case == "npy":
+            path = tmp_path / "m.npy"
+            np.save(path, np.zeros(3))
+        elif case == "no-meta":
+            np.savez(path, **{"net.W0": np.zeros((1, 2))})
+        with pytest.raises(CheckpointError, match=re.escape(str(path))):
             load_checkpoint(path)
 
 
