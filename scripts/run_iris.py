@@ -24,8 +24,7 @@ def main():
         accs = []
         for seed in seeds:
             model = harness.build_model(cfg, 2, 3, SeededRng(seed=seed, stream=2))
-            train(model, train_ds, harness.train_config(cfg),
-                  SeededRng(seed=seed, stream=4))
+            train(model, train_ds, cfg, SeededRng(seed=seed, stream=4))
             probs = predict(model, train_ds.features, SeededRng(seed=seed, stream=3),
                             n_samples=8, n_samples_z=2)
             accs.append(float((probs.argmax(axis=1) == train_ds.labels).mean()))

@@ -15,6 +15,10 @@ import numpy as np
 from scipy import special
 
 
+class DomainError(ValueError):
+    """An op input outside the op's domain, such as the log of a value <= 0."""
+
+
 class ShapeMismatchError(ValueError):
     pass
 
@@ -214,7 +218,7 @@ def exp(a) -> Tensor:
 def log(a) -> Tensor:
     a = as_tensor(a)
     if np.any(a.data <= 0.0):
-        raise ValueError("log: non-positive input")
+        raise DomainError("log: non-positive input")
     return emit(np.log(a.data), (a,), (lambda g: g / a.data,))
 
 
@@ -318,15 +322,15 @@ def unstack(a) -> tuple:
 def lgamma(a) -> Tensor:
     a = as_tensor(a)
     if np.any(a.data <= 0.0):
-        raise ValueError("lgamma: input must be positive")
+        raise DomainError("lgamma: input must be positive")
     return emit(special.gammaln(a.data), (a,), (lambda g: g * special.psi(a.data),))
 
 
 def digamma(a) -> Tensor:
     a = as_tensor(a)
     if np.any(a.data <= 0.0):
-        raise ValueError("digamma: input must be positive")
-    return emit(special.psi(a.data), (a,), (lambda g: g * special.polygamma(1, a.data),))
+        raise DomainError("digamma: input must be positive")
+    return emit(special.psi(a.data), (a,), (lambda g: g * special.zeta(2, a.data),))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands: train / eval / run / decompose / report.
-Exit codes: 0 success, 1 config error, 2 data error, 3 training failure
-on all seeds.
+Exit codes: 0 success, 1 config error, 2 data error (an unreadable data or
+checkpoint file), 3 training diverged (on every seed, for ``run``).
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ DEFAULT_PROBES = {
 
 def _add_common(p):
     p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--task", choices=harness.TASKS)
-    p.add_argument("--model", choices=models.MODEL_KINDS)
+    p.add_argument("--task", help=f"one of {', '.join(harness.TASKS)}")
+    p.add_argument("--model", help=f"one of {', '.join(models.MODEL_KINDS)}")
     p.add_argument("--seeds", help="comma-separated seed list, e.g. 1,2,3")
     p.add_argument("--epochs", type=int)
     p.add_argument("--lr", type=float)
@@ -67,12 +67,8 @@ def build_parser():
 
 
 def _resolve(args) -> harness.ExperimentConfig:
-    overrides = {
-        "task": args.task, "model": args.model, "seeds": args.seeds,
-        "epochs": args.epochs, "lr": args.lr, "data_dir": args.data_dir,
-        "workers": args.workers,
-    }
-    return harness.resolve_config(args.config, overrides)
+    keys = ("task", "model", "seeds", "epochs", "lr", "data_dir", "workers")
+    return harness.resolve_config(args.config, {key: getattr(args, key) for key in keys})
 
 
 def _checkpoint_config(cfg, model, meta) -> harness.ExperimentConfig:
@@ -83,7 +79,7 @@ def _checkpoint_config(cfg, model, meta) -> harness.ExperimentConfig:
         values["task"] = meta["task"]
     if meta.get("seed") is not None:
         values["seeds"] = (meta["seed"],)
-    return dataclasses.replace(cfg, **values).validate()
+    return dataclasses.replace(cfg, **values)  # replace runs validate again
 
 
 def cmd_train(args):
@@ -92,8 +88,7 @@ def cmd_train(args):
     train_ds, _, _, _ = harness.build_task_data(cfg, seed)
     model = harness.build_model(cfg, train_ds.features.shape[1], train_ds.num_classes,
                                 SeededRng(seed=seed, stream=2))
-    trace = models.train(model, train_ds, harness.train_config(cfg),
-                         SeededRng(seed=seed, stream=4))
+    trace = models.train(model, train_ds, cfg, SeededRng(seed=seed, stream=4))
     models.save_checkpoint(model, args.out, seed=seed,
                            extra_meta={"task": cfg.task})
     with open(str(args.out) + ".trace.json", "w") as f:
@@ -177,7 +172,7 @@ def main(argv=None):
     except (DataError, models.CheckpointError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except models.TrainingDiverged as exc:
+    except models.TrainingFailed as exc:
         print(f"training failed: {exc}", file=sys.stderr)
         return 3
 

@@ -51,7 +51,7 @@ class SeededRng:
 def _check_alpha(alpha):
     alpha = np.asarray(alpha, dtype=np.float64)
     if np.any(alpha <= 0.0):
-        raise ValueError("Dirichlet concentrations must be strictly positive")
+        raise ad.DomainError("Dirichlet concentrations must be strictly positive")
     return alpha
 
 
@@ -97,9 +97,9 @@ def dirichlet_kl_rows(alpha_q: Tensor, alpha_p) -> Tensor:
     def vjp(g):
         gb = np.repeat(g, k, axis=1)
         g_e = gb * d
-        g_a0 = ((-g_e).sum(axis=1, keepdims=True) * special.polygamma(1, a0)
+        g_a0 = ((-g_e).sum(axis=1, keepdims=True) * special.zeta(2, a0)
                 + g * psi_a0)
-        return (gb * e, g_e * special.polygamma(1, a), -gb * psi_a,
+        return (gb * e, g_e * special.zeta(2, a), -gb * psi_a,
                 np.repeat(g_a0, k, axis=1))
 
     return ad.emit(kl, (alpha_q,), (vjp,))
@@ -122,7 +122,7 @@ def dirichlet_moments_rows(alpha: Tensor):
     replaces and adds its three alpha terms in that graph's order.
     """
     alpha = as_tensor(alpha)
-    a = alpha.data
+    a = _check_alpha(alpha.data)
     k = a.shape[1]
     a0 = np.repeat(a.sum(axis=1, keepdims=True), k, axis=1)
     inv_a0 = 1.0 / a0
@@ -175,8 +175,8 @@ def dirichlet_expected_log_prob_rows(alpha: Tensor, labels) -> Tensor:
 
     def vjp(g):
         g_sel = np.zeros((n, k))
-        g_sel[rows, labels] = g[:, 0] * special.polygamma(1, a_y)
-        return np.repeat(-g * special.polygamma(1, a0), k, axis=1), g_sel
+        g_sel[rows, labels] = g[:, 0] * special.zeta(2, a_y)
+        return np.repeat(-g * special.zeta(2, a0), k, axis=1), g_sel
 
     return ad.emit(out, (alpha,), (vjp,))
 

@@ -10,7 +10,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -35,21 +35,13 @@ class DataError(RuntimeError):
 
 
 @dataclass
-class ExperimentConfig:
+class ExperimentConfig(models_mod.TrainConfig):
+    """Every configuration key with its default. The training keys come
+    from TrainConfig; construction checks every key (see ``validate``)."""
+
     task: str = "two-gaussians"
     model: str = "etp"
     hidden: tuple = (32,)
-    epochs: int = 400
-    batch_size: int = 64
-    lr: float = 0.001
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    n_train_samples: int = 1
-    n_train_z_samples: int = 1
-    context_fraction: float = 0.25
-    memory_update_samples: int = 8
-    edl_anneal_epochs: int = 10
     memory_cells: int = 16
     gamma: float = 0.9
     kappa2: float = 0.1
@@ -73,70 +65,53 @@ class ExperimentConfig:
     decomposition_samples: int = 256
 
     def validate(self):
+        """Check the keys the harness reads itself, then run the checks of
+        the layers that own the others: TrainConfig for the training keys
+        and every model class for its HYPER keys, whatever ``model`` says.
+        Their ValueError becomes a ConfigError."""
         if self.task not in TASKS:
             raise ConfigError(f"task: unknown value '{self.task}'")
         if self.model not in models_mod.MODEL_KINDS:
             raise ConfigError(f"model: unknown value '{self.model}'")
         if not self.hidden or any(h < 1 for h in self.hidden):
             raise ConfigError("hidden: layer widths must be positive")
-        if self.epochs < 0:
-            raise ConfigError("epochs: must be >= 0")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size: must be >= 1")
-        if self.lr <= 0:
-            raise ConfigError("lr: must be > 0")
-        if not 0.0 < self.gamma < 1.0:
-            raise ConfigError("gamma: retention factor must lie in (0, 1)")
-        if self.kappa2 <= 0:
-            raise ConfigError("kappa2: must be > 0")
-        if self.beta <= 0:
-            raise ConfigError("beta: prior precision must be > 0")
-        if self.beta_reg < 0:
-            raise ConfigError("beta_reg: must be >= 0")
-        if not 0.0 < self.context_fraction <= 1.0:
-            raise ConfigError("context_fraction: must lie in (0, 1]")
-        if self.combiner not in ("residual", "direct"):
-            raise ConfigError(f"combiner: unknown mode '{self.combiner}'")
-        if self.aggregation not in ("mean", "attention"):
-            raise ConfigError(f"aggregation: unknown mode '{self.aggregation}'")
-        if self.ece_bins < 1:
-            raise ConfigError("ece_bins: must be >= 1")
         if self.ood_score not in OOD_SCORES:
             raise ConfigError(f"ood_score: unknown value '{self.ood_score}'")
         if not self.seeds:
             raise ConfigError("seeds: at least one seed required")
-        if min(self.n_train_samples, self.n_train_z_samples,
-               self.n_predict_samples, self.n_predict_z_samples) < 1:
-            raise ConfigError("sample counts must be >= 1")
-        if self.workers < 1:
-            raise ConfigError("workers: must be >= 1")
+        for key, low in (("n_predict_samples", 1), ("n_predict_z_samples", 1), ("ece_bins", 1),
+                         ("n_per_class", 1), ("test_size", 1), ("ood_size", 1),
+                         ("n_train_points", 1), ("workers", 1), ("decomposition_samples", 2)):
+            if getattr(self, key) < low:
+                raise ConfigError(f"{key}: must be >= {low}")
+        try:
+            super().__post_init__()
+            for cls in models_mod.MODEL_CLASSES.values():
+                cls.check_hyper(model_hyper(self, cls))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         return self
 
+    __post_init__ = validate
 
-_TUPLE_INT_KEYS = {"hidden", "seeds"}
-_BOOL_KEYS = {"simplified", "include_runtime"}
+
+FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}  # annotations, as text
 
 
 def _coerce(key: str, raw: str):
-    ftypes = {f.name: f.type for f in fields(ExperimentConfig)}
-    if key not in ftypes:
+    if key not in FIELD_TYPES:
         raise ConfigError(f"unknown configuration key: '{key}'")
     raw = raw.strip()
     try:
-        if key in _TUPLE_INT_KEYS:
+        if FIELD_TYPES[key] == "tuple":
             return tuple(int(tok) for tok in raw.split(",") if tok.strip())
-        if key in _BOOL_KEYS:
+        if FIELD_TYPES[key] == "bool":
             if raw.lower() in ("true", "1", "yes"):
                 return True
             if raw.lower() in ("false", "0", "no"):
                 return False
             raise ValueError(raw)
-        current = getattr(ExperimentConfig(), key)
-        if isinstance(current, int):
-            return int(raw)
-        if isinstance(current, float):
-            return float(raw)
-        return raw
+        return {"int": int, "float": float, "str": str}[FIELD_TYPES[key]](raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{key}: cannot parse value '{raw}'") from exc
 
@@ -157,7 +132,8 @@ def parse_config_file(path) -> dict:
 
 
 def resolve_config(file_path=None, overrides=None) -> ExperimentConfig:
-    """Layered resolution: defaults < config file < explicit overrides."""
+    """Layered resolution: defaults < config file < explicit overrides.
+    The resulting config has passed every check (ConfigError otherwise)."""
     values = {}
     if file_path:
         values.update(parse_config_file(file_path))
@@ -166,11 +142,10 @@ def resolve_config(file_path=None, overrides=None) -> ExperimentConfig:
             continue
         if isinstance(val, str):
             val = _coerce(key, val)
-        elif key not in {f.name for f in fields(ExperimentConfig)}:
+        elif key not in FIELD_TYPES:
             raise ConfigError(f"unknown configuration key: '{key}'")
         values[key] = val
-    cfg = ExperimentConfig(**values)
-    return cfg.validate()
+    return ExperimentConfig(**values)
 
 
 def config_dict(cfg: ExperimentConfig) -> dict:
@@ -206,28 +181,27 @@ def build_task_data(cfg: ExperimentConfig, seed: int):
         pts = pts[far][: cfg.ood_size]
         ood = data_mod.LabeledDataset(pts, np.zeros(len(pts), int), 3, provenance="ood")
         return train, test, ood, None
-    if cfg.task == "fmnist-vs-mnist":
-        paths = fmnist_mnist_paths(cfg.data_dir)
-        missing = [p for p in paths.values() if not os.path.exists(p)]
-        if missing:
-            raise DataError(f"missing IDX files: {missing}")
-        try:
-            fm_train = data_mod.read_idx(paths["fmnist_train_images"],
-                                         paths["fmnist_train_labels"])
-            fm_test = data_mod.read_idx(paths["fmnist_test_images"],
-                                        paths["fmnist_test_labels"])
-            mn_test = data_mod.read_idx(paths["mnist_test_images"],
-                                        paths["mnist_test_labels"])
-        except ValueError as exc:
-            raise DataError(str(exc)) from exc
-        n = cfg.n_train_points
-        train = data_mod.LabeledDataset(fm_train.features[:n], fm_train.labels[:n], 10)
-        test = data_mod.LabeledDataset(fm_test.features[:n], fm_test.labels[:n], 10)
-        ood = data_mod.LabeledDataset(mn_test.features[:n], mn_test.labels[:n], 10,
-                                      provenance="ood")
-        (train, test, ood), _, _ = data_mod.zscore(train, [test, ood])
-        return train, test, ood, None
-    raise ConfigError(f"task: unknown value '{cfg.task}'")
+    # fmnist-vs-mnist, the one task left
+    paths = fmnist_mnist_paths(cfg.data_dir)
+    missing = [p for p in paths.values() if not os.path.exists(p)]
+    if missing:
+        raise DataError(f"missing IDX files: {missing}")
+    try:
+        fm_train = data_mod.read_idx(paths["fmnist_train_images"],
+                                     paths["fmnist_train_labels"])
+        fm_test = data_mod.read_idx(paths["fmnist_test_images"],
+                                    paths["fmnist_test_labels"])
+        mn_test = data_mod.read_idx(paths["mnist_test_images"],
+                                    paths["mnist_test_labels"])
+    except ValueError as exc:
+        raise DataError(str(exc)) from exc
+    n = cfg.n_train_points
+    train = data_mod.LabeledDataset(fm_train.features[:n], fm_train.labels[:n], 10)
+    test = data_mod.LabeledDataset(fm_test.features[:n], fm_test.labels[:n], 10)
+    ood = data_mod.LabeledDataset(mn_test.features[:n], mn_test.labels[:n], 10,
+                                  provenance="ood")
+    (train, test, ood), _, _ = data_mod.zscore(train, [test, ood])
+    return train, test, ood, None
 
 
 def fmnist_mnist_paths(data_dir) -> dict:
@@ -241,19 +215,22 @@ def fmnist_mnist_paths(data_dir) -> dict:
     }
 
 
+def model_hyper(cfg: ExperimentConfig, cls) -> dict:
+    """The config's values of the model class's HYPER arguments; ``simplified``
+    sets ETP's identity_keys and clears its update_tanh."""
+    simplified = {"identity_keys": cfg.simplified, "update_tanh": not cfg.simplified}
+    return {name: simplified[name] if name in simplified else getattr(cfg, name)
+            for name in cls.HYPER}
+
+
 def build_model(cfg: ExperimentConfig, input_dim: int, num_classes: int, rng: SeededRng):
-    hyper = dict(
-        beta=cfg.beta, beta_reg=cfg.beta_reg, kappa2=cfg.kappa2, gamma=cfg.gamma,
-        memory_cells=cfg.memory_cells, combiner=cfg.combiner, aggregation=cfg.aggregation,
-        identity_keys=cfg.simplified, update_tanh=not cfg.simplified,
-    )
-    return models_mod.make_model(cfg.model, input_dim, num_classes, cfg.hidden, rng, **hyper)
+    cls = models_mod.MODEL_CLASSES[cfg.model]
+    return cls(input_dim, num_classes, cfg.hidden, rng, **model_hyper(cfg, cls))
 
 
 def train_config(cfg: ExperimentConfig) -> models_mod.TrainConfig:
-    """The training keys of the config; every TrainConfig field is one."""
-    return models_mod.TrainConfig(
-        **{f.name: getattr(cfg, f.name) for f in fields(models_mod.TrainConfig)})
+    """The training keys of the config: an ExperimentConfig is a TrainConfig."""
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -294,11 +271,10 @@ def run_single_seed(cfg: ExperimentConfig, seed: int):
     model = build_model(cfg, train_ds.features.shape[1], train_ds.num_classes, model_rng)
     t0 = time.perf_counter()
     try:
-        trace = models_mod.train(model, train_ds, train_config(cfg), train_rng)
+        trace = models_mod.train(model, train_ds, cfg, train_rng)
     except models_mod.TrainingDiverged as exc:
-        return {"seed": seed, "failed": True, "failure": str(exc),
-                "err_pct": None, "ece_pct": None, "nll": None, "auroc_ood_pct": None,
-                "runtime_s_per_epoch": None}, None
+        return {"seed": seed, "failed": True, "failure": str(exc), "runtime_s_per_epoch": None,
+                **dict.fromkeys(METRIC_KEYS)}, None
     elapsed = time.perf_counter() - t0
     row = evaluate_model(cfg, model, test_ds, ood_ds)
     row["seed"] = seed
@@ -356,9 +332,9 @@ def run_experiment(cfg: ExperimentConfig, keep_models=False):
             if keep_models and model is not None:
                 kept[seed] = model
             rows.append(row)
-    rows.sort(key=lambda r: cfg.seeds.index(r["seed"]))
-    if all(r.get("failed") for r in rows):
-        raise models_mod.TrainingDiverged(-1, -1, float("nan"))
+    if all(r["failed"] for r in rows):
+        raise models_mod.TrainingFailed("every seed diverged: " + "; ".join(
+            f"seed {r['seed']}: {r['failure']}" for r in rows))
     runtimes = [r.get("runtime_s_per_epoch") for r in rows if r.get("runtime_s_per_epoch")]
     report = build_report(config_dict(cfg), rows, (
         float(np.mean(runtimes)) if (runtimes and cfg.include_runtime) else None))

@@ -59,11 +59,30 @@ class CheckpointError(ValueError):
     """A checkpoint file that does not hold the model it describes."""
 
 
-class TrainingDiverged(RuntimeError):
-    def __init__(self, epoch, batch, value):
-        super().__init__(f"non-finite loss {value} at epoch {epoch}, batch {batch}")
+class TrainingFailed(RuntimeError):
+    """Training that produced no model."""
+
+
+class TrainingDiverged(TrainingFailed):
+    """A training step whose loss or gradient is not finite, or that took an
+    op outside its domain; ``epoch`` and ``batch`` locate it."""
+
+    def __init__(self, epoch, batch, cause):
+        super().__init__(f"{cause} at epoch {epoch}, batch {batch}")
         self.epoch = epoch
         self.batch = batch
+
+
+# The domain of each model hyperparameter: a test and what it requires.
+HYPER_DOMAINS = {
+    "memory_cells": (lambda v: v >= 1, "must be >= 1"),
+    "gamma": (lambda v: 0.0 < v < 1.0, "retention factor must lie in (0, 1)"),
+    "kappa2": (lambda v: v > 0, "must be > 0"),
+    "beta": (lambda v: v > 0, "prior precision must be > 0"),
+    "beta_reg": (lambda v: v >= 0, "must be >= 0"),
+    "combiner": (lambda v: v in ("residual", "direct"), "must be 'residual' or 'direct'"),
+    "aggregation": (lambda v: v in ("mean", "attention"), "must be 'mean' or 'attention'"),
+}
 
 
 @dataclass(frozen=True)
@@ -87,10 +106,22 @@ class _Model:
     HYPER = ()  # constructor arguments beyond the architecture
     clamp_events = 0  # entries the concentration cap has clamped
 
-    def __init__(self, input_dim, num_classes, hidden):
+    def __init__(self, input_dim, num_classes, hidden, **hyper):
+        self.check_hyper(hyper)
         self.input_dim = input_dim
         self.num_classes = num_classes
         self.hidden = tuple(hidden)
+        vars(self).update(hyper)
+
+    @classmethod
+    def check_hyper(cls, hyper):
+        """Raise ValueError naming the first ``HYPER`` argument in ``hyper``
+        that lies outside its domain."""
+        for name in cls.HYPER:
+            if name in HYPER_DOMAINS:
+                inside, domain = HYPER_DOMAINS[name]
+                if not inside(hyper[name]):
+                    raise ValueError(f"{name}: {domain}, got {hyper[name]!r}")
 
     def _pack(self, groups):
         """Move the arrays of the name -> array dicts in ``groups`` into
@@ -241,8 +272,7 @@ class BnnModel(_Model):
     HYPER = ("beta",)
 
     def __init__(self, input_dim, num_classes, hidden, rng, beta=1.0):
-        super().__init__(input_dim, num_classes, hidden)
-        self.beta = beta
+        super().__init__(input_dim, num_classes, hidden, beta=beta)
         self.net = VariationalMlp(MlpSpec(input_dim, self.hidden, num_classes), rng, "net")
         self._pack(self.net.groups())
 
@@ -308,8 +338,6 @@ class EdlModel(_Model):
             raise ValueError("annealing weight must be >= 0")
         leaves = self.leaves(tape)
         alpha = self._alpha(as_tensor(xb), leaves)
-        if np.any(alpha.data <= 0.0):
-            raise ValueError("concentration head produced non-positive values")
         per = self.per_sample_terms(alpha, yb)
         loss = ad.tmean(ad.add(per["sq"], ad.scale(lam, per["kl"])))
         return loss, leaves
@@ -368,21 +396,9 @@ class EtpModel(_Model):
     def __init__(self, input_dim, num_classes, hidden, rng,
                  memory_cells=16, gamma=0.9, kappa2=0.1, beta=1.0, beta_reg=0.0,
                  combiner="residual", identity_keys=False, update_tanh=True):
-        if not 0.0 < gamma < 1.0:
-            raise ValueError("gamma must lie in (0, 1)")
-        if kappa2 <= 0.0:
-            raise ValueError("kappa2 must be positive")
-        if combiner not in ("residual", "direct"):
-            raise ValueError(f"unknown combiner mode: {combiner}")
-        super().__init__(input_dim, num_classes, hidden)
-        self.memory_cells = memory_cells
-        self.gamma = gamma
-        self.kappa2 = kappa2
-        self.beta = beta
-        self.beta_reg = beta_reg
-        self.combiner = combiner
-        self.identity_keys = identity_keys
-        self.update_tanh = update_tanh
+        super().__init__(input_dim, num_classes, hidden, memory_cells=memory_cells, gamma=gamma,
+                         kappa2=kappa2, beta=beta, beta_reg=beta_reg, combiner=combiner,
+                         identity_keys=identity_keys, update_tanh=update_tanh)
         self.encoder = VariationalMlp(MlpSpec(input_dim, self.hidden, num_classes), rng, "enc")
         if identity_keys:
             self.keynet = None
@@ -465,10 +481,7 @@ class EtpModel(_Model):
                 acc = enll if acc is None else ad.add(acc, enll)
         expected = ad.scale(1.0 / (s_w * s_z), acc)
         kl = self.encoder.kl_to_prior(leaves, self.beta)
-        loss = ad.add(expected, ad.scale(1.0 / n_total, kl))
-        if not np.isfinite(loss.data):
-            raise FloatingPointError("non-finite free energy")
-        return loss, leaves
+        return ad.add(expected, ad.scale(1.0 / n_total, kl)), leaves
 
     def step_loss(self, tape, xb, yb, rng, cfg, epoch, n_total):
         cx, cy = _choose_context(xb, yb, cfg.context_fraction, rng)
@@ -526,12 +539,8 @@ class EnpModel(_Model):
 
     def __init__(self, input_dim, num_classes, hidden, rng,
                  kappa2=0.1, beta_reg=0.0, aggregation="mean"):
-        if aggregation not in ("mean", "attention"):
-            raise ValueError(f"unknown aggregation mode: {aggregation}")
-        super().__init__(input_dim, num_classes, hidden)
-        self.kappa2 = kappa2
-        self.beta_reg = beta_reg
-        self.aggregation = aggregation
+        super().__init__(input_dim, num_classes, hidden, kappa2=kappa2, beta_reg=beta_reg,
+                         aggregation=aggregation)
         k = num_classes
         self.embed = DeterministicMlp(MlpSpec(input_dim, self.hidden, k), rng, "emb")
         self.encoder = DeterministicMlp(MlpSpec(input_dim + k, self.hidden, 2 * k), rng, "ctx")
@@ -608,13 +617,11 @@ MODEL_KINDS = tuple(MODEL_CLASSES)
 
 
 def make_model(kind, input_dim, num_classes, hidden, rng: SeededRng, **hyper):
-    """A new model of the given kind. ``hyper`` may hold the arguments of
-    every kind; each kind takes those its class names in ``HYPER``."""
+    """A new model of the given kind; ``hyper`` holds some of the arguments
+    its class names in ``HYPER``."""
     if kind not in MODEL_CLASSES:
         raise ValueError(f"unknown model kind: {kind}")
-    cls = MODEL_CLASSES[kind]
-    return cls(input_dim, num_classes, hidden, rng,
-               **{name: hyper[name] for name in cls.HYPER if name in hyper})
+    return MODEL_CLASSES[kind](input_dim, num_classes, hidden, rng, **hyper)
 
 
 # ---------------------------------------------------------------------------
@@ -623,6 +630,8 @@ def make_model(kind, input_dim, num_classes, hidden, rng: SeededRng, **hyper):
 
 @dataclass
 class TrainConfig:
+    """The training keys, each with its default; construction checks them."""
+
     epochs: int = 400
     batch_size: int = 64
     lr: float = 0.001
@@ -636,16 +645,24 @@ class TrainConfig:
     edl_anneal_epochs: int = 10
 
     def __post_init__(self):
-        if self.epochs < 0 or self.batch_size < 1 or self.lr <= 0:
-            raise ValueError("invalid training configuration")
+        """Raise ValueError naming the first training key outside its domain."""
+        for key, low in (("epochs", 0), ("batch_size", 1), ("n_train_samples", 1),
+                         ("n_train_z_samples", 1), ("memory_update_samples", 1)):
+            if getattr(self, key) < low:
+                raise ValueError(f"{key}: must be >= {low}")
+        if self.lr <= 0:
+            raise ValueError("lr: must be > 0")
         if not 0.0 < self.context_fraction <= 1.0:
-            raise ValueError("context_fraction must lie in (0, 1]")
+            raise ValueError("context_fraction: must lie in (0, 1]")
 
 
 def train(model, ds: LabeledDataset, cfg: TrainConfig, rng: SeededRng):
     """Optimize a model with Adam; returns the per-epoch mean loss trace.
 
-    Each step makes one Adam update of the whole parameter vector.
+    Each step makes one Adam update of the whole parameter vector. A step
+    whose loss or gradient is not finite, or that takes an op outside its
+    domain (a log of 0, a Dirichlet concentration of 0), raises
+    TrainingDiverged.
     """
     state = AdamState()
     params = {FLAT: model.theta}
@@ -654,13 +671,16 @@ def train(model, ds: LabeledDataset, cfg: TrainConfig, rng: SeededRng):
     for epoch in range(cfg.epochs):
         epoch_losses = []
         for b, (xb, yb) in enumerate(batch_iterator(ds, cfg.batch_size, rng, epoch)):
-            loss, leaves = model.step_loss(ad.Tape(), xb, yb, rng, cfg, epoch, n_total)
-            value = float(loss.data)
-            if not np.isfinite(value):
-                raise TrainingDiverged(epoch, b, value)
-            grads = backward(loss)
-            adam_step(params, {FLAT: grads[leaves[FLAT].node_id]}, state, lr=cfg.lr,
-                      beta1=cfg.adam_beta1, beta2=cfg.adam_beta2, eps=cfg.adam_eps)
+            try:
+                loss, leaves = model.step_loss(ad.Tape(), xb, yb, rng, cfg, epoch, n_total)
+                value = float(loss.data)
+                if not np.isfinite(value):
+                    raise FloatingPointError(f"non-finite loss {value}")
+                grads = backward(loss)
+                adam_step(params, {FLAT: grads[leaves[FLAT].node_id]}, state, lr=cfg.lr,
+                          beta1=cfg.adam_beta1, beta2=cfg.adam_beta2, eps=cfg.adam_eps)
+            except (FloatingPointError, ad.DomainError) as exc:
+                raise TrainingDiverged(epoch, b, exc) from exc
             epoch_losses.append(value)
         if epoch_losses:
             trace.append(float(np.mean(epoch_losses)))
@@ -705,9 +725,12 @@ def load_checkpoint(path):
     if meta.get("format_version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"unsupported checkpoint version: {meta.get('format_version')}")
-    hyper = dict(meta["hyper"])
-    model = make_model(meta["kind"], hyper.pop("input_dim"), meta["num_classes"],
-                       tuple(hyper.pop("hidden")), SeededRng(seed=0), **hyper)
+    try:
+        hyper = dict(meta["hyper"])
+        model = make_model(meta["kind"], hyper.pop("input_dim"), meta["num_classes"],
+                           tuple(hyper.pop("hidden")), SeededRng(seed=0), **hyper)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"checkpoint {path} has bad metadata: {exc!r}") from exc
     targets = model.checkpoint_arrays()
     missing = sorted(set(targets) - set(arrays))
     unknown = sorted(set(arrays) - set(targets))

@@ -39,6 +39,41 @@ FAST = dict(epochs=3, batch_size=40, test_size=200, ood_size=50,
             n_predict_z_samples=2, decomposition_samples=64)
 
 
+REJECTED = [
+    ("task", "cifar", "task"),
+    ("model", "gp", "model"),
+    ("gamma", 1.5, "gamma"),
+    ("kappa2", 0.0, "kappa2"),
+    ("context_fraction", 0.0, "context_fraction"),
+    ("ece_bins", 0, "ece_bins"),
+    ("ood_score", "energy", "ood_score"),
+    ("seeds", (), "seeds"),
+    ("combiner", "mlp", "combiner"),
+    ("workers", 0, "workers"),
+]
+
+
+def config_line(key, value):
+    text = ",".join(map(str, value)) if isinstance(value, tuple) else value
+    return f"{key} = {text}"
+
+
+# Configs that `etproc run` must reject with exit code 1: the keys whose
+# bad values once ended in a traceback, every case of REJECTED, a key of a
+# model other than the one run, and an unknown model named by a flag.
+CLI_REJECTED = [
+    ("memory_cells = 0", [], "memory_cells"),
+    ("memory_update_samples = 0", [], "memory_update_samples"),
+    ("decomposition_samples = 1", [], "decomposition_samples"),
+    ("test_size = 0", [], "test_size"),
+    ("ood_size = 0", [], "ood_size"),
+    ("n_per_class = 0", [], "n_per_class"),
+    *[(config_line(key, value), [], pattern) for key, value, pattern in REJECTED],
+    ("gamma = 1.5", ["--model", "bnn"], "gamma"),
+    ("", ["--model", "gp"], "model"),
+]
+
+
 class TestConfig:
     def test_defaults_validate(self):
         ExperimentConfig().validate()
@@ -87,18 +122,7 @@ seeds = 3,4,5
         assert cfg.seeds == (1, 2)
         assert cfg.epochs == 9
 
-    @pytest.mark.parametrize("key,value,pattern", [
-        ("task", "cifar", "task"),
-        ("model", "gp", "model"),
-        ("gamma", 1.5, "gamma"),
-        ("kappa2", 0.0, "kappa2"),
-        ("context_fraction", 0.0, "context_fraction"),
-        ("ece_bins", 0, "ece_bins"),
-        ("ood_score", "energy", "ood_score"),
-        ("seeds", (), "seeds"),
-        ("combiner", "mlp", "combiner"),
-        ("workers", 0, "workers"),
-    ])
+    @pytest.mark.parametrize("key,value,pattern", REJECTED)
     def test_validation_rejects(self, key, value, pattern):
         with pytest.raises(ConfigError, match=pattern):
             resolve_config(None, {key: value})
@@ -166,6 +190,7 @@ class TestTaskData:
         assert ood.provenance == "ood"
         # features are standardized with the training statistics
         np.testing.assert_allclose(train.features.mean(axis=0), 0.0, atol=1e-12)
+
 
 
 class TestSeedLoop:
@@ -473,6 +498,26 @@ decomposition_samples = 64
         assert cli.main([command, "--config", self.fast_config(tmp_path), "--checkpoint",
                          str(ckpt), "--out", str(tmp_path / "out.json")]) == 1
         assert "does not fit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, argv, key", CLI_REJECTED)
+    def test_every_rejected_config_exits_1(self, tmp_path, capsys, text, argv, key):
+        cfg = write_config(tmp_path / "bad.cfg", text + "\n")
+        out = tmp_path / "r.json"
+        assert cli.main(["run", "--config", cfg, *argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and key in err
+        assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way to NaN
+    @pytest.mark.parametrize("kind", ["bnn", "edl", "enp", "etp"])
+    def test_divergence_exit_code(self, tmp_path, capsys, kind):
+        """At lr = 1e4 every kind diverges on every seed: run exits 3, and
+        the message names each seed's failure."""
+        assert cli.main(["run", "--model", kind, "--lr", "1e4", "--epochs", "30",
+                         "--seeds", "0,1", "--out", str(tmp_path / "r.json")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("training failed: every seed diverged: seed 0: ")
+        assert "; seed 1: " in err and "epoch -1" not in err
 
     def test_training_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         from etproc import models as models_mod

@@ -5,6 +5,7 @@ behavior, and checkpoint round-trips.
 The NumPy oracles below (``mlp_np``, ``attend_np``, ``etp_alpha_np``)
 reimplement the forward passes independently of the tensor code."""
 
+import json
 import re
 
 import numpy as np
@@ -555,6 +556,19 @@ class TestTrainLoop:
         assert err.value.epoch == 0
         assert err.value.batch == 0
 
+    @pytest.mark.parametrize("kind, bias", [("bnn", "net.b1"), ("edl", "net.b1"),
+                                            ("enp", "head.b1"), ("etp", "enc.b1")])
+    def test_zero_probability_diverges_in_training_only(self, kind, bias):
+        """A class whose softmax probability or concentration underflows to 0
+        stops training with TrainingDiverged; prediction gives it probability 0."""
+        ds, _ = gen_two_gaussians(10, SeededRng(seed=0, stream=1))
+        model = make_model(kind, 1, 2, (4,), SeededRng(seed=0, stream=2))
+        model.trainable()[bias][0] = -1e4
+        probs = predict(model, ds.features, SeededRng(seed=1), n_samples=2, n_samples_z=2)
+        assert np.all(probs[:, 0] == 0.0) and np.allclose(probs[:, 1], 1.0)
+        with pytest.raises(TrainingDiverged, match="positive.* at epoch 0, batch 0"):
+            train(model, ds, TrainConfig(epochs=1), SeededRng(seed=0, stream=4))
+
     def test_training_is_deterministic(self):
         ds, _ = gen_two_gaussians(10, SeededRng(seed=0, stream=1))
 
@@ -747,10 +761,24 @@ class TestCheckpointValidation:
 
 
 class TestUnreadableCheckpoint:
-    @pytest.mark.parametrize("case", ["missing", "text", "npy", "no-meta"])
+    META_EDITS = {
+        "unknown-kind": lambda meta: meta.update(kind="gp"),
+        "no-hyper": lambda meta: meta.pop("hyper"),
+        "out-of-domain": lambda meta: meta["hyper"].update(gamma=1.5),
+    }
+
+    @pytest.mark.parametrize("case", ["missing", "text", "npy", "no-meta", *META_EDITS])
     def test_rejected(self, case, tmp_path):
         path = tmp_path / "m.npz"
-        if case == "text":
+        if case in self.META_EDITS:
+            save_checkpoint(make_model("etp", 1, 2, (4,), SeededRng(seed=0, stream=2)), path)
+            with np.load(path) as npz:
+                arrays = {k: npz[k] for k in npz.files}
+            meta = json.loads(bytes(arrays["__meta__"]).decode())
+            self.META_EDITS[case](meta)
+            arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+            np.savez(path, **arrays)
+        elif case == "text":
             path.write_text("not a checkpoint\n")
         elif case == "npy":
             path = tmp_path / "m.npy"
