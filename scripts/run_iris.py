@@ -8,7 +8,7 @@ import numpy as np
 from etproc import harness
 from etproc.distributions import SeededRng
 from etproc.harness import resolve_config
-from etproc.models import MODEL_KINDS, predict, train
+from etproc.models import MODEL_KINDS, predict
 
 
 def main():
@@ -23,8 +23,7 @@ def main():
         train_ds, _, _, _ = harness.build_task_data(cfg, seed=0)
         accs = []
         for seed in seeds:
-            model = harness.build_model(cfg, 2, 3, SeededRng(seed=seed, stream=2))
-            train(model, train_ds, cfg, SeededRng(seed=seed, stream=4))
+            model, _ = harness.train_seed(cfg, seed, train_ds)
             probs = predict(model, train_ds.features, SeededRng(seed=seed, stream=3),
                             n_samples=8, n_samples_z=2)
             accs.append(float((probs.argmax(axis=1) == train_ds.labels).mean()))

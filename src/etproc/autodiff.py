@@ -277,6 +277,20 @@ def concat(tensors, axis=0) -> Tensor:
     return emit(out, tuple(tensors), tuple(vjps))
 
 
+def columns(a, start: int, stop: int) -> Tensor:
+    """Columns start:stop of a 2-D tensor."""
+    a = as_tensor(a)
+    if a.data.ndim != 2 or not 0 <= start < stop <= a.shape[1]:
+        raise ShapeMismatchError(f"columns: {start}:{stop} of {a.shape}")
+
+    def vjp(g):
+        out = np.zeros(a.shape)
+        out[:, start:stop] = g
+        return out
+
+    return emit(a.data[:, start:stop], (a,), (vjp,))
+
+
 def sum_rows(a) -> Tensor:
     """Row sums of an (N, K) tensor, as an (N, 1) column."""
     a = as_tensor(a)

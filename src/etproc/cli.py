@@ -15,7 +15,6 @@ import sys
 import numpy as np
 
 from . import harness, models
-from .distributions import SeededRng
 from .harness import ConfigError, DataError
 
 DEFAULT_PROBES = {
@@ -86,9 +85,7 @@ def cmd_train(args):
     cfg = _resolve(args)
     seed = cfg.seeds[0]
     train_ds, _, _, _ = harness.build_task_data(cfg, seed)
-    model = harness.build_model(cfg, train_ds.features.shape[1], train_ds.num_classes,
-                                SeededRng(seed=seed, stream=2))
-    trace = models.train(model, train_ds, cfg, SeededRng(seed=seed, stream=4))
+    model, trace = harness.train_seed(cfg, seed, train_ds)
     models.save_checkpoint(model, args.out, seed=seed,
                            extra_meta={"task": cfg.task})
     with open(str(args.out) + ".trace.json", "w") as f:

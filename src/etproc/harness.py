@@ -262,16 +262,21 @@ def evaluate_model(cfg: ExperimentConfig, model, test, ood):
     }
 
 
+def train_seed(cfg: ExperimentConfig, seed: int, train_ds):
+    """(model, loss trace) of one seed: the model is built from the seed's
+    stream 2 and trained on ``train_ds`` from its stream 4."""
+    model = build_model(cfg, train_ds.features.shape[1], train_ds.num_classes,
+                        SeededRng(seed=seed, stream=2))
+    return model, models_mod.train(model, train_ds, cfg, SeededRng(seed=seed, stream=4))
+
+
 def run_single_seed(cfg: ExperimentConfig, seed: int):
     """(report row, trained model) for one seed; the model is None when
     training diverged, and the row then holds null metrics."""
     train_ds, test_ds, ood_ds, _ = build_task_data(cfg, seed)
-    model_rng = SeededRng(seed=seed, stream=2)
-    train_rng = SeededRng(seed=seed, stream=4)
-    model = build_model(cfg, train_ds.features.shape[1], train_ds.num_classes, model_rng)
     t0 = time.perf_counter()
     try:
-        trace = models_mod.train(model, train_ds, cfg, train_rng)
+        model, trace = train_seed(cfg, seed, train_ds)
     except models_mod.TrainingDiverged as exc:
         return {"seed": seed, "failed": True, "failure": str(exc), "runtime_s_per_epoch": None,
                 **dict.fromkeys(METRIC_KEYS)}, None

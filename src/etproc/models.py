@@ -90,13 +90,10 @@ class MlpSpec:
     in_dim: int
     hidden: tuple
     out_dim: int
-    activation: str = "relu"
 
     def __post_init__(self):
         if self.in_dim < 1 or self.out_dim < 1:
             raise ValueError("MlpSpec dimensions must be positive")
-        if self.activation not in ("relu", "tanh"):
-            raise ValueError(f"unknown activation: {self.activation}")
 
 
 class _Model:
@@ -163,9 +160,18 @@ class _Model:
         self.clamp_events += int(np.sum(raw.data >= LOG_ALPHA_CAP))
         return ad.exp(ad.clip_upper(raw, LOG_ALPHA_CAP))
 
+    def _evidential_nll(self, alpha: Tensor, yb) -> Tensor:
+        """Batch-mean expected NLL of the labels under Dir(alpha), plus
+        ``beta_reg`` times the batch-mean KL to Dir(1, ..., 1) when it is > 0."""
+        enll = ad.scale(-1.0, ad.tmean(dirichlet_expected_log_prob_rows(alpha, yb)))
+        if self.beta_reg > 0.0:
+            reg = ad.tmean(dirichlet_kl_rows(alpha, np.ones(self.num_classes)))
+            enll = ad.add(enll, ad.scale(self.beta_reg, reg))
+        return enll
+
 
 class _Mlp:
-    """An MLP's layout: weights named f"{prefix}.W{i}" and f"{prefix}.b{i}"
+    """A ReLU MLP's layout: weights named f"{prefix}.W{i}" and f"{prefix}.b{i}"
     by layer, their initial values and the forward pass over them."""
 
     def __init__(self, spec: MlpSpec, prefix: str):
@@ -190,7 +196,7 @@ class _Mlp:
             h = ad.add(ad.matmul(h, weights[f"{self.prefix}.W{i}"]),
                        weights[f"{self.prefix}.b{i}"])
             if i < self.n_layers - 1:
-                h = ad.relu(h) if self.spec.activation == "relu" else ad.tanh(h)
+                h = ad.relu(h)
         return h
 
 
@@ -474,10 +480,7 @@ class EtpModel(_Model):
             v = self.encoder.forward(x, weights)
             for _ in range(s_z):
                 alpha = self.concentration(v, self.draw_memory(rng), leaves)
-                enll = ad.scale(-1.0, ad.tmean(dirichlet_expected_log_prob_rows(alpha, yb)))
-                if self.beta_reg > 0.0:
-                    reg = ad.tmean(dirichlet_kl_rows(alpha, np.ones(self.num_classes)))
-                    enll = ad.add(enll, ad.scale(self.beta_reg, reg))
+                enll = self._evidential_nll(alpha, yb)
                 acc = enll if acc is None else ad.add(acc, enll)
         expected = ad.scale(1.0 / (s_w * s_z), acc)
         kl = self.encoder.kl_to_prior(leaves, self.beta)
@@ -545,10 +548,6 @@ class EnpModel(_Model):
         self.embed = DeterministicMlp(MlpSpec(input_dim, self.hidden, k), rng, "emb")
         self.encoder = DeterministicMlp(MlpSpec(input_dim + k, self.hidden, 2 * k), rng, "ctx")
         self.head = DeterministicMlp(MlpSpec(2 * k, self.hidden, k), rng, "head")
-        # constant selectors splitting encoder output into (mu, logvar)
-        eye = np.eye(k)
-        self._sel_mu = np.vstack([eye, np.zeros((k, k))])
-        self._sel_lv = np.vstack([np.zeros((k, k)), eye])
         self._pack({"emb": self.embed.params, "ctx": self.encoder.params,
                     "head": self.head.params})
 
@@ -556,50 +555,31 @@ class EnpModel(_Model):
         return self._capped_exp(self.head.forward(ad.concat([e, z], axis=1), leaves))
 
     def loss(self, tape, xb, yb, ctx_x, ctx_y, rng, n_total):
+        """Expected Dirichlet NLL plus KL(N(mu, e^lv) || N(1, kappa2 I)) / n_total;
+        each target row reads (mu, lv) from the context encodings through
+        weights phi, uniform 1/C for mean aggregation."""
         if len(ctx_y) == 0:
             raise ValueError("ENP training requires a non-empty context set")
         leaves = self.leaves(tape)
-        n = len(yb)
-        k = self.num_classes
+        n, k, c = len(yb), self.num_classes, len(ctx_y)
         e = self.embed.forward(as_tensor(np.atleast_2d(xb)), leaves)
         ctx_in = np.concatenate([np.atleast_2d(ctx_x), _onehot(ctx_y, k)], axis=1)
         h = self.encoder.forward(as_tensor(ctx_in), leaves)      # (C, 2K)
-        mu = ad.matmul(h, self._sel_mu)
-        lv = ad.matmul(h, self._sel_lv)
-        c = len(ctx_y)
         if self.aggregation == "mean":
-            avg = np.full((1, c), 1.0 / c)
-            mu_t = ad.matmul(as_tensor(np.ones((n, 1))), ad.matmul(as_tensor(avg), mu))
-            lv_t = ad.matmul(as_tensor(np.ones((n, 1))), ad.matmul(as_tensor(avg), lv))
+            phi = np.broadcast_to(1.0 / c, (n, c))
         else:
-            scores = ad.scale(1.0 / np.sqrt(k), ad.matmul(e, ad.transpose(mu)))
-            phi = ad.softmax_rows(scores)                        # (N, C)
-            mu_t = ad.matmul(phi, mu)
-            lv_t = ad.matmul(phi, lv)
-        eps = rng.normal(size=(n, k))
-        z = ad.add(mu_t, ad.mul(ad.exp(ad.scale(0.5, lv_t)), as_tensor(eps)))
-        alpha = self._alpha(e, z, leaves)
-        enll = ad.scale(-1.0, ad.tmean(dirichlet_expected_log_prob_rows(alpha, yb)))
-        if self.beta_reg > 0.0:
-            enll = ad.add(enll, ad.scale(
-                self.beta_reg, ad.tmean(dirichlet_kl_rows(alpha, np.ones(k)))))
-        kl = self._kl_rows_to_pred_prior(mu_t, lv_t)
-        loss = ad.add(enll, ad.scale(len(yb) / n_total, kl))
-        return loss, leaves
+            scores = ad.matmul(e, ad.transpose(ad.columns(h, 0, k)))
+            phi = ad.softmax_rows(ad.scale(1.0 / np.sqrt(k), scores))
+        read = ad.matmul(phi, h)                                  # (N, 2K)
+        mu, lv = ad.columns(read, 0, k), ad.columns(read, k, 2 * k)
+        z = gaussian_reparam(mu, lv, rng.normal(size=(n, k)))
+        enll = self._evidential_nll(self._alpha(e, z, leaves), yb)
+        kl = gaussian_kl_diag(mu, lv, 1.0, float(np.log(self.kappa2)))
+        return ad.add(enll, ad.scale(1.0 / n_total, kl)), leaves
 
     def step_loss(self, tape, xb, yb, rng, cfg, epoch, n_total):
         cx, cy = _choose_context(xb, yb, cfg.context_fraction, rng)
         return self.loss(tape, xb, yb, cx, cy, rng, n_total)
-
-    def _kl_rows_to_pred_prior(self, mu: Tensor, lv: Tensor) -> Tensor:
-        """Mean per-target KL(N(mu, e^lv) || N(1, kappa^2 I))."""
-        n, k = mu.shape
-        lp = float(np.log(self.kappa2))
-        diff = ad.sub(mu, np.full((n, k), 1.0))
-        quad = ad.scale(1.0 / self.kappa2, ad.add(ad.exp(lv), ad.mul(diff, diff)))
-        inner = ad.sub(ad.add(quad, np.full((n, k), lp - 1.0)), lv)
-        per_row = ad.scale(0.5, ad.sum_rows(inner))
-        return ad.tmean(per_row)
 
     def predict(self, x, rng, n_samples=16, n_samples_z=8):
         """Prediction-time path: Z ~ N(1, kappa^2 I), no context set."""
@@ -660,9 +640,9 @@ def train(model, ds: LabeledDataset, cfg: TrainConfig, rng: SeededRng):
     """Optimize a model with Adam; returns the per-epoch mean loss trace.
 
     Each step makes one Adam update of the whole parameter vector. A step
-    whose loss or gradient is not finite, or that takes an op outside its
-    domain (a log of 0, a Dirichlet concentration of 0), raises
-    TrainingDiverged.
+    whose loss or gradient is not finite, that overflows or forms a NaN in
+    any NumPy op, or that takes an op outside its domain (a log of 0, a
+    Dirichlet concentration of 0), raises TrainingDiverged.
     """
     state = AdamState()
     params = {FLAT: model.theta}
@@ -672,13 +652,14 @@ def train(model, ds: LabeledDataset, cfg: TrainConfig, rng: SeededRng):
         epoch_losses = []
         for b, (xb, yb) in enumerate(batch_iterator(ds, cfg.batch_size, rng, epoch)):
             try:
-                loss, leaves = model.step_loss(ad.Tape(), xb, yb, rng, cfg, epoch, n_total)
-                value = float(loss.data)
-                if not np.isfinite(value):
-                    raise FloatingPointError(f"non-finite loss {value}")
-                grads = backward(loss)
-                adam_step(params, {FLAT: grads[leaves[FLAT].node_id]}, state, lr=cfg.lr,
-                          beta1=cfg.adam_beta1, beta2=cfg.adam_beta2, eps=cfg.adam_eps)
+                with np.errstate(over="raise", invalid="raise"):
+                    loss, leaves = model.step_loss(ad.Tape(), xb, yb, rng, cfg, epoch, n_total)
+                    value = float(loss.data)
+                    if not np.isfinite(value):
+                        raise FloatingPointError(f"non-finite loss {value}")
+                    grads = backward(loss)
+                    adam_step(params, {FLAT: grads[leaves[FLAT].node_id]}, state, lr=cfg.lr,
+                              beta1=cfg.adam_beta1, beta2=cfg.adam_beta2, eps=cfg.adam_eps)
             except (FloatingPointError, ad.DomainError) as exc:
                 raise TrainingDiverged(epoch, b, exc) from exc
             epoch_losses.append(value)

@@ -320,6 +320,13 @@ class TestPrimitiveGradients:
             lambda x: ad.tsum(ad.mul(ad.take_labels(ad.tanh(x), labels), Tensor(w))),
             rng.normal(size=(4, 3)))
 
+    def test_columns(self):
+        rng = np.random.default_rng(29)
+        w = rng.normal(size=(3, 2))
+        assert_grad_matches(
+            lambda x: ad.tsum(ad.mul(ad.tanh(ad.columns(x, 1, 3)), Tensor(w))),
+            rng.normal(size=(3, 4)))
+
     def test_unstack(self):
         rng = np.random.default_rng(28)
         w = rng.normal(size=(2, 3))

@@ -4,6 +4,7 @@ emission, and the command-line interface."""
 import importlib.util
 import json
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -508,16 +509,19 @@ decomposition_samples = 64
         assert err.startswith("config error: ") and key in err
         assert "Traceback" not in err and not out.exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way to NaN
     @pytest.mark.parametrize("kind", ["bnn", "edl", "enp", "etp"])
     def test_divergence_exit_code(self, tmp_path, capsys, kind):
-        """At lr = 1e4 every kind diverges on every seed: run exits 3, and
-        the message names each seed's failure."""
-        assert cli.main(["run", "--model", kind, "--lr", "1e4", "--epochs", "30",
-                         "--seeds", "0,1", "--out", str(tmp_path / "r.json")]) == 3
+        """At lr = 1e4 every kind diverges on every seed: run exits 3, the
+        message names each seed's failure, and no NumPy warning is issued."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["run", "--model", kind, "--lr", "1e4", "--epochs", "30",
+                             "--seeds", "0,1", "--out", str(tmp_path / "r.json")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("training failed: every seed diverged: seed 0: ")
         assert "; seed 1: " in err and "epoch -1" not in err
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], caught
 
     def test_training_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         from etproc import models as models_mod
