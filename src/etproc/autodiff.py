@@ -5,8 +5,9 @@ reverse to accumulate vector-Jacobian products. Tapes are meant to be
 re-created per training step (dynamic tape). Single-threaded per tape.
 
 A model's trainables enter the tape as one flat vector
-(``Tape.flat_leaves``): its named spans are leaves that share one flat
-gradient, so an optimizer step needs no gathering of per-array gradients.
+(``Tape.flat_leaves``, once per tape): its named spans are leaves that
+share one flat gradient, so an optimizer step needs no gathering of
+per-array gradients.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ class Tape:
     def __init__(self):
         self._records = []  # (out_id, [(parent_id, vjp_fn), ...])
         self._leaf_shapes = {}  # node_id -> shape
-        self._flat_sizes = []  # size of each flat parameter vector
-        self._views = {}  # node_id -> (flat vector index, start, stop, shape)
+        self._flat_size = None  # size of the flat parameter vector
+        self._views = {}  # node_id -> (start, stop, shape) in the flat vector
         self._next_id = 0
 
     def _new_id(self):
@@ -50,17 +51,19 @@ class Tape:
         ``spans`` maps a name to (start, stop, shape). Each leaf is a view
         into one copy of ``vector``; backward accumulates the gradients of
         all of them in place into one flat gradient of the vector's size, so
-        a span's gradient is the matching view of that flat gradient.
+        a span's gradient is the matching view of that flat gradient. A tape
+        holds one flat vector.
         """
+        if self._flat_size is not None:
+            raise ValueError("flat_leaves: the tape already holds a flat vector")
         data = np.array(vector, dtype=np.float64)
         if data.ndim != 1:
             raise ShapeMismatchError(f"flat_leaves: expected 1-D, got {data.shape}")
-        index = len(self._flat_sizes)
-        self._flat_sizes.append(data.size)
+        self._flat_size = data.size
         leaves = {}
         for name, (start, stop, shape) in spans.items():
             nid = self._new_id()
-            self._views[nid] = (index, start, stop, shape)
+            self._views[nid] = (start, stop, shape)
             leaves[name] = Tensor(data[start:stop].reshape(shape), tape=self, node_id=nid)
         return leaves
 
@@ -365,9 +368,9 @@ def backward(loss: Tensor) -> dict:
     tape = loss.tape
     views = tape._views
     adjoints = {loss.node_id: np.ones_like(loss.data)}
-    flat = [np.zeros(n) for n in tape._flat_sizes]
-    for nid, (index, start, stop, shape) in views.items():
-        adjoints[nid] = flat[index][start:stop].reshape(shape)
+    flat = np.zeros(tape._flat_size or 0)
+    for nid, (start, stop, shape) in views.items():
+        adjoints[nid] = flat[start:stop].reshape(shape)
     for out_id, parents in reversed(tape._records):
         g = adjoints.get(out_id)
         if g is None:
@@ -392,30 +395,25 @@ def backward(loss: Tensor) -> dict:
 
 
 class AdamState:
-    """First/second moment accumulators keyed like the parameter dict."""
+    """Step count and first/second moment accumulators of one parameter array."""
 
-    def __init__(self):
+    def __init__(self, shape):
         self.t = 0
-        self.m = {}
-        self.v = {}
+        self.m = np.zeros(shape)
+        self.v = np.zeros(shape)
 
 
-def adam_step(params, grads, state, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
-    """One Adam update in place on a dict of parameter arrays."""
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(f"non-finite gradient for parameter '{name}'")
+def adam_step(theta, grad, state, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
+    """One Adam update of the array ``theta`` in place (Kingma & Ba 2015)."""
+    if theta.shape != grad.shape:
+        raise ShapeMismatchError(f"adam_step: parameters {theta.shape} vs gradient {grad.shape}")
+    if not np.all(np.isfinite(grad)):
+        raise FloatingPointError("non-finite gradient")
     state.t += 1
     t = state.t
-    for name, p in params.items():
-        g = grads[name]
-        if p.shape != g.shape:
-            raise ShapeMismatchError(f"adam_step: '{name}' {p.shape} vs grad {g.shape}")
-        m = state.m.setdefault(name, np.zeros_like(p))
-        v = state.v.setdefault(name, np.zeros_like(p))
-        m[...] = beta1 * m + (1.0 - beta1) * g
-        v[...] = beta2 * v + (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
-    return params, state
+    m, v = state.m, state.v
+    m[...] = beta1 * m + (1.0 - beta1) * grad
+    v[...] = beta2 * v + (1.0 - beta2) * grad * grad
+    m_hat = m / (1.0 - beta1**t)
+    v_hat = v / (1.0 - beta2**t)
+    theta -= lr * m_hat / (np.sqrt(v_hat) + eps)

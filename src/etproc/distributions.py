@@ -22,16 +22,13 @@ NLL_PROB_FLOOR = 1e-12
 
 @dataclass
 class SeededRng:
-    """Deterministic RNG handle: identical (seed, stream) -> identical draws."""
+    """Deterministic PCG64 stream: identical (seed, stream) -> identical draws."""
 
     seed: int
     stream: int = 0
-    algorithm: str = "pcg64"
     _gen: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.algorithm != "pcg64":
-            raise ValueError(f"unsupported rng algorithm: {self.algorithm}")
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
         self._gen = np.random.Generator(np.random.PCG64(ss))
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .distributions import categorical_nll_batch
+from .distributions import categorical_nll_batch, dirichlet_moments
 
 
 @dataclass
@@ -148,10 +148,7 @@ def decompose_cbm(alpha_sampler, n_outer: int) -> DecompositionTriple:
         raise ValueError("need at least 2 outer samples")
     means, dirvars, datavars = [], [], []
     for s in range(n_outer):
-        a = np.asarray(alpha_sampler(s), dtype=np.float64)
-        a0 = a.sum()
-        m = a / a0
-        v = a * (a0 - a) / (a0 * a0 * (a0 + 1.0))
+        m, v = dirichlet_moments(alpha_sampler(s))
         means.append(m)
         dirvars.append(v)
         datavars.append(m * (1.0 - m) - v)  # E[pi(1-pi)] = m(1-m) - Var[pi]

@@ -285,22 +285,18 @@ class BnnModel(_Model):
     def _probs(self, x: Tensor, params, eps) -> Tensor:
         return ad.softmax_rows(self.net.forward(x, self.net.sampled_weights(params, eps)))
 
-    def loss(self, tape, xb, yb, rng, n_total, n_samples=1):
+    def loss(self, tape, xb, yb, rng, n_total):
+        """One-draw Monte Carlo estimate of the per-example negative ELBO."""
         leaves = self.leaves(tape)
-        x = as_tensor(xb)
-        acc = None
-        for _ in range(n_samples):
-            probs = self._probs(x, leaves, rng.normal(size=self.net.n_weights))
-            term = ad.tmean(_nll_rows(probs, yb))
-            acc = term if acc is None else ad.add(acc, term)
-        nll = ad.scale(1.0 / n_samples, acc)
+        probs = self._probs(as_tensor(xb), leaves, rng.normal(size=self.net.n_weights))
+        nll = ad.tmean(_nll_rows(probs, yb))
         kl = self.net.kl_to_prior(leaves, self.beta)
         # per-example ELBO: batch-mean NLL pairs with KL / dataset-size
         loss = ad.add(nll, ad.scale(1.0 / n_total, kl))
         return loss, leaves
 
     def step_loss(self, tape, xb, yb, rng, cfg, epoch, n_total):
-        return self.loss(tape, xb, yb, rng, n_total, n_samples=cfg.n_train_samples)
+        return self.loss(tape, xb, yb, rng, n_total)
 
     def predict(self, x, rng, n_samples=16, n_samples_z=8):
         x = as_tensor(np.atleast_2d(x))
@@ -468,29 +464,20 @@ class EtpModel(_Model):
 
     # -- objective ----------------------------------------------------------
 
-    def free_energy(self, tape, xb, yb, rng, n_total, s_w=1, s_z=1):
-        """Monte-Carlo variational free energy; memory treated as constant."""
-        if s_w < 1 or s_z < 1:
-            raise ValueError("sample counts must be >= 1")
+    def free_energy(self, tape, xb, yb, rng, n_total):
+        """Variational free energy from one weight draw and one memory draw;
+        memory treated as constant."""
         leaves = self.leaves(tape)
-        x = as_tensor(np.atleast_2d(xb))
-        acc = None
-        for _ in range(s_w):
-            weights = self.encoder.sampled_weights(leaves, rng.normal(size=self.encoder.n_weights))
-            v = self.encoder.forward(x, weights)
-            for _ in range(s_z):
-                alpha = self.concentration(v, self.draw_memory(rng), leaves)
-                enll = self._evidential_nll(alpha, yb)
-                acc = enll if acc is None else ad.add(acc, enll)
-        expected = ad.scale(1.0 / (s_w * s_z), acc)
+        weights = self.encoder.sampled_weights(leaves, rng.normal(size=self.encoder.n_weights))
+        v = self.encoder.forward(as_tensor(np.atleast_2d(xb)), weights)
+        enll = self._evidential_nll(self.concentration(v, self.draw_memory(rng), leaves), yb)
         kl = self.encoder.kl_to_prior(leaves, self.beta)
-        return ad.add(expected, ad.scale(1.0 / n_total, kl)), leaves
+        return ad.add(enll, ad.scale(1.0 / n_total, kl)), leaves
 
     def step_loss(self, tape, xb, yb, rng, cfg, epoch, n_total):
         cx, cy = _choose_context(xb, yb, cfg.context_fraction, rng)
         self.memory_update(cx, cy, rng, n_samples=cfg.memory_update_samples)
-        return self.free_energy(tape, xb, yb, rng, n_total,
-                                s_w=cfg.n_train_samples, s_z=cfg.n_train_z_samples)
+        return self.free_energy(tape, xb, yb, rng, n_total)
 
     # -- prediction ---------------------------------------------------------
 
@@ -615,19 +602,13 @@ class TrainConfig:
     epochs: int = 400
     batch_size: int = 64
     lr: float = 0.001
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    n_train_samples: int = 1       # weight draws per step (BNN / ETP)
-    n_train_z_samples: int = 1     # memory draws per step (ETP)
     context_fraction: float = 0.25
     memory_update_samples: int = 8
     edl_anneal_epochs: int = 10
 
     def __post_init__(self):
         """Raise ValueError naming the first training key outside its domain."""
-        for key, low in (("epochs", 0), ("batch_size", 1), ("n_train_samples", 1),
-                         ("n_train_z_samples", 1), ("memory_update_samples", 1)):
+        for key, low in (("epochs", 0), ("batch_size", 1), ("memory_update_samples", 1)):
             if getattr(self, key) < low:
                 raise ValueError(f"{key}: must be >= {low}")
         if self.lr <= 0:
@@ -639,13 +620,13 @@ class TrainConfig:
 def train(model, ds: LabeledDataset, cfg: TrainConfig, rng: SeededRng):
     """Optimize a model with Adam; returns the per-epoch mean loss trace.
 
-    Each step makes one Adam update of the whole parameter vector. A step
-    whose loss or gradient is not finite, that overflows or forms a NaN in
-    any NumPy op, or that takes an op outside its domain (a log of 0, a
+    Each step draws the model's noise once and makes one Adam update, at
+    Adam's default moment rates and eps, of the whole parameter vector. A
+    step whose loss or gradient is not finite, that overflows or forms a NaN
+    in any NumPy op, or that takes an op outside its domain (a log of 0, a
     Dirichlet concentration of 0), raises TrainingDiverged.
     """
-    state = AdamState()
-    params = {FLAT: model.theta}
+    state = AdamState(model.theta.shape)
     n_total = len(ds)
     trace = []
     for epoch in range(cfg.epochs):
@@ -658,8 +639,7 @@ def train(model, ds: LabeledDataset, cfg: TrainConfig, rng: SeededRng):
                     if not np.isfinite(value):
                         raise FloatingPointError(f"non-finite loss {value}")
                     grads = backward(loss)
-                    adam_step(params, {FLAT: grads[leaves[FLAT].node_id]}, state, lr=cfg.lr,
-                              beta1=cfg.adam_beta1, beta2=cfg.adam_beta2, eps=cfg.adam_eps)
+                    adam_step(model.theta, grads[leaves[FLAT].node_id], state, lr=cfg.lr)
             except (FloatingPointError, ad.DomainError) as exc:
                 raise TrainingDiverged(epoch, b, exc) from exc
             epoch_losses.append(value)
@@ -701,8 +681,13 @@ def load_checkpoint(path):
     with npz:
         if "__meta__" not in npz.files:
             raise CheckpointError(f"checkpoint {path} has no __meta__ record")
-        meta = json.loads(bytes(npz["__meta__"]).decode())
-        arrays = {k: npz[k] for k in npz.files if k != "__meta__"}
+        try:
+            meta = json.loads(bytes(npz["__meta__"]).decode())
+            arrays = {k: npz[k] for k in npz.files if k != "__meta__"}
+        except ValueError as exc:  # bad JSON or UTF-8, or a pickled array
+            raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"checkpoint {path} metadata is not a JSON object")
     if meta.get("format_version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"unsupported checkpoint version: {meta.get('format_version')}")

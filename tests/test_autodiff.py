@@ -475,6 +475,12 @@ class TestFlatLeaves:
         numeric = finite_diff_grad(value, vector)
         np.testing.assert_allclose(analytic, numeric, rtol=FD_RTOL, atol=1e-8)
 
+    def test_one_flat_vector_per_tape(self):
+        tape = Tape()
+        tape.flat_leaves(np.zeros(9), self.SPANS)
+        with pytest.raises(ValueError, match="already holds a flat vector"):
+            tape.flat_leaves(np.zeros(9), self.SPANS)
+
     def test_leaves_are_copies(self):
         vector = np.zeros(9)
         leaves = Tape().flat_leaves(vector, self.SPANS)
@@ -517,43 +523,43 @@ class TestSpecialFunctions:
 
 class TestAdam:
     def test_zero_gradient_leaves_params(self):
-        params = {"w": np.array([1.0, -2.0])}
-        grads = {"w": np.zeros(2)}
-        state = AdamState()
-        adam_step(params, grads, state, lr=0.1)
-        np.testing.assert_allclose(params["w"], [1.0, -2.0])
+        theta = np.array([1.0, -2.0])
+        state = AdamState(theta.shape)
+        adam_step(theta, np.zeros(2), state, lr=0.1)
+        np.testing.assert_allclose(theta, [1.0, -2.0])
         assert state.t == 1
 
     def test_constant_gradient_descends(self):
-        params = {"w": np.array([0.0])}
-        state = AdamState()
+        theta = np.array([0.0])
+        state = AdamState(theta.shape)
         for _ in range(50):
-            adam_step(params, {"w": np.array([3.0])}, state, lr=0.01)
-        assert params["w"][0] < 0.0
+            adam_step(theta, np.array([3.0]), state, lr=0.01)
+        assert theta[0] < 0.0
 
     def test_single_step_hand_evaluation(self):
         # f(w) = w^2 at w=1: g=2; with bias correction the t=1 step is
         # lr * g/(|g| + eps) which is essentially lr.
-        params = {"w": np.array([1.0])}
-        state = AdamState()
-        adam_step(params, {"w": np.array([2.0])}, state, lr=0.1)
+        theta = np.array([1.0])
+        state = AdamState(theta.shape)
+        adam_step(theta, np.array([2.0]), state, lr=0.1)
         m_hat = 0.1 * 2.0 / (1.0 - 0.9)
         v_hat = 0.001 * 4.0 / (1.0 - 0.999)
         expected = 1.0 - 0.1 * m_hat / (np.sqrt(v_hat) + 1e-8)
-        assert params["w"][0] == pytest.approx(expected, abs=1e-12)
-        assert params["w"][0] == pytest.approx(0.9, abs=1e-6)
+        assert theta[0] == pytest.approx(expected, abs=1e-12)
+        assert theta[0] == pytest.approx(0.9, abs=1e-6)
 
-    def test_nonfinite_gradient_rejected_with_name(self):
-        params = {"layer.W0": np.array([1.0])}
-        state = AdamState()
-        with pytest.raises(FloatingPointError, match="layer.W0"):
-            adam_step(params, {"layer.W0": np.array([np.nan])}, state)
+    def test_nonfinite_gradient_rejected(self):
+        theta = np.array([1.0, 2.0])
+        state = AdamState(theta.shape)
+        with pytest.raises(FloatingPointError, match="non-finite gradient"):
+            adam_step(theta, np.array([0.5, np.nan]), state)
+        assert state.t == 0 and np.array_equal(theta, [1.0, 2.0])
 
     def test_shape_mismatch_rejected(self):
-        params = {"w": np.ones(3)}
-        state = AdamState()
-        with pytest.raises(ShapeMismatchError, match="w"):
-            adam_step(params, {"w": np.ones(2)}, state)
+        theta = np.ones(3)
+        state = AdamState(theta.shape)
+        with pytest.raises(ShapeMismatchError, match="adam_step"):
+            adam_step(theta, np.ones(2), state)
 
 
 @settings(max_examples=30, deadline=None)

@@ -52,10 +52,6 @@ class TestSeededRng:
         b = SeededRng(seed=42, stream=1).normal(size=10)
         assert not np.array_equal(a, b)
 
-    def test_unknown_algorithm_rejected(self):
-        with pytest.raises(ValueError, match="algorithm"):
-            SeededRng(seed=0, algorithm="mt19937")
-
 
 class TestDirichletKl:
     def test_identical_laws_zero(self):

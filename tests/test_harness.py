@@ -6,6 +6,7 @@ import json
 import struct
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -461,12 +462,23 @@ decomposition_samples = 64
                          "--out", str(tmp_path / "out.json")]) == 2
         assert "data error" in capsys.readouterr().err
 
+    # __meta__ records that are not a JSON object, by their undecoded contents
+    RAW_META = {
+        "meta-not-json": np.frombuffer(b"kind = edl", dtype=np.uint8),
+        "meta-json-list": np.frombuffer(b'["edl", 1]', dtype=np.uint8),
+        "meta-object-array": np.array([{"kind": "edl"}], dtype=object),
+        "meta-not-utf8": np.frombuffer(b"\xff\xfe{}", dtype=np.uint8),
+    }
+
     @pytest.mark.parametrize("command", ["eval", "decompose"])
-    @pytest.mark.parametrize("case", ["nonexistent", "text"])
+    @pytest.mark.parametrize("case", ["nonexistent", "text", *RAW_META])
     def test_unreadable_checkpoint_exit_code(self, tmp_path, capsys, command, case):
         ckpt = tmp_path / "m.npz"
         if case == "text":
             ckpt.write_text("model = edl\n")
+        elif case in self.RAW_META:
+            model = make_model("edl", 1, 2, (4,), SeededRng(seed=0, stream=2))
+            np.savez(ckpt, __meta__=self.RAW_META[case], **model.checkpoint_arrays())
         assert cli.main([command, "--config", self.fast_config(tmp_path), "--checkpoint",
                          str(ckpt), "--out", str(tmp_path / "out.json")]) == 2
         assert "data error" in capsys.readouterr().err
@@ -509,6 +521,16 @@ decomposition_samples = 64
         assert err.startswith("config error: ") and key in err
         assert "Traceback" not in err and not out.exists()
 
+    @pytest.mark.parametrize("key", ["adam_beta1", "adam_beta2", "adam_eps",
+                                     "n_train_samples", "n_train_z_samples"])
+    def test_removed_training_key_exits_1(self, tmp_path, capsys, key):
+        cfg = write_config(tmp_path / "old.cfg", f"{key} = 1\n")
+        out = tmp_path / "r.json"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: unknown configuration key") and key in err
+        assert "Traceback" not in err and not out.exists()
+
     @pytest.mark.parametrize("kind", ["bnn", "edl", "enp", "etp"])
     def test_divergence_exit_code(self, tmp_path, capsys, kind):
         """At lr = 1e4 every kind diverges on every seed: run exits 3, the
@@ -536,13 +558,35 @@ decomposition_samples = 64
         assert "training failed" in capsys.readouterr().err
 
 
+def load_perfbench(name):
+    """A module of perfbench/, loaded by path (perfbench is not a package)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_benchmark_span_table_names_existing_attributes():
-    """Every call that perfbench/tracer.py wraps exists where it looks it up."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    table = tracer.span_table(etproc)
-    missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
-               for owner, attr, _, _ in table if attr not in vars(owner)]
-    assert table and missing == []
+    """Every call that perfbench/tracer.py wraps is a callable where it looks
+    it up."""
+    table = load_perfbench("tracer").span_table(etproc)
+    broken = [f"{getattr(owner, '__name__', owner)}.{attr}"
+              for owner, attr, _, _ in table if not callable(vars(owner).get(attr))]
+    assert table and broken == []
+
+
+def test_benchmark_capture_wraps_existing_functions():
+    """perfbench/checks.py's Capture wraps models.predict, metrics.ece and
+    metrics.auroc by name. It runs here on copies of the two modules, so the
+    real ones stay unwrapped; a renamed function fails the lookup."""
+    copies = {name: SimpleNamespace(**vars(getattr(etproc, name)))
+              for name in ("models", "metrics")}
+    load_perfbench("checks").Capture(SimpleNamespace(**copies))
+    wrapped = {f"{name}.{attr}" for name, copy in copies.items()
+               for attr, value in vars(copy).items()
+               if value is not vars(getattr(etproc, name))[attr]}
+    assert wrapped == {"models.predict", "metrics.ece", "metrics.auroc"}
+    for name in wrapped:
+        module, attr = name.split(".")
+        assert callable(vars(getattr(etproc, module))[attr]), name

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+from etproc.autodiff import DomainError
+
 from etproc.metrics import (
     DecompositionTriple,
     MixtureOracle,
@@ -275,6 +277,11 @@ class TestDecomposeCbm:
     def test_minimum_samples(self):
         with pytest.raises(ValueError):
             decompose_cbm(lambda s: np.array([1.0, 1.0]), 1)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_nonpositive_concentration_rejected(self, bad):
+        with pytest.raises(DomainError):
+            decompose_cbm(lambda s: np.array([1.0, bad]), 2)
 
 
 class TestMixtureOracle:
