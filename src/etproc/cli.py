@@ -70,15 +70,23 @@ def _resolve(args) -> harness.ExperimentConfig:
     return harness.resolve_config(args.config, {key: getattr(args, key) for key in keys})
 
 
-def _checkpoint_config(cfg, model, meta) -> harness.ExperimentConfig:
-    """The config with the checkpoint's model kind, and its task and seed
-    where its metadata records them."""
-    values = {"model": model.kind}
+def _checkpoint_config(cfg, path, model, meta) -> harness.ExperimentConfig:
+    """The config with the checkpoint's model kind and model keys, and its task
+    and seed where its metadata records them. ``cfg`` has passed its checks,
+    so a ConfigError here is the checkpoint's, and becomes a CheckpointError."""
+    hyper = model.hyper()
+    values = {key: hyper[key] for key in models.MODEL_KEYS if key in hyper}
+    values.update(model=model.kind, hidden=tuple(hyper["hidden"]))
+    if "identity_keys" in hyper:
+        values["simplified"] = hyper["identity_keys"]
     if meta.get("task") is not None:
         values["task"] = meta["task"]
     if meta.get("seed") is not None:
         values["seeds"] = (meta["seed"],)
-    return dataclasses.replace(cfg, **values)  # replace runs validate again
+    try:
+        return dataclasses.replace(cfg, **values)  # replace runs validate again
+    except ConfigError as exc:
+        raise models.CheckpointError(f"checkpoint {path} has bad metadata: {exc}") from exc
 
 
 def cmd_train(args):
@@ -98,7 +106,7 @@ def cmd_train(args):
 
 def cmd_eval(args):
     model, meta = models.load_checkpoint(args.checkpoint)
-    cfg = _checkpoint_config(_resolve(args), model, meta)
+    cfg = _checkpoint_config(_resolve(args), args.checkpoint, model, meta)
     seed = cfg.seeds[0]
     _, test_ds, ood_ds, _ = harness.build_task_data(cfg, seed)
     if (test_ds.features.shape[1], test_ds.num_classes) != (model.input_dim, model.num_classes):
@@ -129,7 +137,7 @@ def cmd_run(args):
 
 def cmd_decompose(args):
     model, meta = models.load_checkpoint(args.checkpoint)
-    cfg = _checkpoint_config(_resolve(args), model, meta)
+    cfg = _checkpoint_config(_resolve(args), args.checkpoint, model, meta)
     probes = np.asarray(DEFAULT_PROBES.get(cfg.task, np.zeros((1, model.input_dim))))
     if probes.shape[1] != model.input_dim:
         raise ConfigError(f"checkpoint model does not fit task {cfg.task}: it takes "

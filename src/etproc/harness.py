@@ -35,20 +35,13 @@ class DataError(RuntimeError):
 
 
 @dataclass
-class ExperimentConfig(models_mod.TrainConfig):
+class ExperimentConfig(models_mod.TrainConfig, models_mod.ModelConfig):
     """Every configuration key with its default. The training keys come
-    from TrainConfig; construction checks every key (see ``validate``)."""
+    from TrainConfig and the model keys from ModelConfig; construction
+    checks every key (see ``validate``)."""
 
     task: str = "two-gaussians"
     model: str = "etp"
-    hidden: tuple = (32,)
-    memory_cells: int = 16
-    gamma: float = 0.9
-    kappa2: float = 0.1
-    beta: float = 1.0
-    beta_reg: float = 0.0
-    combiner: str = "residual"
-    aggregation: str = "mean"
     simplified: bool = False
     n_predict_samples: int = 16
     n_predict_z_samples: int = 8
@@ -66,28 +59,27 @@ class ExperimentConfig(models_mod.TrainConfig):
 
     def validate(self):
         """Check the keys the harness reads itself, then run the checks of
-        the layers that own the others: TrainConfig for the training keys
-        and every model class for its HYPER keys, whatever ``model`` says.
-        Their ValueError becomes a ConfigError."""
+        the two layers that own the others, TrainConfig and ModelConfig,
+        whatever ``model`` says. Their ValueError becomes a ConfigError."""
         if self.task not in TASKS:
             raise ConfigError(f"task: unknown value '{self.task}'")
         if self.model not in models_mod.MODEL_KINDS:
             raise ConfigError(f"model: unknown value '{self.model}'")
-        if not self.hidden or any(h < 1 for h in self.hidden):
+        if not self.hidden:
             raise ConfigError("hidden: layer widths must be positive")
         if self.ood_score not in OOD_SCORES:
             raise ConfigError(f"ood_score: unknown value '{self.ood_score}'")
-        if not self.seeds:
-            raise ConfigError("seeds: at least one seed required")
+        if not self.seeds or not all(isinstance(s, int) and s >= 0 for s in self.seeds):
+            raise ConfigError(f"seeds: at least one seed required, each an integer >= 0, "
+                              f"got {self.seeds!r}")
         for key, low in (("n_predict_samples", 1), ("n_predict_z_samples", 1), ("ece_bins", 1),
                          ("n_per_class", 1), ("test_size", 1), ("ood_size", 1),
                          ("n_train_points", 1), ("workers", 1), ("decomposition_samples", 2)):
             if getattr(self, key) < low:
                 raise ConfigError(f"{key}: must be >= {low}")
         try:
-            super().__post_init__()
-            for cls in models_mod.MODEL_CLASSES.values():
-                cls.check_hyper(model_hyper(self, cls))
+            models_mod.TrainConfig.__post_init__(self)
+            models_mod.ModelConfig.__post_init__(self)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         return self
@@ -246,12 +238,8 @@ def ood_scores(probs, mode: str):
 
 def evaluate_model(cfg: ExperimentConfig, model, test, ood):
     eval_rng = SeededRng(seed=0, stream=3)
-    probs_in = models_mod.predict(model, test.features, eval_rng,
-                                  n_samples=cfg.n_predict_samples,
-                                  n_samples_z=cfg.n_predict_z_samples)
-    probs_out = models_mod.predict(model, ood.features, eval_rng,
-                                   n_samples=cfg.n_predict_samples,
-                                   n_samples_z=cfg.n_predict_z_samples)
+    probs_in, probs_out = [models_mod.predict(model, ds.features, eval_rng, cfg.n_predict_samples,
+                                              cfg.n_predict_z_samples) for ds in (test, ood)]
     preds = PredictionSet(probs_in, test.labels)
     return {
         "err_pct": 100.0 * metrics_mod.error_rate(preds),

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 import zipfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -73,27 +73,59 @@ class TrainingDiverged(TrainingFailed):
         self.batch = batch
 
 
-# The domain of each model hyperparameter: a test and what it requires.
-HYPER_DOMAINS = {
-    "memory_cells": (lambda v: v >= 1, "must be >= 1"),
-    "gamma": (lambda v: 0.0 < v < 1.0, "retention factor must lie in (0, 1)"),
-    "kappa2": (lambda v: v > 0, "must be > 0"),
-    "beta": (lambda v: v > 0, "prior precision must be > 0"),
-    "beta_reg": (lambda v: v >= 0, "must be >= 0"),
-    "combiner": (lambda v: v in ("residual", "direct"), "must be 'residual' or 'direct'"),
-    "aggregation": (lambda v: v in ("mean", "attention"), "must be 'mean' or 'attention'"),
-}
+@dataclass
+class ModelConfig:
+    """The model keys, each with its default; construction checks them."""
 
-
-@dataclass(frozen=True)
-class MlpSpec:
-    in_dim: int
-    hidden: tuple
-    out_dim: int
+    hidden: tuple = (32,)  # hidden layer widths; () makes a linear net
+    memory_cells: int = 16
+    gamma: float = 0.9
+    kappa2: float = 0.1
+    beta: float = 1.0
+    beta_reg: float = 0.0
+    combiner: str = "residual"
+    aggregation: str = "mean"
 
     def __post_init__(self):
-        if self.in_dim < 1 or self.out_dim < 1:
-            raise ValueError("MlpSpec dimensions must be positive")
+        """Raise ValueError naming the first model key outside its domain."""
+        for key, inside, domain in (
+                ("hidden", all(h >= 1 for h in self.hidden), "layer widths must be positive"),
+                ("memory_cells", self.memory_cells >= 1, "must be >= 1"),
+                ("gamma", 0.0 < self.gamma < 1.0, "retention factor must lie in (0, 1)"),
+                ("kappa2", self.kappa2 > 0, "must be > 0"),
+                ("beta", self.beta > 0, "prior precision must be > 0"),
+                ("beta_reg", self.beta_reg >= 0, "must be >= 0"),
+                ("combiner", self.combiner in ("residual", "direct"),
+                 "must be 'residual' or 'direct'"),
+                ("aggregation", self.aggregation in ("mean", "attention"),
+                 "must be 'mean' or 'attention'")):
+            if not inside:
+                raise ValueError(f"{key}: {domain}, got {getattr(self, key)!r}")
+
+
+MODEL_KEYS = tuple(f.name for f in fields(ModelConfig))
+
+
+@dataclass
+class TrainConfig:
+    """The training keys, each with its default; construction checks them."""
+
+    epochs: int = 400
+    batch_size: int = 64
+    lr: float = 0.001
+    context_fraction: float = 0.25
+    memory_update_samples: int = 8
+    edl_anneal_epochs: int = 10
+
+    def __post_init__(self):
+        """Raise ValueError naming the first training key outside its domain."""
+        for key, low in (("epochs", 0), ("batch_size", 1), ("memory_update_samples", 1)):
+            if getattr(self, key) < low:
+                raise ValueError(f"{key}: must be >= {low}")
+        if self.lr <= 0:
+            raise ValueError("lr: must be > 0")
+        if not 0.0 < self.context_fraction <= 1.0:
+            raise ValueError("context_fraction: must lie in (0, 1]")
 
 
 class _Model:
@@ -103,22 +135,19 @@ class _Model:
     HYPER = ()  # constructor arguments beyond the architecture
     clamp_events = 0  # entries the concentration cap has clamped
 
-    def __init__(self, input_dim, num_classes, hidden, **hyper):
-        self.check_hyper(hyper)
+    def __init__(self, input_dim, num_classes, hidden, **keys):
+        """Set the ``HYPER`` arguments from ``keys``, or from the ModelConfig
+        defaults, which check them; a key outside ``HYPER`` raises TypeError."""
+        unknown = sorted(set(keys) - set(self.HYPER))
+        if unknown:
+            raise TypeError(f"{type(self).__name__} got unexpected keyword arguments {unknown}")
+        if input_dim < 1 or num_classes < 1:
+            raise ValueError("input_dim and num_classes must be positive")
+        config = ModelConfig(tuple(hidden), **{k: v for k, v in keys.items() if k in MODEL_KEYS})
+        values = {**vars(config), **keys}
         self.input_dim = input_dim
         self.num_classes = num_classes
-        self.hidden = tuple(hidden)
-        vars(self).update(hyper)
-
-    @classmethod
-    def check_hyper(cls, hyper):
-        """Raise ValueError naming the first ``HYPER`` argument in ``hyper``
-        that lies outside its domain."""
-        for name in cls.HYPER:
-            if name in HYPER_DOMAINS:
-                inside, domain = HYPER_DOMAINS[name]
-                if not inside(hyper[name]):
-                    raise ValueError(f"{name}: {domain}, got {hyper[name]!r}")
+        vars(self).update({name: values[name] for name in ("hidden", *self.HYPER)})
 
     def _pack(self, groups):
         """Move the arrays of the name -> array dicts in ``groups`` into
@@ -174,19 +203,18 @@ class _Mlp:
     """A ReLU MLP's layout: weights named f"{prefix}.W{i}" and f"{prefix}.b{i}"
     by layer, their initial values and the forward pass over them."""
 
-    def __init__(self, spec: MlpSpec, prefix: str):
-        self.spec = spec
+    def __init__(self, dims, prefix: str):
+        self.dims = dims  # input width, hidden widths, output width
         self.prefix = prefix
-        self.n_layers = len(spec.hidden) + 1
+        self.n_layers = len(dims) - 1
 
     def _initial_weights(self, rng: SeededRng):
         """Fan-in-scaled uniform weights and biases, layer by layer."""
-        dims = [self.spec.in_dim, *self.spec.hidden, self.spec.out_dim]
         weights = {}
-        for i in range(self.n_layers):
-            bound = 1.0 / np.sqrt(dims[i])
-            weights[f"{self.prefix}.W{i}"] = rng.uniform(-bound, bound, size=(dims[i], dims[i + 1]))
-            weights[f"{self.prefix}.b{i}"] = rng.uniform(-bound, bound, size=dims[i + 1])
+        for i, (fan_in, fan_out) in enumerate(zip(self.dims[:-1], self.dims[1:])):
+            bound = 1.0 / np.sqrt(fan_in)
+            weights[f"{self.prefix}.W{i}"] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
+            weights[f"{self.prefix}.b{i}"] = rng.uniform(-bound, bound, size=fan_out)
         return weights
 
     def forward(self, x, weights) -> Tensor:
@@ -203,8 +231,8 @@ class _Mlp:
 class DeterministicMlp(_Mlp):
     """Point-estimate MLP; weights live in a flat name->array dict."""
 
-    def __init__(self, spec: MlpSpec, rng: SeededRng, prefix: str):
-        super().__init__(spec, prefix)
+    def __init__(self, dims, rng: SeededRng, prefix: str):
+        super().__init__(dims, prefix)
         self.params = self._initial_weights(rng)
 
     def forward(self, x, leaves=None) -> Tensor:
@@ -218,8 +246,8 @@ class VariationalMlp(_Mlp):
     network is near-deterministic early in training.
     """
 
-    def __init__(self, spec: MlpSpec, rng: SeededRng, prefix: str):
-        super().__init__(spec, prefix)
+    def __init__(self, dims, rng: SeededRng, prefix: str):
+        super().__init__(dims, prefix)
         self.means = self._initial_weights(rng)
         self.logvars = {f"{name}.logvar": np.full_like(m, LOGVAR_INIT)
                         for name, m in self.means.items()}
@@ -277,9 +305,9 @@ class BnnModel(_Model):
     kind = "bnn"
     HYPER = ("beta",)
 
-    def __init__(self, input_dim, num_classes, hidden, rng, beta=1.0):
-        super().__init__(input_dim, num_classes, hidden, beta=beta)
-        self.net = VariationalMlp(MlpSpec(input_dim, self.hidden, num_classes), rng, "net")
+    def __init__(self, input_dim, num_classes, hidden, rng, **keys):
+        super().__init__(input_dim, num_classes, hidden, **keys)
+        self.net = VariationalMlp((input_dim, *self.hidden, num_classes), rng, "net")
         self._pack(self.net.groups())
 
     def _probs(self, x: Tensor, params, eps) -> Tensor:
@@ -323,7 +351,7 @@ class EdlModel(_Model):
 
     def __init__(self, input_dim, num_classes, hidden, rng):
         super().__init__(input_dim, num_classes, hidden)
-        self.net = DeterministicMlp(MlpSpec(input_dim, self.hidden, num_classes), rng, "net")
+        self.net = DeterministicMlp((input_dim, *self.hidden, num_classes), rng, "net")
         self._pack({"net": self.net.params})
 
     def _alpha(self, x: Tensor, leaves=None) -> Tensor:
@@ -396,20 +424,16 @@ class EtpModel(_Model):
              "identity_keys", "update_tanh")
 
     def __init__(self, input_dim, num_classes, hidden, rng,
-                 memory_cells=16, gamma=0.9, kappa2=0.1, beta=1.0, beta_reg=0.0,
-                 combiner="residual", identity_keys=False, update_tanh=True):
-        super().__init__(input_dim, num_classes, hidden, memory_cells=memory_cells, gamma=gamma,
-                         kappa2=kappa2, beta=beta, beta_reg=beta_reg, combiner=combiner,
-                         identity_keys=identity_keys, update_tanh=update_tanh)
-        self.encoder = VariationalMlp(MlpSpec(input_dim, self.hidden, num_classes), rng, "enc")
-        if identity_keys:
-            self.keynet = None
-        else:
-            self.keynet = DeterministicMlp(MlpSpec(num_classes, (), num_classes), rng, "key")
-        self.memory = np.zeros((memory_cells, num_classes))
+                 identity_keys=False, update_tanh=True, **keys):
+        super().__init__(input_dim, num_classes, hidden, identity_keys=identity_keys,
+                         update_tanh=update_tanh, **keys)
+        self.encoder = VariationalMlp((input_dim, *self.hidden, num_classes), rng, "enc")
         groups = self.encoder.groups()
-        if self.keynet is not None:
+        self.keynet = None
+        if not identity_keys:
+            self.keynet = DeterministicMlp((num_classes, num_classes), rng, "key")
             groups["key"] = self.keynet.params
+        self.memory = np.zeros((self.memory_cells, num_classes))
         self._pack(groups)
 
     def checkpoint_arrays(self):
@@ -527,14 +551,12 @@ class EnpModel(_Model):
     kind = "enp"
     HYPER = ("kappa2", "beta_reg", "aggregation")
 
-    def __init__(self, input_dim, num_classes, hidden, rng,
-                 kappa2=0.1, beta_reg=0.0, aggregation="mean"):
-        super().__init__(input_dim, num_classes, hidden, kappa2=kappa2, beta_reg=beta_reg,
-                         aggregation=aggregation)
+    def __init__(self, input_dim, num_classes, hidden, rng, **keys):
+        super().__init__(input_dim, num_classes, hidden, **keys)
         k = num_classes
-        self.embed = DeterministicMlp(MlpSpec(input_dim, self.hidden, k), rng, "emb")
-        self.encoder = DeterministicMlp(MlpSpec(input_dim + k, self.hidden, 2 * k), rng, "ctx")
-        self.head = DeterministicMlp(MlpSpec(2 * k, self.hidden, k), rng, "head")
+        self.embed = DeterministicMlp((input_dim, *self.hidden, k), rng, "emb")
+        self.encoder = DeterministicMlp((input_dim + k, *self.hidden, 2 * k), rng, "ctx")
+        self.head = DeterministicMlp((2 * k, *self.hidden, k), rng, "head")
         self._pack({"emb": self.embed.params, "ctx": self.encoder.params,
                     "head": self.head.params})
 
@@ -593,28 +615,6 @@ def make_model(kind, input_dim, num_classes, hidden, rng: SeededRng, **hyper):
 
 # ---------------------------------------------------------------------------
 # training loop and predict dispatch
-
-
-@dataclass
-class TrainConfig:
-    """The training keys, each with its default; construction checks them."""
-
-    epochs: int = 400
-    batch_size: int = 64
-    lr: float = 0.001
-    context_fraction: float = 0.25
-    memory_update_samples: int = 8
-    edl_anneal_epochs: int = 10
-
-    def __post_init__(self):
-        """Raise ValueError naming the first training key outside its domain."""
-        for key, low in (("epochs", 0), ("batch_size", 1), ("memory_update_samples", 1)):
-            if getattr(self, key) < low:
-                raise ValueError(f"{key}: must be >= {low}")
-        if self.lr <= 0:
-            raise ValueError("lr: must be > 0")
-        if not 0.0 < self.context_fraction <= 1.0:
-            raise ValueError("context_fraction: must lie in (0, 1]")
 
 
 def train(model, ds: LabeledDataset, cfg: TrainConfig, rng: SeededRng):
@@ -690,7 +690,7 @@ def load_checkpoint(path):
         raise CheckpointError(f"checkpoint {path} metadata is not a JSON object")
     if meta.get("format_version") != CHECKPOINT_VERSION:
         raise CheckpointError(
-            f"unsupported checkpoint version: {meta.get('format_version')}")
+            f"checkpoint {path} has unsupported version: {meta.get('format_version')}")
     try:
         hyper = dict(meta["hyper"])
         model = make_model(meta["kind"], hyper.pop("input_dim"), meta["num_classes"],

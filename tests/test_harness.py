@@ -52,6 +52,7 @@ REJECTED = [
     ("seeds", (), "seeds"),
     ("combiner", "mlp", "combiner"),
     ("workers", 0, "workers"),
+    ("seeds", (-1,), "seeds"),
 ]
 
 
@@ -470,8 +471,17 @@ decomposition_samples = 64
         "meta-not-utf8": np.frombuffer(b"\xff\xfe{}", dtype=np.uint8),
     }
 
+    # metadata values that the model or the config rejects, as edits of a
+    # bnn checkpoint's metadata
+    META_EDITS = {
+        "seed-negative": lambda meta: meta.update(seed=-1),
+        "seed-string": lambda meta: meta.update(seed="x"),
+        "task-unknown": lambda meta: meta.update(task=5),
+        "hidden-zero": lambda meta: meta["hyper"].update(hidden=[0]),
+    }
+
     @pytest.mark.parametrize("command", ["eval", "decompose"])
-    @pytest.mark.parametrize("case", ["nonexistent", "text", *RAW_META])
+    @pytest.mark.parametrize("case", ["nonexistent", "text", *RAW_META, *META_EDITS])
     def test_unreadable_checkpoint_exit_code(self, tmp_path, capsys, command, case):
         ckpt = tmp_path / "m.npz"
         if case == "text":
@@ -479,9 +489,17 @@ decomposition_samples = 64
         elif case in self.RAW_META:
             model = make_model("edl", 1, 2, (4,), SeededRng(seed=0, stream=2))
             np.savez(ckpt, __meta__=self.RAW_META[case], **model.checkpoint_arrays())
+        elif case in self.META_EDITS:
+            model = make_model("bnn", 1, 2, (4,), SeededRng(seed=0, stream=2))
+            meta = {"format_version": 1, "kind": "bnn", "num_classes": 2, "seed": 0,
+                    "task": "two-gaussians", "hyper": model.hyper()}
+            self.META_EDITS[case](meta)
+            np.savez(ckpt, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+                     **model.checkpoint_arrays())
         assert cli.main([command, "--config", self.fast_config(tmp_path), "--checkpoint",
                          str(ckpt), "--out", str(tmp_path / "out.json")]) == 2
-        assert "data error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(ckpt) in err
 
     def test_eval_takes_seed_and_task_from_checkpoint(self, tmp_path):
         cfg = self.fast_config(tmp_path)
@@ -496,6 +514,21 @@ decomposition_samples = 64
         assert reports[1] == reports[0]
         assert reports[1]["per_seed"][0]["seed"] == 0
         assert reports[1]["config"]["task"] == "two-gaussians"
+
+    def test_eval_reports_the_checkpoint_model_keys(self, tmp_path):
+        """eval and decompose take every model key from the checkpoint, not
+        from their own config, and eval reports them."""
+        ckpt = str(tmp_path / "etp.npz")
+        trained = write_config(tmp_path / "keys.cfg", Path(self.fast_config(tmp_path)).read_text()
+                               + "hidden = 8\ngamma = 0.5\nbeta_reg = 0.5\nsimplified = true\n")
+        assert cli.main(["train", "--config", trained, "--model", "etp", "--out", ckpt]) == 0
+        out = tmp_path / "eval.json"
+        assert cli.main(["eval", "--config", self.fast_config(tmp_path), "--checkpoint", ckpt,
+                         "--out", str(out)]) == 0
+        config = json.loads(out.read_text())["config"]
+        assert (config["hidden"], config["gamma"], config["beta_reg"], config["simplified"]) \
+            == ([8], 0.5, 0.5, True)
+        assert config["model"] == "etp"
 
     @pytest.mark.parametrize("command, input_dim, num_classes, meta", [
         ("eval", 2, 2, {"task": "two-gaussians"}),

@@ -6,6 +6,7 @@ The NumPy oracles below (``mlp_np``, ``attend_np``, ``etp_alpha_np``,
 ``enp_loss_np``) reimplement the forward passes independently of the
 tensor code."""
 
+import inspect
 import json
 import re
 
@@ -14,6 +15,7 @@ import pytest
 import scipy.stats
 
 from etproc import autodiff as ad
+from etproc import cli
 from etproc import models as models_mod
 from etproc.autodiff import Tape, as_tensor, backward
 from etproc.data import LabeledDataset, gen_two_gaussians
@@ -24,6 +26,7 @@ from etproc.distributions import (
     gaussian_kl_diag,
     gaussian_kl_diag_value,
 )
+from etproc.harness import ExperimentConfig
 from etproc.metrics import decompose_cbm, decompose_pbm
 from etproc.models import (
     FLAT,
@@ -33,7 +36,7 @@ from etproc.models import (
     EdlModel,
     EnpModel,
     EtpModel,
-    MlpSpec,
+    ModelConfig,
     TrainConfig,
     TrainingDiverged,
     load_checkpoint,
@@ -724,7 +727,7 @@ class TestCheckpoints:
         meta["format_version"] = 99
         np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
                  **arrays)
-        with pytest.raises(ValueError, match="version"):
+        with pytest.raises(CheckpointError, match=re.escape(f"{path} has unsupported version")):
             load_checkpoint(path)
 
 
@@ -872,6 +875,10 @@ class TestUnreadableCheckpoint:
         "unknown-kind": lambda meta: meta.update(kind="gp"),
         "no-hyper": lambda meta: meta.pop("hyper"),
         "out-of-domain": lambda meta: meta["hyper"].update(gamma=1.5),
+        "hidden-zero": lambda meta: meta["hyper"].update(hidden=[0]),
+        "seed-negative": lambda meta: meta.update(seed=-1),
+        "seed-string": lambda meta: meta.update(seed="x"),
+        "task-unknown": lambda meta: meta.update(task=5),
     }
     # __meta__ records that are not a JSON object, by their undecoded contents
     RAW_META = {
@@ -904,10 +911,57 @@ class TestUnreadableCheckpoint:
         elif case == "no-meta":
             np.savez(path, **{"net.W0": np.zeros((1, 2))})
         with pytest.raises(CheckpointError, match=re.escape(str(path))):
-            load_checkpoint(path)
+            # read as `etproc eval` reads it: the model, then the config of its metadata
+            model, meta = load_checkpoint(path)
+            cli._checkpoint_config(ExperimentConfig(), path, model, meta)
 
 
-class TestMlpSpec:
+class TestModelConfig:
+    """Each model key is declared, defaulted and checked once, in ModelConfig."""
+
+    ETP_FLAGS = ("identity_keys", "update_tanh")  # set from the config's `simplified`
+
     def test_positive_dimensions(self):
-        with pytest.raises(ValueError):
-            MlpSpec(0, (4,), 2)
+        for kind in models_mod.MODEL_KINDS:
+            for input_dim, num_classes in ((0, 2), (2, 0)):
+                with pytest.raises(ValueError, match="must be positive"):
+                    make_model(kind, input_dim, num_classes, (4,), SeededRng(seed=0, stream=2))
+
+    def test_hyper_names_are_model_keys(self):
+        for cls in models_mod.MODEL_CLASSES.values():
+            extra = set(cls.HYPER) - set(models_mod.MODEL_KEYS)
+            assert extra <= (set(self.ETP_FLAGS) if cls is EtpModel else set()), cls
+
+    def test_every_model_key_is_read(self):
+        read = {name for cls in models_mod.MODEL_CLASSES.values() for name in cls.HYPER}
+        assert set(models_mod.MODEL_KEYS) - {"hidden"} <= read
+
+    def test_no_constructor_defaults_a_model_key(self):
+        for cls in models_mod.MODEL_CLASSES.values():
+            params = inspect.signature(cls).parameters
+            defaulted = [name for name in models_mod.MODEL_KEYS if name in params
+                         and params[name].default is not inspect.Parameter.empty]
+            assert defaulted == [], cls
+
+    @pytest.mark.parametrize("kind", models_mod.MODEL_KINDS)
+    def test_missing_keys_take_the_defaults(self, kind):
+        model = make_model(kind, 1, 2, (4,), SeededRng(seed=0, stream=2))
+        defaults = ModelConfig()
+        for name in model.HYPER:
+            if name not in self.ETP_FLAGS:
+                assert getattr(model, name) == getattr(defaults, name), name
+
+    @pytest.mark.parametrize("kind", models_mod.MODEL_KINDS)
+    def test_key_the_kind_does_not_read_rejected(self, kind):
+        hyper = models_mod.MODEL_CLASSES[kind].HYPER
+        unread = next(k for k in models_mod.MODEL_KEYS if k != "hidden" and k not in hyper)
+        with pytest.raises(TypeError, match=unread):
+            make_model(kind, 1, 2, (4,), SeededRng(seed=0, stream=2),
+                       **{unread: getattr(ModelConfig(), unread)})
+
+    @pytest.mark.parametrize("hidden", [(0,), (4, 0), (-1,)])
+    def test_hidden_widths_positive(self, hidden):
+        with pytest.raises(ValueError, match="hidden"):
+            ModelConfig(hidden=hidden)
+        with pytest.raises(ValueError, match="hidden"):
+            EdlModel(1, 2, hidden, SeededRng(seed=0, stream=2))
