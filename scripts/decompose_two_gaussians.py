@@ -19,7 +19,8 @@ def main():
     ap.add_argument("--model", default="etp", choices=("bnn", "etp"))
     ap.add_argument("--epochs", type=int, default=400)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--grid", default="-6:6:25", help="lo:hi:count probe grid")
+    ap.add_argument("--grid", default="-6:6:25",
+                    help="lo:hi:count probe grid; write a negative lo as --grid=-6:6:25")
     ap.add_argument("--out", default="decomposition.csv")
     args = ap.parse_args()
     lo, hi, count = args.grid.split(":")

@@ -2,9 +2,13 @@
 reparameterised Gaussian draw.
 
 Categorical, Dirichlet, and diagonal-Gaussian laws shared by all four
-models. Tensor-valued variants (suffix ``_rows``) are differentiable on
-the gradient tape and operate on (N, K) concentration matrices; plain
-helpers take numpy arrays.
+models. Each Dirichlet law (KL divergence, mean and variance, expected
+log-probability) has one implementation, the ``_rows`` primitive: it takes
+an (N, K) concentration matrix, records one fused op on the gradient tape
+when its input is tracked, and runs untracked on plain arrays. The scalar
+helpers ``dirichlet_kl``, ``dirichlet_moments`` and
+``dirichlet_expected_log_prob`` run that primitive untracked on one row, so
+an oracle that checks a scalar helper checks the formula training uses.
 """
 
 from __future__ import annotations
@@ -57,19 +61,8 @@ def _check_alpha(alpha):
 
 
 def dirichlet_kl(alpha_q, alpha_p) -> float:
-    """KL(Dir(alpha_q) || Dir(alpha_p)) in log-gamma space."""
-    q = _check_alpha(alpha_q)
-    p = _check_alpha(alpha_p)
-    if q.shape != p.shape:
-        raise ValueError(f"dirichlet_kl: length mismatch {q.shape} vs {p.shape}")
-    q0, p0 = q.sum(), p.sum()
-    val = (
-        special.gammaln(q0)
-        - special.gammaln(p0)
-        + np.sum(special.gammaln(p) - special.gammaln(q))
-        + np.sum((q - p) * (special.psi(q) - special.psi(q0)))
-    )
-    return float(val)
+    """KL(Dir(alpha_q) || Dir(alpha_p)): ``dirichlet_kl_rows`` on one row."""
+    return float(dirichlet_kl_rows(np.atleast_2d(alpha_q), alpha_p).data[0, 0])
 
 
 def dirichlet_kl_rows(alpha_q: Tensor, alpha_p) -> Tensor:
@@ -83,6 +76,9 @@ def dirichlet_kl_rows(alpha_q: Tensor, alpha_p) -> Tensor:
     a = _check_alpha(alpha_q.data)
     p = _check_alpha(alpha_p)
     k = a.shape[1]
+    if p.shape != (k,):
+        raise ValueError(f"dirichlet_kl: length mismatch, alpha_q has length {k}, "
+                         f"alpha_p has shape {p.shape}")
     a0 = a.sum(axis=1, keepdims=True)
     psi_a, psi_a0 = special.psi(a), special.psi(a0)
     d = a - p
@@ -103,12 +99,10 @@ def dirichlet_kl_rows(alpha_q: Tensor, alpha_p) -> Tensor:
 
 
 def dirichlet_moments(alpha):
-    """Mean and variance vectors of Dir(alpha)."""
-    a = _check_alpha(alpha)
-    a0 = a.sum()
-    mean = a / a0
-    var = a * (a0 - a) / (a0 * a0 * (a0 + 1.0))
-    return mean, var
+    """Mean and variance vectors of Dir(alpha): ``dirichlet_moments_rows`` on
+    one row."""
+    mean, var = dirichlet_moments_rows(np.atleast_2d(alpha))
+    return mean.data[0], var.data[0]
 
 
 def dirichlet_moments_rows(alpha: Tensor):
@@ -146,11 +140,9 @@ def dirichlet_moments_rows(alpha: Tensor):
 
 
 def dirichlet_expected_log_prob(alpha, k: int) -> float:
-    """E_Dir(alpha)[log pi_k] = psi(alpha_k) - psi(alpha_0)."""
-    a = _check_alpha(alpha)
-    if not 0 <= k < len(a):
-        raise IndexError(f"class index {k} out of range for K={len(a)}")
-    return float(special.psi(a[k]) - special.psi(a.sum()))
+    """E_Dir(alpha)[log pi_k] = psi(alpha_k) - psi(alpha_0):
+    ``dirichlet_expected_log_prob_rows`` on one row."""
+    return float(dirichlet_expected_log_prob_rows(np.atleast_2d(alpha), [k]).data[0, 0])
 
 
 def dirichlet_expected_log_prob_rows(alpha: Tensor, labels) -> Tensor:
@@ -164,7 +156,7 @@ def dirichlet_expected_log_prob_rows(alpha: Tensor, labels) -> Tensor:
     n, k = a.shape
     labels = np.asarray(labels)
     if labels.min() < 0 or labels.max() >= k:
-        raise IndexError("label out of range")
+        raise IndexError(f"class index out of range for K={k}")
     rows = np.arange(n)
     a_y = a[rows, labels]
     a0 = a.sum(axis=1, keepdims=True)
@@ -225,10 +217,6 @@ def gaussian_kl_diag(mean_q, logvar_q, mean_p, logvar_p):
         return half * inv_var_p * var_q - half
 
     return ad.emit(np.array(kl), (mq, lq), (vjp_mean, vjp_logvar))
-
-
-def gaussian_kl_diag_value(mean_q, logvar_q, mean_p, logvar_p) -> float:
-    return float(gaussian_kl_diag(mean_q, logvar_q, mean_p, logvar_p).data)
 
 
 # ---------------------------------------------------------------------------

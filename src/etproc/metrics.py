@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .distributions import categorical_nll_batch, dirichlet_moments
+from .distributions import categorical_nll_batch, dirichlet_moments_rows
 
 
 @dataclass
@@ -27,7 +27,7 @@ class PredictionSet:
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.probs.ndim != 2 or len(self.probs) != len(self.labels):
             raise ValueError("probs/labels shape mismatch")
-        if np.any(np.abs(self.probs.sum(axis=1) - 1.0) > 1e-6):
+        if not np.all(np.abs(self.probs.sum(axis=1) - 1.0) <= 1e-6):
             raise ValueError("prediction rows must sum to 1 within 1e-6")
         k = self.probs.shape[1]
         if len(self.labels) and (self.labels.min() < 0 or self.labels.max() >= k):
@@ -100,18 +100,13 @@ def auroc(scores_in, scores_out) -> float:
     return float(u / (n_in * n_out))
 
 
-def entropy(probs) -> float:
-    """Shannon entropy with 0 log 0 = 0; lies in [0, log K]."""
-    return float(entropy_rows(np.asarray(probs, dtype=np.float64)[None, :])[0])
-
-
 def entropy_rows(probs):
     """Shannon entropy of each row of an (N, K) array, with 0 log 0 = 0.
 
-    Raises ValueError when a row sum is more than 1e-6 from 1.
+    Raises ValueError when a row sum is not within 1e-6 of 1, NaN included.
     """
     p = np.asarray(probs, dtype=np.float64)
-    if np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-6):
+    if not np.all(np.abs(p.sum(axis=1) - 1.0) <= 1e-6):
         raise ValueError("entropy: input not on the simplex")
     return -np.sum(p * np.log(np.where(p > 0.0, p, 1.0)), axis=1)
 
@@ -142,20 +137,16 @@ def decompose_cbm(alpha_sampler, n_outer: int) -> DecompositionTriple:
 
     ``alpha_sampler(s)`` returns the concentration vector under the s-th
     draw of the global variables; the inner Dirichlet moments are
-    analytic, so no inner sampling is needed.
+    analytic, so no inner sampling is needed. The draws are stacked into
+    one (S, K) matrix and their moments taken in one call.
     """
     if n_outer < 2:
         raise ValueError("need at least 2 outer samples")
-    means, dirvars, datavars = [], [], []
-    for s in range(n_outer):
-        m, v = dirichlet_moments(alpha_sampler(s))
-        means.append(m)
-        dirvars.append(v)
-        datavars.append(m * (1.0 - m) - v)  # E[pi(1-pi)] = m(1-m) - Var[pi]
-    means = np.stack(means)
+    mean_t, var_t = dirichlet_moments_rows(np.stack([alpha_sampler(s) for s in range(n_outer)]))
+    means, dirvars = mean_t.data, var_t.data
     reducible = means.var(axis=0)
-    irreducible = np.stack(dirvars).mean(axis=0)
-    data = np.stack(datavars).mean(axis=0)
+    irreducible = dirvars.mean(axis=0)
+    data = (means * (1.0 - means) - dirvars).mean(axis=0)  # E[pi(1-pi)] = m(1-m) - Var[pi]
     p_bar = means.mean(axis=0)
     total = p_bar * (1.0 - p_bar)
     return DecompositionTriple(reducible, irreducible, data, total)

@@ -671,7 +671,7 @@ def save_checkpoint(model, path, seed=None, extra_meta=None):
 def load_checkpoint(path):
     """Model and metadata from a checkpoint; CheckpointError unless the file
     is an npz archive with a metadata record that holds exactly the model's
-    arrays, each in the model's shape."""
+    arrays, each in the model's shape and finite."""
     try:
         npz = np.load(path)
     except (OSError, ValueError, zipfile.BadZipFile) as exc:
@@ -708,4 +708,6 @@ def load_checkpoint(path):
             raise CheckpointError(f"checkpoint array '{name}' has shape {arr.shape}, "
                                   f"model expects {targets[name].shape}")
         targets[name][...] = arr
+        if not np.all(np.isfinite(targets[name])):
+            raise CheckpointError(f"checkpoint {path} array '{name}' holds a NaN or an inf")
     return model, meta

@@ -1,9 +1,13 @@
 """Tests for config resolution, task assembly, the seed loop, report
 emission, and the command-line interface."""
 
+import csv
 import importlib.util
 import json
+import os
 import struct
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -298,6 +302,23 @@ class TestDecomposition:
                 row["total"], atol=1e-12)
             assert len(row["input"]) == 1
 
+    def test_two_gaussians_script(self, tmp_path):
+        """scripts/decompose_two_gaussians.py writes one CSV row per probe,
+        whose three terms sum to its total."""
+        root = Path(__file__).resolve().parents[1]
+        out = tmp_path / "d.csv"
+        path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+        subprocess.run([sys.executable, str(root / "scripts" / "decompose_two_gaussians.py"),
+                        "--epochs", "2", "--grid=-1:1:3", "--out", str(out)],
+                       check=True, capture_output=True, timeout=300,
+                       env={**os.environ, "PYTHONPATH": path})
+        with open(out, newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert [float(row["x"]) for row in rows] == [-1.0, 0.0, 1.0]
+        for row in rows:
+            terms = sum(float(row[key]) for key in ("reducible", "irreducible", "data"))
+            assert terms == pytest.approx(float(row["total"]), abs=1e-12)
+
     def test_single_term_models_rejected(self):
         cfg = resolve_config(None, dict(FAST, model="edl"))
         model = make_model("edl", 1, 2, (8,), SeededRng(seed=0, stream=2))
@@ -529,6 +550,45 @@ decomposition_samples = 64
         assert (config["hidden"], config["gamma"], config["beta_reg"], config["simplified"]) \
             == ([8], 0.5, 0.5, True)
         assert config["model"] == "etp"
+
+    @pytest.mark.parametrize("identity_keys, update_tanh", [
+        (True, False), (False, True), (True, True), (False, False)])
+    def test_etp_flag_pair_exit_code(self, tmp_path, capsys, identity_keys, update_tanh):
+        """`simplified` sets identity_keys and clears update_tanh; a checkpoint
+        whose two flags are equal has no config to report."""
+        ckpt = tmp_path / "etp.npz"
+        model = make_model("etp", 1, 2, (4,), SeededRng(seed=0, stream=2),
+                           identity_keys=identity_keys, update_tanh=update_tanh)
+        save_checkpoint(model, ckpt, seed=0, extra_meta={"task": "two-gaussians"})
+        out = tmp_path / "eval.json"
+        code = cli.main(["eval", "--config", self.fast_config(tmp_path), "--checkpoint",
+                         str(ckpt), "--out", str(out)])
+        err = capsys.readouterr().err
+        if identity_keys != update_tanh:
+            assert code == 0
+            assert json.loads(out.read_text())["config"]["simplified"] is identity_keys
+        else:
+            assert code == 2 and not out.exists()
+            assert err.startswith("data error: ") and str(ckpt) in err
+            assert "identity_keys" in err and "update_tanh" in err
+
+    @pytest.mark.parametrize("command", ["eval", "decompose"])
+    @pytest.mark.parametrize("name", ["enc.W0", "__memory__"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_checkpoint_exit_code(self, tmp_path, capsys, command, name, value):
+        ckpt = tmp_path / "etp.npz"
+        save_checkpoint(make_model("etp", 1, 2, (4,), SeededRng(seed=0, stream=2)), ckpt,
+                        seed=0, extra_meta={"task": "two-gaussians"})
+        with np.load(ckpt) as npz:
+            arrays = {k: npz[k] for k in npz.files}
+        arrays[name].flat[0] = value
+        np.savez(ckpt, **arrays)
+        out = tmp_path / "out.json"
+        assert cli.main([command, "--config", self.fast_config(tmp_path), "--checkpoint",
+                         str(ckpt), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(ckpt) in err and name in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, input_dim, num_classes, meta", [
         ("eval", 2, 2, {"task": "two-gaussians"}),

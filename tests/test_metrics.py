@@ -19,7 +19,6 @@ from etproc.metrics import (
     decompose_cbm,
     decompose_pbm,
     ece,
-    entropy,
     entropy_rows,
     error_rate,
     nll,
@@ -168,17 +167,17 @@ class TestAuroc:
 
 class TestEntropy:
     def test_onehot(self):
-        assert entropy([1.0, 0.0, 0.0]) == 0.0
+        assert entropy_rows(np.array([[1.0, 0.0, 0.0]]))[0] == 0.0
 
     def test_uniform(self):
-        assert entropy([0.25] * 4) == pytest.approx(np.log(4.0))
+        assert entropy_rows(np.full((1, 4), 0.25))[0] == pytest.approx(np.log(4.0))
 
     def test_hand_value(self):
-        assert entropy([0.5, 0.25, 0.25]) == pytest.approx(1.5 * np.log(2.0))
+        assert entropy_rows(np.array([[0.5, 0.25, 0.25]]))[0] == pytest.approx(1.5 * np.log(2.0))
 
     def test_rejects_off_simplex(self):
         with pytest.raises(ValueError):
-            entropy([0.5, 0.6])
+            entropy_rows(np.array([[0.5, 0.6]]))
 
     @pytest.mark.parametrize("k", [2, 3, 6])
     def test_rows_equal_per_row_loop(self, k):
@@ -195,11 +194,17 @@ class TestEntropy:
         with pytest.raises(ValueError, match="simplex"):
             entropy_rows(p)
 
+    def test_rows_reject_a_nan_row(self):
+        p = np.full((3, 2), 0.5)
+        p[1, 0] = np.nan
+        with pytest.raises(ValueError, match="simplex"):
+            entropy_rows(p)
+
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(1e-6, 1.0), min_size=2, max_size=6))
     def test_range_property(self, raw):
         p = np.asarray(raw) / np.sum(raw)
-        h = entropy(p)
+        h = entropy_rows(p[None, :])[0]
         assert -1e-12 <= h <= np.log(len(p)) + 1e-12
 
 
@@ -348,6 +353,10 @@ class TestPredictionSet:
     def test_rejects_off_simplex_rows(self):
         with pytest.raises(ValueError, match="sum"):
             PredictionSet(np.array([[0.6, 0.6]]), np.array([0]))
+
+    def test_rejects_nan_rows(self):
+        with pytest.raises(ValueError, match="sum"):
+            PredictionSet(np.array([[0.5, 0.5], [np.nan, 0.5]]), np.array([0, 1]))
 
     def test_rejects_bad_labels(self):
         with pytest.raises(ValueError, match="range"):
