@@ -4,10 +4,10 @@ A Tape records primitive applications; backward() replays the tape in
 reverse to accumulate vector-Jacobian products. Tapes are meant to be
 re-created per training step (dynamic tape). Single-threaded per tape.
 
-A model's trainables enter the tape as one flat vector
-(``Tape.flat_leaves``, once per tape): its named spans are leaves that
-share one flat gradient, so an optimizer step needs no gathering of
-per-array gradients.
+Every leaf is a named span of a flat vector (``Tape.flat_leaves``); a
+tape may hold any number of flat vectors, and a lone ``Tape.leaf`` is a
+flat vector with one span. The leaves of one vector share one flat
+gradient, so an optimizer step needs no gathering of per-array gradients.
 """
 
 from __future__ import annotations
@@ -29,9 +29,7 @@ class Tape:
 
     def __init__(self):
         self._records = []  # (out_id, [(parent_id, vjp_fn), ...])
-        self._leaf_shapes = {}  # node_id -> shape
-        self._flat_size = None  # size of the flat parameter vector
-        self._views = {}  # node_id -> (start, stop, shape) in the flat vector
+        self._flats = []  # per flat vector: (size, {node_id: (start, stop, shape)})
         self._next_id = 0
 
     def _new_id(self):
@@ -40,10 +38,9 @@ class Tape:
         return nid
 
     def leaf(self, data) -> "Tensor":
-        arr = np.array(data, dtype=np.float64)
-        nid = self._new_id()
-        self._leaf_shapes[nid] = arr.shape
-        return Tensor(arr, tape=self, node_id=nid)
+        """A leaf holding a copy of ``data``: a flat vector with one span."""
+        arr = np.asarray(data, dtype=np.float64)
+        return self.flat_leaves(arr.ravel(), {"leaf": (0, arr.size, arr.shape)})["leaf"]
 
     def flat_leaves(self, vector, spans) -> dict:
         """Leaves for named spans of one flat parameter vector.
@@ -51,19 +48,17 @@ class Tape:
         ``spans`` maps a name to (start, stop, shape). Each leaf is a view
         into one copy of ``vector``; backward accumulates the gradients of
         all of them in place into one flat gradient of the vector's size, so
-        a span's gradient is the matching view of that flat gradient. A tape
-        holds one flat vector.
+        a span's gradient is the matching view of that flat gradient.
         """
-        if self._flat_size is not None:
-            raise ValueError("flat_leaves: the tape already holds a flat vector")
         data = np.array(vector, dtype=np.float64)
         if data.ndim != 1:
             raise ShapeMismatchError(f"flat_leaves: expected 1-D, got {data.shape}")
-        self._flat_size = data.size
+        views = {}
+        self._flats.append((data.size, views))
         leaves = {}
         for name, (start, stop, shape) in spans.items():
             nid = self._new_id()
-            self._views[nid] = (start, stop, shape)
+            views[nid] = (start, stop, shape)
             leaves[name] = Tensor(data[start:stop].reshape(shape), tape=self, node_id=nid)
         return leaves
 
@@ -270,14 +265,10 @@ def concat(tensors, axis=0) -> Tensor:
     out = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
-    vjps = []
-    for i in range(len(tensors)):
-        lo, hi = offsets[i], offsets[i + 1]
-        if axis == 0:
-            vjps.append(lambda g, lo=lo, hi=hi: g[lo:hi])
-        else:
-            vjps.append(lambda g, lo=lo, hi=hi: g[..., lo:hi])
-    return emit(out, tuple(tensors), tuple(vjps))
+    lead = (slice(None),) * (axis % out.ndim)  # the axes before ``axis``
+    vjps = tuple(lambda g, part=lead + (slice(lo, hi),): g[part]
+                 for lo, hi in zip(offsets[:-1], offsets[1:]))
+    return emit(out, tuple(tensors), vjps)
 
 
 def columns(a, start: int, stop: int) -> Tensor:
@@ -357,21 +348,22 @@ def digamma(a) -> Tensor:
 def backward(loss: Tensor) -> dict:
     """Gradients of a scalar loss w.r.t. every node on its tape.
 
-    Returns a map node-id -> gradient array. Leaves that did not
-    influence the loss get zeros. The gradients of the leaves of a flat
-    parameter vector are views into one flat gradient.
+    Returns a map node-id -> gradient array. Each flat vector gets its own
+    zero gradient buffer and its leaves' gradients are views into it, so a
+    leaf that did not influence the loss gets zeros.
     """
     if loss.tape is None or loss.node_id is None:
         raise ValueError("backward: loss is not on a tape")
     if loss.data.size != 1:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")
-    tape = loss.tape
-    views = tape._views
-    adjoints = {loss.node_id: np.ones_like(loss.data)}
-    flat = np.zeros(tape._flat_size or 0)
-    for nid, (start, stop, shape) in views.items():
-        adjoints[nid] = flat[start:stop].reshape(shape)
-    for out_id, parents in reversed(tape._records):
+    adjoints = {}
+    for size, spans in loss.tape._flats:
+        flat = np.zeros(size)
+        for nid, (start, stop, shape) in spans.items():
+            adjoints[nid] = flat[start:stop].reshape(shape)
+    views = set(adjoints)
+    adjoints[loss.node_id] = np.ones_like(loss.data)
+    for out_id, parents in reversed(loss.tape._records):
         g = adjoints.get(out_id)
         if g is None:
             continue
@@ -384,9 +376,6 @@ def backward(loss: Tensor) -> dict:
                     adjoints[pid] = adjoints[pid] + term
                 else:
                     adjoints[pid] = np.asarray(term, dtype=np.float64)
-    for nid, shape in tape._leaf_shapes.items():
-        if nid not in adjoints:
-            adjoints[nid] = np.zeros(shape)
     return adjoints
 
 

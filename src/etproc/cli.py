@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands: train / eval / run / decompose / report.
-Exit codes: 0 success, 1 config error, 2 data error (an unreadable data or
-checkpoint file), 3 training diverged (on every seed, for ``run``).
+Exit codes: 0 success, 1 config error, 2 data error (an unreadable data,
+checkpoint or report file), 3 training diverged (on every seed, for ``run``).
 """
 
 from __future__ import annotations

@@ -110,16 +110,20 @@ def _coerce(key: str, raw: str):
 
 def parse_config_file(path) -> dict:
     """Flat ``key = value`` text with '#' comments."""
+    try:
+        with open(path) as f:
+            lines = f.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     values = {}
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, raw = (tok.strip() for tok in line.split("=", 1))
-            values[key] = _coerce(key, raw)
+    for lineno, line in enumerate(lines, 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, raw = (tok.strip() for tok in line.split("=", 1))
+        values[key] = _coerce(key, raw)
     return values
 
 
@@ -168,9 +172,10 @@ def build_task_data(cfg: ExperimentConfig, seed: int):
         train = data_mod.load_iris_pca2()
         # evaluation reuses the training points (150-sample task)
         test = train
-        pts = data_rng.uniform(-10.0, 10.0, size=(4 * cfg.ood_size, 2))
-        far = np.max(np.abs(pts), axis=1) >= 5.0
-        pts = pts[far][: cfg.ood_size]
+        pts = np.empty((0, 2))
+        while len(pts) < cfg.ood_size:  # far candidates, drawn until there are enough
+            cand = data_rng.uniform(-10.0, 10.0, size=(4 * cfg.ood_size, 2))
+            pts = np.concatenate([pts, cand[np.max(np.abs(cand), axis=1) >= 5.0]])[: cfg.ood_size]
         ood = data_mod.LabeledDataset(pts, np.zeros(len(pts), int), 3, provenance="ood")
         return train, test, ood, None
     # fmnist-vs-mnist, the one task left
@@ -400,21 +405,31 @@ def emit_report(report: dict, fmt: str, path):
 def reaggregate(per_seed_paths):
     """Re-aggregate previously emitted per-seed JSON reports.
 
-    Raises ConfigError unless the reports' configs agree in every key but
-    ``seeds`` and no seed appears twice; the merged config lists every seed.
+    Raises ConfigError unless there is a path, the reports' configs agree
+    in every key but ``seeds`` and no seed appears twice; the merged config
+    lists every seed. DataError names a report that is unreadable or malformed.
     """
+    if not per_seed_paths:
+        raise ConfigError("no report to re-aggregate")
     rows = []
     config = first = None
     for p in per_seed_paths:
-        with open(p) as f:
-            rep = json.load(f)
+        try:
+            with open(p) as f:
+                rep = json.load(f)
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
+            raise DataError(f"cannot read report {p}: {exc}") from exc
+        seed_rows = rep.get("per_seed") if isinstance(rep, dict) else None
+        if not isinstance(seed_rows, list) or not all(
+                isinstance(r, dict) and "seed" in r for r in seed_rows):
+            raise DataError(f"report {p} has no per_seed list of objects that each have a seed")
         other = {k: v for k, v in (rep.get("config") or {}).items() if k != "seeds"}
         if first is None:
             config, first, first_path = rep.get("config"), other, p
         elif other != first:
             keys = sorted(k for k in first.keys() | other.keys() if first.get(k) != other.get(k))
             raise ConfigError(f"report {p} has another config than {first_path}: {keys}")
-        rows.extend(rep["per_seed"])
+        rows.extend(seed_rows)
     seeds = [r["seed"] for r in rows]
     repeated = sorted({s for s in seeds if seeds.count(s) > 1})
     if repeated:

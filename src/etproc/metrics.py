@@ -1,8 +1,8 @@
 """Total-calibration metrics and predictive-variance decompositions.
 
-NLL / ECE / AUROC over prediction sets, the two law-of-total-variance
-decompositions (global-weight models and hierarchical Dirichlet models),
-and the exact Bayes-risk oracle for Gaussian-mixture tasks.
+NLL / ECE / AUROC over prediction sets, one law-of-total-variance split
+for both decompositions (global-weight models take it with zero Dirichlet
+variance), and the exact Bayes-risk oracle for Gaussian-mixture tasks.
 """
 
 from __future__ import annotations
@@ -119,17 +119,13 @@ def decompose_pbm(sampler, n_samples: int) -> DecompositionTriple:
     """Two-term split for models with global random weights only.
 
     ``sampler(s)`` returns the s-th class-probability vector h under a
-    fresh weight draw. Biased (1/S) variance keeps the identity
-    reducible + data = total exact on the same draws.
+    fresh weight draw. The split is the three-term one with zero
+    Dirichlet variance, so the irreducible term is 0.
     """
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
-    draws = np.stack([np.asarray(sampler(s), dtype=np.float64) for s in range(n_samples)])
-    mean_h = draws.mean(axis=0)
-    reducible = draws.var(axis=0)
-    data = (draws * (1.0 - draws)).mean(axis=0)
-    total = mean_h * (1.0 - mean_h)
-    return DecompositionTriple(reducible, np.zeros_like(reducible), data, total)
+    means = np.stack([np.asarray(sampler(s), dtype=np.float64) for s in range(n_samples)])
+    return _split(means, np.zeros_like(means))
 
 
 def decompose_cbm(alpha_sampler, n_outer: int) -> DecompositionTriple:
@@ -143,7 +139,12 @@ def decompose_cbm(alpha_sampler, n_outer: int) -> DecompositionTriple:
     if n_outer < 2:
         raise ValueError("need at least 2 outer samples")
     mean_t, var_t = dirichlet_moments_rows(np.stack([alpha_sampler(s) for s in range(n_outer)]))
-    means, dirvars = mean_t.data, var_t.data
+    return _split(mean_t.data, var_t.data)
+
+
+def _split(means, dirvars) -> DecompositionTriple:
+    """Law of total variance over S draws of class means and Dirichlet variances, (S, K)
+    each; biased (1/S) variance keeps reducible + irreducible + data = total exact."""
     reducible = means.var(axis=0)
     irreducible = dirvars.mean(axis=0)
     data = (means * (1.0 - means) - dirvars).mean(axis=0)  # E[pi(1-pi)] = m(1-m) - Var[pi]

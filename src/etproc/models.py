@@ -9,9 +9,10 @@ them on a leading axis instead of looping over them.
 
 The models share one protocol, so no caller branches on the model kind:
 
-- ``step_loss(tape, xb, yb, rng, cfg, epoch, n_total)`` builds the scalar
-  loss of one training step (ETP updates its memory first);
-- ``predict(x, rng, n_samples, n_samples_z)`` returns class probabilities;
+- ``step_loss(leaves, xb, yb, rng, cfg, epoch, n_total)`` builds the
+  scalar loss of one training step (ETP updates its memory first);
+- ``draws(x, rng, n_samples, n_samples_z)`` yields class probabilities,
+  one (N, K) array per posterior draw, which ``predict`` averages;
 - ``hyper()`` gives the constructor arguments that rebuild the model, and
   ``checkpoint_arrays()`` the arrays a checkpoint stores;
 - ``decompose(x, rng, n_samples)``, on BNN and ETP only, splits the
@@ -22,10 +23,10 @@ Each model keeps its trainables in one contiguous float64 vector,
 (``means``, ``logvars``, ``params``) and ``trainable()`` hold named views
 into it, so writing into a view writes into ``theta``. ``spans`` locates
 every array, each network's block of arrays and the whole vector
-(``FLAT``) in ``theta``. A training step puts ``theta`` on the tape once
-(``Tape.flat_leaves``): its gradient arrives as one flat vector and Adam
-updates ``theta`` in one call. A variational network's means and
-log-variances are each one block, so its weight KL is one tape record.
+(``FLAT``) in ``theta``. ``train`` puts ``theta`` on each step's tape once
+(``Tape.flat_leaves``) for ``step_loss``: its gradient arrives as one flat
+vector and Adam updates ``theta`` in one call. A variational network's
+means and log-variances are each one block, so its weight KL is one tape record.
 """
 
 from __future__ import annotations
@@ -119,11 +120,12 @@ class TrainConfig:
 
     def __post_init__(self):
         """Raise ValueError naming the first training key outside its domain."""
-        for key, low in (("epochs", 0), ("batch_size", 1), ("memory_update_samples", 1)):
+        for key, low in (("epochs", 0), ("batch_size", 1), ("memory_update_samples", 1),
+                         ("edl_anneal_epochs", 0)):
             if getattr(self, key) < low:
                 raise ValueError(f"{key}: must be >= {low}")
-        if self.lr <= 0:
-            raise ValueError("lr: must be > 0")
+        if not 0 < self.lr < np.inf:
+            raise ValueError(f"lr: must be finite and > 0, got {self.lr!r}")
         if not 0.0 < self.context_fraction <= 1.0:
             raise ValueError("context_fraction: must lie in (0, 1]")
 
@@ -170,10 +172,6 @@ class _Model:
     def trainable(self):
         """Named views into ``theta``, one per array, in vector order."""
         return {name: view for arrays in self._groups for name, view in arrays.items()}
-
-    def leaves(self, tape):
-        """Tape leaves for every span of ``theta``."""
-        return tape.flat_leaves(self.theta, self.spans)
 
     def hyper(self):
         """The constructor arguments that rebuild this model."""
@@ -290,6 +288,10 @@ def _nll_rows(probs: Tensor, labels) -> Tensor:
     return ad.scale(-1.0, ad.take_labels(ad.log(probs), labels))
 
 
+def _dirichlet_mean(alpha):
+    return alpha / alpha.sum(axis=1, keepdims=True)
+
+
 def _choose_context(xb, yb, fraction, rng):
     """Context subset drawn without replacement within the batch."""
     n_ctx = max(1, int(round(fraction * len(yb))))
@@ -313,26 +315,21 @@ class BnnModel(_Model):
     def _probs(self, x: Tensor, params, eps) -> Tensor:
         return ad.softmax_rows(self.net.forward(x, self.net.sampled_weights(params, eps)))
 
-    def loss(self, tape, xb, yb, rng, n_total):
+    def loss(self, leaves, xb, yb, rng, n_total):
         """One-draw Monte Carlo estimate of the per-example negative ELBO."""
-        leaves = self.leaves(tape)
         probs = self._probs(as_tensor(xb), leaves, rng.normal(size=self.net.n_weights))
         nll = ad.tmean(_nll_rows(probs, yb))
         kl = self.net.kl_to_prior(leaves, self.beta)
         # per-example ELBO: batch-mean NLL pairs with KL / dataset-size
-        loss = ad.add(nll, ad.scale(1.0 / n_total, kl))
-        return loss, leaves
+        return ad.add(nll, ad.scale(1.0 / n_total, kl))
 
-    def step_loss(self, tape, xb, yb, rng, cfg, epoch, n_total):
-        return self.loss(tape, xb, yb, rng, n_total)
+    def step_loss(self, leaves, xb, yb, rng, cfg, epoch, n_total):
+        return self.loss(leaves, xb, yb, rng, n_total)
 
-    def predict(self, x, rng, n_samples=16, n_samples_z=8):
-        x = as_tensor(np.atleast_2d(x))
+    def draws(self, x, rng, n_samples, n_samples_z):
         params = self.trainable()
-        acc = np.zeros((x.shape[0], self.num_classes))
         for _ in range(n_samples):
-            acc += self._probs(x, params, rng.normal(size=self.net.n_weights)).data
-        return acc / n_samples
+            yield self._probs(x, params, rng.normal(size=self.net.n_weights)).data
 
     def decompose(self, x, rng, n_samples):
         """Two-term variance split at one input x, (1, D), over n_samples
@@ -357,7 +354,7 @@ class EdlModel(_Model):
     def _alpha(self, x: Tensor, leaves=None) -> Tensor:
         return self._capped_exp(self.net.forward(x, leaves))
 
-    def loss(self, tape, xb, yb, lam):
+    def loss(self, leaves, xb, yb, lam):
         """Analytic expected squared error plus annealed KL to Dir(1,...,1).
 
         The KL acts on the misleading evidence alpha~ = y + (1-y)*alpha, as in
@@ -366,15 +363,13 @@ class EdlModel(_Model):
         """
         if lam < 0:
             raise ValueError("annealing weight must be >= 0")
-        leaves = self.leaves(tape)
         alpha = self._alpha(as_tensor(xb), leaves)
         per = self.per_sample_terms(alpha, yb)
-        loss = ad.tmean(ad.add(per["sq"], ad.scale(lam, per["kl"])))
-        return loss, leaves
+        return ad.tmean(ad.add(per["sq"], ad.scale(lam, per["kl"])))
 
-    def step_loss(self, tape, xb, yb, rng, cfg, epoch, n_total):
+    def step_loss(self, leaves, xb, yb, rng, cfg, epoch, n_total):
         lam = min(1.0, epoch / cfg.edl_anneal_epochs) if cfg.edl_anneal_epochs > 0 else 1.0
-        return self.loss(tape, xb, yb, lam)
+        return self.loss(leaves, xb, yb, lam)
 
     def per_sample_terms(self, alpha: Tensor, yb):
         """(N,1) tensors: squared-error-plus-variance term and the KL term.
@@ -409,9 +404,9 @@ class EdlModel(_Model):
         const = 0.5 * k * np.log(np.pi)
         return const + self.per_sample_loss_np(x, y, lam=1.0)
 
-    def predict(self, x, rng=None, n_samples=16, n_samples_z=8):
-        alpha = self._alpha(as_tensor(np.atleast_2d(x))).data
-        return alpha / alpha.sum(axis=1, keepdims=True)
+    def draws(self, x, rng, n_samples, n_samples_z):
+        """The Dirichlet mean, once: the network is deterministic."""
+        yield _dirichlet_mean(self._alpha(x).data)
 
 
 # ---------------------------------------------------------------------------
@@ -488,36 +483,31 @@ class EtpModel(_Model):
 
     # -- objective ----------------------------------------------------------
 
-    def free_energy(self, tape, xb, yb, rng, n_total):
+    def free_energy(self, leaves, xb, yb, rng, n_total):
         """Variational free energy from one weight draw and one memory draw;
         memory treated as constant."""
-        leaves = self.leaves(tape)
         weights = self.encoder.sampled_weights(leaves, rng.normal(size=self.encoder.n_weights))
         v = self.encoder.forward(as_tensor(np.atleast_2d(xb)), weights)
         enll = self._evidential_nll(self.concentration(v, self.draw_memory(rng), leaves), yb)
         kl = self.encoder.kl_to_prior(leaves, self.beta)
-        return ad.add(enll, ad.scale(1.0 / n_total, kl)), leaves
+        return ad.add(enll, ad.scale(1.0 / n_total, kl))
 
-    def step_loss(self, tape, xb, yb, rng, cfg, epoch, n_total):
+    def step_loss(self, leaves, xb, yb, rng, cfg, epoch, n_total):
         cx, cy = _choose_context(xb, yb, cfg.context_fraction, rng)
         self.memory_update(cx, cy, rng, n_samples=cfg.memory_update_samples)
-        return self.free_energy(tape, xb, yb, rng, n_total)
+        return self.free_energy(leaves, xb, yb, rng, n_total)
 
     # -- prediction ---------------------------------------------------------
 
-    def predict(self, x, rng, n_samples=16, n_samples_z=8):
-        """Mean class probabilities over n_samples weight draws, each with
+    def draws(self, x, rng, n_samples, n_samples_z):
+        """Dirichlet means under n_samples weight draws, each with
         n_samples_z memory draws; one draw at a time bounds the memory."""
-        x = as_tensor(np.atleast_2d(x))
         params = self.trainable()
-        acc = np.zeros((x.shape[0], self.num_classes))
         for _ in range(n_samples):
             eps = rng.normal(size=self.encoder.n_weights)
             v = self.encoder.forward(x, self.encoder.sampled_weights(params, eps))
             for _ in range(n_samples_z):
-                alpha = self.concentration(v, self.draw_memory(rng)).data
-                acc += alpha / alpha.sum(axis=1, keepdims=True)
-        return acc / (n_samples * n_samples_z)
+                yield _dirichlet_mean(self.concentration(v, self.draw_memory(rng)).data)
 
     def decompose(self, x, rng, n_samples):
         """Three-term variance split at one input x, (1, D), over n_samples
@@ -563,13 +553,12 @@ class EnpModel(_Model):
     def _alpha(self, e: Tensor, z, leaves=None) -> Tensor:
         return self._capped_exp(self.head.forward(ad.concat([e, z], axis=1), leaves))
 
-    def loss(self, tape, xb, yb, ctx_x, ctx_y, rng, n_total):
+    def loss(self, leaves, xb, yb, ctx_x, ctx_y, rng, n_total):
         """Expected Dirichlet NLL plus KL(N(mu, e^lv) || N(1, kappa2 I)) / n_total;
         each target row reads (mu, lv) from the context encodings through
         weights phi, uniform 1/C for mean aggregation."""
         if len(ctx_y) == 0:
             raise ValueError("ENP training requires a non-empty context set")
-        leaves = self.leaves(tape)
         n, k, c = len(yb), self.num_classes, len(ctx_y)
         e = self.embed.forward(as_tensor(np.atleast_2d(xb)), leaves)
         ctx_in = np.concatenate([np.atleast_2d(ctx_x), _onehot(ctx_y, k)], axis=1)
@@ -584,21 +573,18 @@ class EnpModel(_Model):
         z = gaussian_reparam(mu, lv, rng.normal(size=(n, k)))
         enll = self._evidential_nll(self._alpha(e, z, leaves), yb)
         kl = gaussian_kl_diag(mu, lv, 1.0, float(np.log(self.kappa2)))
-        return ad.add(enll, ad.scale(1.0 / n_total, kl)), leaves
+        return ad.add(enll, ad.scale(1.0 / n_total, kl))
 
-    def step_loss(self, tape, xb, yb, rng, cfg, epoch, n_total):
+    def step_loss(self, leaves, xb, yb, rng, cfg, epoch, n_total):
         cx, cy = _choose_context(xb, yb, cfg.context_fraction, rng)
-        return self.loss(tape, xb, yb, cx, cy, rng, n_total)
+        return self.loss(leaves, xb, yb, cx, cy, rng, n_total)
 
-    def predict(self, x, rng, n_samples=16, n_samples_z=8):
-        """Prediction-time path: Z ~ N(1, kappa^2 I), no context set."""
-        e = self.embed.forward(as_tensor(np.atleast_2d(x)))
-        acc = np.zeros(e.shape)
+    def draws(self, x, rng, n_samples, n_samples_z):
+        """Prediction-time path: Dirichlet means under Z ~ N(1, kappa^2 I), no context set."""
+        e = self.embed.forward(x)
         for _ in range(n_samples):
             z = 1.0 + np.sqrt(self.kappa2) * rng.normal(size=self.num_classes)
-            alpha = self._alpha(e, np.broadcast_to(z, e.shape)).data
-            acc += alpha / alpha.sum(axis=1, keepdims=True)
-        return acc / n_samples
+            yield _dirichlet_mean(self._alpha(e, np.broadcast_to(z, e.shape)).data)
 
 
 MODEL_CLASSES = {cls.kind: cls for cls in (BnnModel, EdlModel, EnpModel, EtpModel)}
@@ -614,7 +600,7 @@ def make_model(kind, input_dim, num_classes, hidden, rng: SeededRng, **hyper):
 
 
 # ---------------------------------------------------------------------------
-# training loop and predict dispatch
+# training loop and predictive mean
 
 
 def train(model, ds: LabeledDataset, cfg: TrainConfig, rng: SeededRng):
@@ -634,7 +620,8 @@ def train(model, ds: LabeledDataset, cfg: TrainConfig, rng: SeededRng):
         for b, (xb, yb) in enumerate(batch_iterator(ds, cfg.batch_size, rng, epoch)):
             try:
                 with np.errstate(over="raise", invalid="raise"):
-                    loss, leaves = model.step_loss(ad.Tape(), xb, yb, rng, cfg, epoch, n_total)
+                    leaves = ad.Tape().flat_leaves(model.theta, model.spans)
+                    loss = model.step_loss(leaves, xb, yb, rng, cfg, epoch, n_total)
                     value = float(loss.data)
                     if not np.isfinite(value):
                         raise FloatingPointError(f"non-finite loss {value}")
@@ -649,8 +636,13 @@ def train(model, ds: LabeledDataset, cfg: TrainConfig, rng: SeededRng):
 
 
 def predict(model, x, rng: SeededRng, n_samples=16, n_samples_z=8):
-    """Posterior predictive class probabilities for any model kind."""
-    return model.predict(x, rng, n_samples, n_samples_z)
+    """Posterior predictive class probabilities for any model kind: the
+    model's draws summed in draw order, then divided once by their count."""
+    draws = model.draws(as_tensor(np.atleast_2d(x)), rng, n_samples, n_samples_z)
+    total, count = 0.0, 0
+    for count, probs in enumerate(draws, 1):
+        total += probs
+    return total / count
 
 
 # ---------------------------------------------------------------------------
@@ -701,11 +693,11 @@ def load_checkpoint(path):
     missing = sorted(set(targets) - set(arrays))
     unknown = sorted(set(arrays) - set(targets))
     if missing or unknown:
-        raise CheckpointError(f"checkpoint arrays do not match model kind {model.kind}: "
+        raise CheckpointError(f"checkpoint {path} arrays do not match model kind {model.kind}: "
                               f"missing {missing}, unknown {unknown}")
     for name, arr in arrays.items():
         if arr.shape != targets[name].shape:
-            raise CheckpointError(f"checkpoint array '{name}' has shape {arr.shape}, "
+            raise CheckpointError(f"checkpoint {path} array '{name}' has shape {arr.shape}, "
                                   f"model expects {targets[name].shape}")
         targets[name][...] = arr
         if not np.all(np.isfinite(targets[name])):

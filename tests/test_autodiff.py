@@ -282,6 +282,15 @@ class TestPrimitiveGradients:
             lambda x: ad.tsum(ad.tanh(ad.concat([x, Tensor(b)], axis=0))),
             rng.normal(size=(2, 3)))
 
+    @pytest.mark.parametrize("axis, shape", [(1, (2, 3)), (1, (2, 3, 2)), (-1, (2, 3, 2))])
+    def test_concat_inner_axis(self, axis, shape):
+        rng = np.random.default_rng(24)
+        b = rng.normal(size=shape)
+        w = rng.normal(size=np.concatenate([b, b], axis=axis).shape)
+        assert_grad_matches(
+            lambda x: ad.tsum(ad.mul(ad.tanh(ad.concat([Tensor(b), x], axis=axis)), Tensor(w))),
+            rng.normal(size=shape))
+
     def test_transpose(self):
         rng = np.random.default_rng(23)
         w = rng.normal(size=(3, 2))
@@ -475,11 +484,25 @@ class TestFlatLeaves:
         numeric = finite_diff_grad(value, vector)
         np.testing.assert_allclose(analytic, numeric, rtol=FD_RTOL, atol=1e-8)
 
-    def test_one_flat_vector_per_tape(self):
+    def test_flat_vectors_and_leaf_get_own_gradients(self):
+        vectors = np.random.default_rng(35).normal(size=(2, 9))
         tape = Tape()
-        tape.flat_leaves(np.zeros(9), self.SPANS)
-        with pytest.raises(ValueError, match="already holds a flat vector"):
-            tape.flat_leaves(np.zeros(9), self.SPANS)
+        first, second = (tape.flat_leaves(v, self.SPANS) for v in vectors)
+        c = tape.leaf(np.array(3.0))
+        unused = tape.leaf(np.ones((2, 2)))
+        loss = ad.add(self.loss(first), ad.scale(2.0, self.loss(second)))
+        grads = backward(ad.mul(loss, c))
+
+        def alone(v):  # oracle: the vector's loss on a tape of its own
+            leaves = Tape().flat_leaves(v, self.SPANS)
+            return backward(self.loss(leaves))[leaves["all"].node_id]
+
+        one, two = (grads[leaves["all"].node_id] for leaves in (first, second))
+        assert not np.shares_memory(one, two)
+        np.testing.assert_allclose(one, 3.0 * alone(vectors[0]), rtol=1e-12)
+        np.testing.assert_allclose(two, 6.0 * alone(vectors[1]), rtol=1e-12)
+        assert float(grads[c.node_id]) == pytest.approx(float(loss.data), rel=1e-12)
+        assert np.array_equal(grads[unused.node_id], np.zeros((2, 2)))
 
     def test_leaves_are_copies(self):
         vector = np.zeros(9)

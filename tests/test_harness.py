@@ -59,6 +59,14 @@ REJECTED = [
     ("seeds", (-1,), "seeds"),
 ]
 
+# Bad values of the training keys, kept apart from REJECTED so that the
+# cases of CLI_REJECTED built from each list keep their positions.
+TRAINING_REJECTED = [
+    ("lr", float("nan"), "lr"),
+    ("lr", float("inf"), "lr"),
+    ("edl_anneal_epochs", -3, "edl_anneal_epochs"),
+]
+
 
 def config_line(key, value):
     text = ",".join(map(str, value)) if isinstance(value, tuple) else value
@@ -67,7 +75,8 @@ def config_line(key, value):
 
 # Configs that `etproc run` must reject with exit code 1: the keys whose
 # bad values once ended in a traceback, every case of REJECTED, a key of a
-# model other than the one run, and an unknown model named by a flag.
+# model other than the one run, an unknown model named by a flag, every case
+# of TRAINING_REJECTED and a non-finite rate named by a flag.
 CLI_REJECTED = [
     ("memory_cells = 0", [], "memory_cells"),
     ("memory_update_samples = 0", [], "memory_update_samples"),
@@ -78,6 +87,10 @@ CLI_REJECTED = [
     *[(config_line(key, value), [], pattern) for key, value, pattern in REJECTED],
     ("gamma = 1.5", ["--model", "bnn"], "gamma"),
     ("", ["--model", "gp"], "model"),
+    *[(config_line(key, value), [], pattern)
+      for key, value, pattern in TRAINING_REJECTED],
+    ("", ["--lr", "nan"], "lr"),
+    ("", ["--lr", "inf"], "lr"),
 ]
 
 
@@ -129,7 +142,7 @@ seeds = 3,4,5
         assert cfg.seeds == (1, 2)
         assert cfg.epochs == 9
 
-    @pytest.mark.parametrize("key,value,pattern", REJECTED)
+    @pytest.mark.parametrize("key,value,pattern", REJECTED + TRAINING_REJECTED)
     def test_validation_rejects(self, key, value, pattern):
         with pytest.raises(ConfigError, match=pattern):
             resolve_config(None, {key: value})
@@ -164,6 +177,13 @@ class TestTaskData:
         assert train.num_classes == 3
         assert np.all(np.max(np.abs(ood.features), axis=1) >= 5.0)
         assert oracle is None
+
+    def test_iris_ood_split_is_filled(self):
+        # seed 246's first 4 candidates all lie inside [-5, 5]^2
+        cfg = resolve_config(None, {"task": "iris2d", "ood_size": 1, "seeds": (246,)})
+        _, _, ood, _ = build_task_data(cfg, seed=246)
+        assert ood.features.shape == (1, 2)
+        assert np.all(np.max(np.abs(ood.features), axis=1) >= 5.0)
 
     def test_missing_idx_files(self, tmp_path):
         cfg = resolve_config(None, {"task": "fmnist-vs-mnist",
@@ -613,6 +633,37 @@ decomposition_samples = 64
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and key in err
         assert "Traceback" not in err and not out.exists()
+
+    def test_missing_config_file_exits_1(self, tmp_path, capsys):
+        cfg = str(tmp_path / "missing.cfg")
+        out = tmp_path / "r.json"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and cfg in err
+        assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("case, text", [
+        ("missing", None),
+        ("not-json", "per_seed = 1\n"),
+        ("not-an-object", "[1, 2]"),
+        ("no-per-seed", '{"config": {}}'),
+        ("row-without-seed", '{"per_seed": [{"nll": 1.0}]}'),
+    ])
+    def test_bad_report_input_exits_2(self, tmp_path, capsys, case, text):
+        path = tmp_path / f"{case}.json"
+        if text is not None:
+            path.write_text(text)
+        out = tmp_path / "merged.json"
+        assert cli.main(["report", "--inputs", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(path) in err
+        assert not out.exists()
+
+    def test_report_without_inputs_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "merged.json"
+        assert cli.main(["report", "--inputs", ",", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("key", ["adam_beta1", "adam_beta2", "adam_eps",
                                      "n_train_samples", "n_train_z_samples"])

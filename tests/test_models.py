@@ -104,14 +104,18 @@ def small_batch(seed=0, n=6, d=2, k=2):
     return rng.normal(size=(n, d)), rng.integers(0, k, size=n)
 
 
+def leaves_of(model):
+    """Tape leaves of the model's parameter vector, as ``models.train`` makes them."""
+    return Tape().flat_leaves(model.theta, model.spans)
+
+
 class TestBnn:
     def test_deterministic_limit_matches_plain_nll(self):
         xb, yb = small_batch()
         model = BnnModel(2, 2, (8,), SeededRng(seed=0, stream=2))
         for name in model.net.logvars:
             model.net.logvars[name][...] = -60.0
-        tape = Tape()
-        loss, _ = model.loss(tape, xb, yb, SeededRng(seed=1), n_total=6)
+        loss = model.loss(leaves_of(model), xb, yb, SeededRng(seed=1), n_total=6)
         probs = softmax_np(mlp_np(xb, model.net.means, "net", model.net.n_layers))
         want_nll = np.mean([-np.log(probs[i, yb[i]]) for i in range(len(yb))])
         kl = sum(
@@ -128,8 +132,7 @@ class TestBnn:
             model.net.means[name][...] = 0.0
         for name in model.net.logvars:
             model.net.logvars[name][...] = 0.0
-        tape = Tape()
-        loss, _ = model.loss(tape, xb, yb, SeededRng(seed=7), n_total=6)
+        loss = model.loss(leaves_of(model), xb, yb, SeededRng(seed=7), n_total=6)
         # numpy replica of the single weight draw (same rng sequence)
         rng = SeededRng(seed=7)
         eps = {name: rng.normal(size=arr.shape) for name, arr in model.net.means.items()}
@@ -151,8 +154,7 @@ class TestBnn:
             model.net.logvars[name][...] = -60.0
         x = np.array([[2.0]])
         y = np.array([1])
-        tape = Tape()
-        loss, _ = model.loss(tape, x, y, SeededRng(seed=0), n_total=1)
+        loss = model.loss(leaves_of(model), x, y, SeededRng(seed=0), n_total=1)
         logits = x @ model.net.means["net.W0"] + model.net.means["net.b0"]
         want_nll = -np.log(softmax_np(logits)[0, y[0]])
         kl = sum(
@@ -163,8 +165,8 @@ class TestBnn:
 
     def test_predict_is_simplex(self):
         model = BnnModel(2, 3, (4,), SeededRng(seed=0, stream=2))
-        probs = model.predict(np.random.default_rng(0).normal(size=(5, 2)),
-                              SeededRng(seed=0), n_samples=4)
+        probs = models_mod.predict(model, np.random.default_rng(0).normal(size=(5, 2)),
+                                   SeededRng(seed=0), n_samples=4)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(probs >= 0.0)
 
@@ -178,7 +180,7 @@ class TestEdl:
 
     def test_predict_dirichlet_mean(self):
         model = self.make_fixed_alpha_model([3.0, 1.0])
-        probs = model.predict(np.array([[0.5]]))
+        probs = models_mod.predict(model, np.array([[0.5]]), None)
         np.testing.assert_allclose(probs[0], [0.75, 0.25], atol=1e-12)
 
     def test_uniform_alpha_zero_kl(self):
@@ -256,19 +258,18 @@ class TestEdl:
     def test_negative_annealing_weight_rejected(self):
         model = EdlModel(1, 2, (), SeededRng(seed=0, stream=2))
         with pytest.raises(ValueError, match=">= 0"):
-            model.loss(Tape(), np.array([[0.0]]), np.array([0]), lam=-0.5)
+            model.loss(leaves_of(model), np.array([[0.0]]), np.array([0]), lam=-0.5)
 
     def test_loss_gradient_finite_differences(self):
         xb, yb = small_batch(seed=5)
         model = EdlModel(2, 2, (4,), SeededRng(seed=2, stream=2))
 
         def loss_value():
-            tape = Tape()
-            loss, _ = model.loss(tape, xb, yb, lam=0.7)
+            loss = model.loss(leaves_of(model), xb, yb, lam=0.7)
             return float(loss.data)
 
-        tape = Tape()
-        loss, leaves = model.loss(tape, xb, yb, lam=0.7)
+        leaves = leaves_of(model)
+        loss = model.loss(leaves, xb, yb, lam=0.7)
         grads = backward(loss)
         name = "net.W0"
         analytic = grads[leaves[name].node_id]
@@ -449,8 +450,8 @@ class TestMemoryUpdate:
     def test_gradient_isolation_bitwise(self):
         xb, yb = small_batch(seed=10, d=1)
         model = EtpModel(1, 2, (4,), SeededRng(seed=9, stream=2))
-        tape = Tape()
-        loss, leaves = model.free_energy(tape, xb, yb, SeededRng(seed=10), n_total=6)
+        leaves = leaves_of(model)
+        loss = model.free_energy(leaves, xb, yb, SeededRng(seed=10), n_total=6)
         grads_before = {n: backward(loss)[leaf.node_id].copy()
                         for n, leaf in leaves.items()}
         model.memory_update(xb[:2], yb[:2], SeededRng(seed=11), n_samples=3)
@@ -467,8 +468,7 @@ class TestFreeEnergy:
         for name in model.encoder.logvars:
             model.encoder.logvars[name][...] = -60.0
         model.memory = np.random.default_rng(13).normal(size=(3, 2)) * 0.3
-        tape = Tape()
-        loss, _ = model.free_energy(tape, xb, yb, SeededRng(seed=12), n_total=6)
+        loss = model.free_energy(leaves_of(model), xb, yb, SeededRng(seed=12), n_total=6)
         alpha = etp_alpha_np(model, xb, model.memory)
         want_nll = -np.mean([dirichlet_expected_log_prob(alpha[i], yb[i])
                              for i in range(len(yb))])
@@ -484,8 +484,8 @@ class TestFreeEnergy:
         xb, yb = small_batch(seed=14, d=1)
         base = EtpModel(1, 2, (4,), SeededRng(seed=13, stream=2))
         reg = EtpModel(1, 2, (4,), SeededRng(seed=13, stream=2), beta_reg=1.0)
-        l0, _ = base.free_energy(Tape(), xb, yb, SeededRng(seed=14), n_total=6)
-        l1, _ = reg.free_energy(Tape(), xb, yb, SeededRng(seed=14), n_total=6)
+        l0 = base.free_energy(leaves_of(base), xb, yb, SeededRng(seed=14), n_total=6)
+        l1 = reg.free_energy(leaves_of(reg), xb, yb, SeededRng(seed=14), n_total=6)
         assert float(l1.data) > float(l0.data)
 
     def test_gradient_finite_differences_frozen_rng(self):
@@ -494,12 +494,11 @@ class TestFreeEnergy:
         model.memory = np.random.default_rng(16).normal(size=(16, 2)) * 0.2
 
         def value():
-            tape = Tape()
-            loss, _ = model.free_energy(tape, xb, yb, SeededRng(seed=16), n_total=6)
+            loss = model.free_energy(leaves_of(model), xb, yb, SeededRng(seed=16), n_total=6)
             return float(loss.data)
 
-        tape = Tape()
-        loss, leaves = model.free_energy(tape, xb, yb, SeededRng(seed=16), n_total=6)
+        leaves = leaves_of(model)
+        loss = model.free_energy(leaves, xb, yb, SeededRng(seed=16), n_total=6)
         grads = backward(loss)
         step = 1e-6
         for name in ("enc.W0", "enc.b1.logvar"):
@@ -520,7 +519,7 @@ class TestFreeEnergy:
         for name in model.encoder.logvars:
             model.encoder.logvars[name][...] = -60.0
         x = np.array([[0.3], [-0.8]])
-        probs = model.predict(x, SeededRng(seed=18), n_samples=2, n_samples_z=2)
+        probs = models_mod.predict(model, x, SeededRng(seed=18), n_samples=2, n_samples_z=2)
         alpha = etp_alpha_np(model, x, model.memory)
         np.testing.assert_allclose(probs, alpha / alpha.sum(axis=1, keepdims=True),
                                    atol=1e-9)
@@ -536,7 +535,7 @@ class TestEnp:
     def test_empty_context_rejected(self):
         model = EnpModel(2, 2, (4,), SeededRng(seed=0, stream=2))
         with pytest.raises(ValueError, match="context"):
-            model.loss(Tape(), np.zeros((2, 2)), np.array([0, 1]),
+            model.loss(leaves_of(model), np.zeros((2, 2)), np.array([0, 1]),
                        np.zeros((0, 2)), np.array([], dtype=int),
                        SeededRng(seed=0), n_total=2)
 
@@ -545,9 +544,9 @@ class TestEnp:
         model = EnpModel(2, 2, (4,), SeededRng(seed=1, stream=2))
         cx = np.array([[0.5, -0.5]])
         cy = np.array([1])
-        l1, _ = model.loss(Tape(), xb, yb, cx, cy, SeededRng(seed=22), n_total=6)
-        l2, _ = model.loss(Tape(), xb, yb, np.repeat(cx, 3, axis=0),
-                           np.repeat(cy, 3), SeededRng(seed=22), n_total=6)
+        l1 = model.loss(leaves_of(model), xb, yb, cx, cy, SeededRng(seed=22), n_total=6)
+        l2 = model.loss(leaves_of(model), xb, yb, np.repeat(cx, 3, axis=0),
+                        np.repeat(cy, 3), SeededRng(seed=22), n_total=6)
         assert float(l1.data) == pytest.approx(float(l2.data), rel=1e-12)
 
     def test_attention_single_context_matches_mean(self):
@@ -556,15 +555,15 @@ class TestEnp:
         cx = np.array([[1.0, 0.0]])
         cy = np.array([0])
         model.aggregation = "mean"
-        l_mean, _ = model.loss(Tape(), xb, yb, cx, cy, SeededRng(seed=24), n_total=6)
+        l_mean = model.loss(leaves_of(model), xb, yb, cx, cy, SeededRng(seed=24), n_total=6)
         model.aggregation = "attention"
-        l_att, _ = model.loss(Tape(), xb, yb, cx, cy, SeededRng(seed=24), n_total=6)
+        l_att = model.loss(leaves_of(model), xb, yb, cx, cy, SeededRng(seed=24), n_total=6)
         assert float(l_mean.data) == pytest.approx(float(l_att.data), rel=1e-12)
 
     def test_prediction_path_uses_unit_prior(self):
         model = EnpModel(2, 3, (4,), SeededRng(seed=3, stream=2), kappa2=1e-20)
         x = np.random.default_rng(25).normal(size=(4, 2))
-        probs = model.predict(x, SeededRng(seed=26), n_samples=3)
+        probs = models_mod.predict(model, x, SeededRng(seed=26), n_samples=3)
         e = mlp_np(x, model.embed.params, "emb", model.embed.n_layers)
         raw = mlp_np(np.concatenate([e, np.ones((4, 3))], axis=1), model.head.params, "head",
                      model.head.n_layers)
@@ -585,7 +584,7 @@ class TestEnp:
             return kls[-1]
 
         monkeypatch.setattr(models_mod, "gaussian_kl_diag", spy)
-        loss, _ = model.loss(Tape(), xb, yb, xb[:3], yb[:3], SeededRng(seed=41), n_total=30)
+        loss = model.loss(leaves_of(model), xb, yb, xb[:3], yb[:3], SeededRng(seed=41), n_total=30)
         eps = SeededRng(seed=41).normal(size=(6, 3))
         data_term, kl_term = enp_loss_np(model, xb, yb, xb[:3], yb[:3], eps, n_total=30)
         assert len(kls) == 1
@@ -600,7 +599,8 @@ class TestEnp:
                          aggregation=aggregation)
 
         def loss():
-            return model.loss(Tape(), xb, yb, xb[:3], yb[:3], SeededRng(seed=43), n_total=12)
+            leaves = leaves_of(model)
+            return model.loss(leaves, xb, yb, xb[:3], yb[:3], SeededRng(seed=43), n_total=12), leaves
 
         value, leaves = loss()
         analytic = backward(value)[leaves[FLAT].node_id]
@@ -768,7 +768,8 @@ class TestFlatParameters:
     def test_flat_gradient_matches_per_array_leaves(self):
         xb, yb = small_batch(seed=30)
         model = BnnModel(2, 2, (4,), SeededRng(seed=3, stream=2))
-        loss, leaves = model.loss(Tape(), xb, yb, SeededRng(seed=31), n_total=6)
+        leaves = leaves_of(model)
+        loss = model.loss(leaves, xb, yb, SeededRng(seed=31), n_total=6)
         grads = backward(loss)
         flat = grads[leaves[FLAT].node_id]
         for name, (start, stop, shape) in model.spans.items():
@@ -858,6 +859,17 @@ class TestCheckpointValidation:
         save_checkpoint(model, path)
         self.corrupt(path, edit)
         with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("case, edit", [
+        ("missing", lambda a: a.pop("net.W1")),
+        ("mis-shaped", lambda a: a.update({"net.b0": np.zeros(1)})),
+    ])
+    def test_message_names_file(self, case, edit, tmp_path):
+        path = tmp_path / f"{case}.npz"
+        save_checkpoint(make_model("bnn", 1, 2, (32,), SeededRng(seed=0, stream=2)), path)
+        self.corrupt(path, edit)
+        with pytest.raises(CheckpointError, match=re.escape(str(path))):
             load_checkpoint(path)
 
     def test_etp_memory_shape_checked(self, tmp_path):
