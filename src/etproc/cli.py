@@ -28,10 +28,10 @@ def _add_common(p):
     p.add_argument("--task", help=f"one of {', '.join(harness.TASKS)}")
     p.add_argument("--model", help=f"one of {', '.join(models.MODEL_KINDS)}")
     p.add_argument("--seeds", help="comma-separated seed list, e.g. 1,2,3")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
+    p.add_argument("--epochs")
+    p.add_argument("--lr")
     p.add_argument("--data-dir", dest="data_dir", help="directory with IDX files")
-    p.add_argument("--workers", type=int, help="seed-level parallelism")
+    p.add_argument("--workers", help="seed-level parallelism")
 
 
 def build_parser():

@@ -72,6 +72,8 @@ class ExperimentConfig(models_mod.TrainConfig, models_mod.ModelConfig):
         if not self.seeds or not all(isinstance(s, int) and s >= 0 for s in self.seeds):
             raise ConfigError(f"seeds: at least one seed required, each an integer >= 0, "
                               f"got {self.seeds!r}")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ConfigError(f"seeds: each seed may appear once, got {self.seeds!r}")
         for key, low in (("n_predict_samples", 1), ("n_predict_z_samples", 1), ("ece_bins", 1),
                          ("n_per_class", 1), ("test_size", 1), ("ood_size", 1),
                          ("n_train_points", 1), ("workers", 1), ("decomposition_samples", 2)):
@@ -407,7 +409,9 @@ def reaggregate(per_seed_paths):
 
     Raises ConfigError unless there is a path, the reports' configs agree
     in every key but ``seeds`` and no seed appears twice; the merged config
-    lists every seed. DataError names a report that is unreadable or malformed.
+    lists every seed. DataError names a report that is unreadable or malformed,
+    such as a config that is not an object, a seed that is not an integer >= 0
+    or a metric that is neither null nor a finite number (a bool is neither).
     """
     if not per_seed_paths:
         raise ConfigError("no report to re-aggregate")
@@ -421,11 +425,18 @@ def reaggregate(per_seed_paths):
             raise DataError(f"cannot read report {p}: {exc}") from exc
         seed_rows = rep.get("per_seed") if isinstance(rep, dict) else None
         if not isinstance(seed_rows, list) or not all(
-                isinstance(r, dict) and "seed" in r for r in seed_rows):
-            raise DataError(f"report {p} has no per_seed list of objects that each have a seed")
-        other = {k: v for k, v in (rep.get("config") or {}).items() if k != "seeds"}
+                isinstance(r, dict) and type(r.get("seed")) is int and r["seed"] >= 0
+                for r in seed_rows):
+            raise DataError(f"report {p} has no per_seed list of objects with integer seeds >= 0")
+        if not all(r.get(k) is None or type(r[k]) in (int, float) and math.isfinite(r[k])
+                   for r in seed_rows for k in METRIC_KEYS):
+            raise DataError(f"report {p} has a metric that is neither null nor a finite number")
+        rep_config = rep.get("config")
+        if not isinstance(rep_config, (dict, type(None))):
+            raise DataError(f"report {p} has a config that is not an object")
+        other = {k: v for k, v in (rep_config or {}).items() if k != "seeds"}
         if first is None:
-            config, first, first_path = rep.get("config"), other, p
+            config, first, first_path = rep_config, other, p
         elif other != first:
             keys = sorted(k for k in first.keys() | other.keys() if first.get(k) != other.get(k))
             raise ConfigError(f"report {p} has another config than {first_path}: {keys}")

@@ -19,19 +19,21 @@ The models share one protocol, so no caller branches on the model kind:
   predictive variance at one input.
 
 Each model keeps its trainables in one contiguous float64 vector,
-``theta``, in ``trainable()`` order; the per-array dicts of its networks
-(``means``, ``logvars``, ``params``) and ``trainable()`` hold named views
-into it, so writing into a view writes into ``theta``. ``spans`` locates
-every array, each network's block of arrays and the whole vector
-(``FLAT``) in ``theta``. ``train`` puts ``theta`` on each step's tape once
-(``Tape.flat_leaves``) for ``step_loss``: its gradient arrives as one flat
-vector and Adam updates ``theta`` in one call. A variational network's
-means and log-variances are each one block, so its weight KL is one tape record.
+``theta``; ``spans`` locates every array, each network's block of arrays
+and the whole vector (``FLAT``) in it. ``params`` holds an untracked view
+into ``theta`` per span, and ``train`` puts the same spans on each step's
+tape (``Tape.flat_leaves``): the gradient arrives as one flat vector and
+Adam updates ``theta`` in one call. The networks are layouts, and every
+forward pass takes its weights: the tape leaves in training, ``params``
+elsewhere. A variational network keeps its means under the plain weight
+names, so under ``params`` it is the posterior-mean network; its means and
+log-variances are one block each, so its weight KL is one tape record.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import zipfile
 from dataclasses import dataclass, fields
 
@@ -152,26 +154,25 @@ class _Model:
         vars(self).update({name: values[name] for name in ("hidden", *self.HYPER)})
 
     def _pack(self, groups):
-        """Move the arrays of the name -> array dicts in ``groups`` into
-        ``theta``, in order; each dict then holds views into it."""
-        self._groups = list(groups.values())
-        total = sum(a.size for arrays in self._groups for a in arrays.values())
-        self.theta = np.empty(total)
-        self.spans = {FLAT: (0, total, (total,))}
+        """Copy the arrays of ``groups``, block -> name -> array, into ``theta``
+        in order; ``params`` views it per array, per block and whole."""
+        self._arrays = [name for arrays in groups.values() for name in arrays]
+        self.theta = np.concatenate([a.ravel() for arrays in groups.values()
+                                     for a in arrays.values()])
+        self.spans = {FLAT: (0, self.theta.size, self.theta.shape)}
         start = 0
         for group, arrays in groups.items():
             group_start = start
             for name, a in arrays.items():
-                stop = start + a.size
-                self.theta[start:stop] = a.ravel()
-                arrays[name] = self.theta[start:stop].reshape(a.shape)
-                self.spans[name] = (start, stop, a.shape)
-                start = stop
+                self.spans[name] = (start, start + a.size, a.shape)
+                start += a.size
             self.spans[group] = (group_start, start, (start - group_start,))
+        self.params = {name: self.theta[start:stop].reshape(shape)
+                       for name, (start, stop, shape) in self.spans.items()}
 
     def trainable(self):
-        """Named views into ``theta``, one per array, in vector order."""
-        return {name: view for arrays in self._groups for name, view in arrays.items()}
+        """The views of ``params`` that hold one array each, in vector order."""
+        return {name: self.params[name] for name in self._arrays}
 
     def hyper(self):
         """The constructor arguments that rebuild this model."""
@@ -198,21 +199,25 @@ class _Model:
 
 
 class _Mlp:
-    """A ReLU MLP's layout: weights named f"{prefix}.W{i}" and f"{prefix}.b{i}"
-    by layer, their initial values and the forward pass over them."""
+    """A ReLU MLP's layout: the shapes of weights f"{prefix}.W{i}" and
+    f"{prefix}.b{i}" by layer, their initial values and a forward pass."""
 
     def __init__(self, dims, prefix: str):
-        self.dims = dims  # input width, hidden widths, output width
         self.prefix = prefix
         self.n_layers = len(dims) - 1
+        self.shapes = {}  # weight name -> shape, in layer order
+        for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
+            self.shapes[f"{prefix}.W{i}"] = (fan_in, fan_out)
+            self.shapes[f"{prefix}.b{i}"] = (fan_out,)
+        self.n_weights = sum(math.prod(shape) for shape in self.shapes.values())
 
-    def _initial_weights(self, rng: SeededRng):
+    def initial_weights(self, rng: SeededRng):
         """Fan-in-scaled uniform weights and biases, layer by layer."""
         weights = {}
-        for i, (fan_in, fan_out) in enumerate(zip(self.dims[:-1], self.dims[1:])):
-            bound = 1.0 / np.sqrt(fan_in)
-            weights[f"{self.prefix}.W{i}"] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-            weights[f"{self.prefix}.b{i}"] = rng.uniform(-bound, bound, size=fan_out)
+        for name, shape in self.shapes.items():
+            if len(shape) == 2:  # a weight matrix; its bias follows under the same bound
+                bound = 1.0 / np.sqrt(shape[0])
+            weights[name] = rng.uniform(-bound, bound, size=shape)
         return weights
 
     def forward(self, x, weights) -> Tensor:
@@ -226,17 +231,6 @@ class _Mlp:
         return h
 
 
-class DeterministicMlp(_Mlp):
-    """Point-estimate MLP; weights live in a flat name->array dict."""
-
-    def __init__(self, dims, rng: SeededRng, prefix: str):
-        super().__init__(dims, prefix)
-        self.params = self._initial_weights(rng)
-
-    def forward(self, x, leaves=None) -> Tensor:
-        return super().forward(x, leaves or self.params)
-
-
 class VariationalMlp(_Mlp):
     """Mean-field Gaussian posterior over MLP weights.
 
@@ -244,16 +238,11 @@ class VariationalMlp(_Mlp):
     network is near-deterministic early in training.
     """
 
-    def __init__(self, dims, rng: SeededRng, prefix: str):
-        super().__init__(dims, prefix)
-        self.means = self._initial_weights(rng)
-        self.logvars = {f"{name}.logvar": np.full_like(m, LOGVAR_INIT)
-                        for name, m in self.means.items()}
-        self.n_weights = sum(m.size for m in self.means.values())
-
-    def groups(self):
-        """The means and the log-variances, as two blocks of ``theta``."""
-        return {f"{self.prefix}.means": self.means, f"{self.prefix}.logvars": self.logvars}
+    def initial_groups(self, rng: SeededRng):
+        """The initial means and log-variances, as two blocks of ``theta``."""
+        means = self.initial_weights(rng)
+        logvars = {f"{name}.logvar": np.full_like(m, LOGVAR_INIT) for name, m in means.items()}
+        return {f"{self.prefix}.means": means, f"{self.prefix}.logvars": logvars}
 
     def sampled_weights(self, params, eps):
         """Reparameterized weights mean + exp(logvar/2) * eps, one record per
@@ -262,17 +251,17 @@ class VariationalMlp(_Mlp):
         stack = eps.shape[:-1]
         weights = {}
         start = 0
-        for name, m in self.means.items():
-            stop = start + m.size
+        for name, shape in self.shapes.items():
+            stop = start + math.prod(shape)
             weights[name] = gaussian_reparam(params[name], params[f"{name}.logvar"],
-                                             eps[..., start:stop].reshape(*stack, *m.shape))
+                                             eps[..., start:stop].reshape(*stack, *shape))
             start = stop
         return weights
 
-    def kl_to_prior(self, leaves, beta: float) -> Tensor:
+    def kl_to_prior(self, params, beta: float) -> Tensor:
         """KL of the whole posterior to the N(0, 1/beta I) prior."""
-        return gaussian_kl_diag(leaves[f"{self.prefix}.means"],
-                                leaves[f"{self.prefix}.logvars"],
+        return gaussian_kl_diag(params[f"{self.prefix}.means"],
+                                params[f"{self.prefix}.logvars"],
                                 0.0, float(np.log(1.0 / beta)))
 
 
@@ -309,8 +298,8 @@ class BnnModel(_Model):
 
     def __init__(self, input_dim, num_classes, hidden, rng, **keys):
         super().__init__(input_dim, num_classes, hidden, **keys)
-        self.net = VariationalMlp((input_dim, *self.hidden, num_classes), rng, "net")
-        self._pack(self.net.groups())
+        self.net = VariationalMlp((input_dim, *self.hidden, num_classes), "net")
+        self._pack(self.net.initial_groups(rng))
 
     def _probs(self, x: Tensor, params, eps) -> Tensor:
         return ad.softmax_rows(self.net.forward(x, self.net.sampled_weights(params, eps)))
@@ -327,15 +316,14 @@ class BnnModel(_Model):
         return self.loss(leaves, xb, yb, rng, n_total)
 
     def draws(self, x, rng, n_samples, n_samples_z):
-        params = self.trainable()
         for _ in range(n_samples):
-            yield self._probs(x, params, rng.normal(size=self.net.n_weights)).data
+            yield self._probs(x, self.params, rng.normal(size=self.net.n_weights)).data
 
     def decompose(self, x, rng, n_samples):
         """Two-term variance split at one input x, (1, D), over n_samples
         weight draws, stacked."""
         eps = rng.normal(size=(n_samples, self.net.n_weights))
-        probs = self._probs(as_tensor(x), self.trainable(), eps).data  # (S, 1, K)
+        probs = self._probs(as_tensor(x), self.params, eps).data  # (S, 1, K)
         return decompose_pbm(lambda s: probs[s, 0], n_samples)
 
 
@@ -348,11 +336,11 @@ class EdlModel(_Model):
 
     def __init__(self, input_dim, num_classes, hidden, rng):
         super().__init__(input_dim, num_classes, hidden)
-        self.net = DeterministicMlp((input_dim, *self.hidden, num_classes), rng, "net")
-        self._pack({"net": self.net.params})
+        self.net = _Mlp((input_dim, *self.hidden, num_classes), "net")
+        self._pack({"net": self.net.initial_weights(rng)})
 
-    def _alpha(self, x: Tensor, leaves=None) -> Tensor:
-        return self._capped_exp(self.net.forward(x, leaves))
+    def _alpha(self, x: Tensor, params) -> Tensor:
+        return self._capped_exp(self.net.forward(x, params))
 
     def loss(self, leaves, xb, yb, lam):
         """Analytic expected squared error plus annealed KL to Dir(1,...,1).
@@ -388,7 +376,7 @@ class EdlModel(_Model):
         return {"sq": sq, "kl": kl}
 
     def per_sample_loss_np(self, x, y, lam):
-        per = self.per_sample_terms(self._alpha(as_tensor(np.atleast_2d(x))), y)
+        per = self.per_sample_terms(self._alpha(as_tensor(np.atleast_2d(x)), self.params), y)
         return (per["sq"].data + lam * per["kl"].data).ravel()
 
     def per_sample_negative_elbo_np(self, x, y):
@@ -406,7 +394,7 @@ class EdlModel(_Model):
 
     def draws(self, x, rng, n_samples, n_samples_z):
         """The Dirichlet mean, once: the network is deterministic."""
-        yield _dirichlet_mean(self._alpha(x).data)
+        yield _dirichlet_mean(self._alpha(x, self.params).data)
 
 
 # ---------------------------------------------------------------------------
@@ -422,12 +410,12 @@ class EtpModel(_Model):
                  identity_keys=False, update_tanh=True, **keys):
         super().__init__(input_dim, num_classes, hidden, identity_keys=identity_keys,
                          update_tanh=update_tanh, **keys)
-        self.encoder = VariationalMlp((input_dim, *self.hidden, num_classes), rng, "enc")
-        groups = self.encoder.groups()
+        self.encoder = VariationalMlp((input_dim, *self.hidden, num_classes), "enc")
+        groups = self.encoder.initial_groups(rng)
         self.keynet = None
         if not identity_keys:
-            self.keynet = DeterministicMlp((num_classes, num_classes), rng, "key")
-            groups["key"] = self.keynet.params
+            self.keynet = _Mlp((num_classes, num_classes), "key")
+            groups["key"] = self.keynet.initial_weights(rng)
         self.memory = np.zeros((self.memory_cells, num_classes))
         self._pack(groups)
 
@@ -436,11 +424,11 @@ class EtpModel(_Model):
 
     # -- attention / concentration ------------------------------------------
 
-    def attend(self, v: Tensor, z, leaves=None):
+    def attend(self, v: Tensor, z, params):
         """Attention of embeddings v, (N, K), over a memory draw z, (R, K).
         Either may lead with a stack axis of S draws."""
         zc = as_tensor(z)
-        keys = zc if self.keynet is None else self.keynet.forward(zc, leaves)
+        keys = zc if self.keynet is None else self.keynet.forward(zc, params)
         scores = ad.scale(1.0 / np.sqrt(self.num_classes),
                           ad.matmul(v, ad.transpose(keys)))
         phi = ad.softmax_rows(scores)
@@ -450,9 +438,9 @@ class EtpModel(_Model):
         """The memory's share of the log-concentration."""
         return ad.tanh(read) if self.combiner == "residual" else read
 
-    def concentration(self, v: Tensor, z, leaves=None) -> Tensor:
+    def concentration(self, v: Tensor, z, params) -> Tensor:
         """Dirichlet concentrations for embeddings v under memory draw z."""
-        _, read = self.attend(v, z, leaves)
+        _, read = self.attend(v, z, params)
         evidence = self._evidence(read)
         return self._capped_exp(ad.add(v, evidence) if self.combiner == "residual" else evidence)
 
@@ -473,9 +461,9 @@ class EtpModel(_Model):
         z = self.draw_memory(rng, n_samples)                      # (S, R, K)
         contrib = np.zeros_like(z)
         if len(ctx_y):
-            v = self.encoder.forward(as_tensor(np.atleast_2d(ctx_x)), self.encoder.means)
+            v = self.encoder.forward(as_tensor(np.atleast_2d(ctx_x)), self.params)
             info = _onehot(ctx_y, self.num_classes) + ad.softmax_rows(v).data
-            phi, _ = self.attend(v, z)                             # (S, C, R)
+            phi, _ = self.attend(v, z, self.params)                # (S, C, R)
             contrib = np.swapaxes(phi.data, -1, -2) @ info         # (S, R, K)
         update = self.gamma * self.memory + (1.0 - self.gamma) * contrib
         self.memory = (np.tanh(update) if self.update_tanh else update).sum(axis=0) / n_samples
@@ -502,12 +490,12 @@ class EtpModel(_Model):
     def draws(self, x, rng, n_samples, n_samples_z):
         """Dirichlet means under n_samples weight draws, each with
         n_samples_z memory draws; one draw at a time bounds the memory."""
-        params = self.trainable()
+        params = self.params
         for _ in range(n_samples):
             eps = rng.normal(size=self.encoder.n_weights)
             v = self.encoder.forward(x, self.encoder.sampled_weights(params, eps))
             for _ in range(n_samples_z):
-                yield _dirichlet_mean(self.concentration(v, self.draw_memory(rng)).data)
+                yield _dirichlet_mean(self.concentration(v, self.draw_memory(rng), params).data)
 
     def decompose(self, x, rng, n_samples):
         """Three-term variance split at one input x, (1, D), over n_samples
@@ -516,10 +504,10 @@ class EtpModel(_Model):
         first, then memory."""
         n_w = self.encoder.n_weights
         noise = rng.normal(size=(n_samples, n_w + self.memory.size))
-        weights = self.encoder.sampled_weights(self.trainable(), noise[:, :n_w])
+        weights = self.encoder.sampled_weights(self.params, noise[:, :n_w])
         z = self.memory + np.sqrt(self.kappa2) * noise[:, n_w:].reshape(
             n_samples, *self.memory.shape)
-        alpha = self.concentration(self.encoder.forward(as_tensor(x), weights), z).data
+        alpha = self.concentration(self.encoder.forward(x, weights), z, self.params).data
         return decompose_cbm(lambda s: alpha[s, 0], n_samples)
 
     def memory_evidence(self, x, rng, n_samples=10):
@@ -528,8 +516,8 @@ class EtpModel(_Model):
         For the residual combiner this is the additive tanh(read) term;
         for the direct combiner it is the raw attention read.
         """
-        v = self.encoder.forward(as_tensor(np.atleast_2d(x)), self.encoder.means)
-        _, read = self.attend(v, self.draw_memory(rng, n_samples))
+        v = self.encoder.forward(as_tensor(np.atleast_2d(x)), self.params)
+        _, read = self.attend(v, self.draw_memory(rng, n_samples), self.params)
         return self._evidence(read).data.sum(axis=0) / n_samples
 
 
@@ -544,14 +532,14 @@ class EnpModel(_Model):
     def __init__(self, input_dim, num_classes, hidden, rng, **keys):
         super().__init__(input_dim, num_classes, hidden, **keys)
         k = num_classes
-        self.embed = DeterministicMlp((input_dim, *self.hidden, k), rng, "emb")
-        self.encoder = DeterministicMlp((input_dim + k, *self.hidden, 2 * k), rng, "ctx")
-        self.head = DeterministicMlp((2 * k, *self.hidden, k), rng, "head")
-        self._pack({"emb": self.embed.params, "ctx": self.encoder.params,
-                    "head": self.head.params})
+        self.embed = _Mlp((input_dim, *self.hidden, k), "emb")
+        self.encoder = _Mlp((input_dim + k, *self.hidden, 2 * k), "ctx")
+        self.head = _Mlp((2 * k, *self.hidden, k), "head")
+        self._pack({net.prefix: net.initial_weights(rng)
+                    for net in (self.embed, self.encoder, self.head)})
 
-    def _alpha(self, e: Tensor, z, leaves=None) -> Tensor:
-        return self._capped_exp(self.head.forward(ad.concat([e, z], axis=1), leaves))
+    def _alpha(self, e: Tensor, z, params) -> Tensor:
+        return self._capped_exp(self.head.forward(ad.concat([e, z], axis=1), params))
 
     def loss(self, leaves, xb, yb, ctx_x, ctx_y, rng, n_total):
         """Expected Dirichlet NLL plus KL(N(mu, e^lv) || N(1, kappa2 I)) / n_total;
@@ -581,10 +569,10 @@ class EnpModel(_Model):
 
     def draws(self, x, rng, n_samples, n_samples_z):
         """Prediction-time path: Dirichlet means under Z ~ N(1, kappa^2 I), no context set."""
-        e = self.embed.forward(x)
+        e = self.embed.forward(x, self.params)
         for _ in range(n_samples):
             z = 1.0 + np.sqrt(self.kappa2) * rng.normal(size=self.num_classes)
-            yield _dirichlet_mean(self._alpha(e, np.broadcast_to(z, e.shape)).data)
+            yield _dirichlet_mean(self._alpha(e, np.broadcast_to(z, e.shape), self.params).data)
 
 
 MODEL_CLASSES = {cls.kind: cls for cls in (BnnModel, EdlModel, EnpModel, EtpModel)}

@@ -32,7 +32,8 @@ from etproc.harness import (
     run_experiment,
     run_single_seed,
 )
-from etproc.models import load_checkpoint, make_model, save_checkpoint
+from etproc.data import LabeledDataset, write_idx
+from etproc.models import MODEL_KINDS, load_checkpoint, make_model, save_checkpoint
 
 
 def write_config(path, text):
@@ -76,7 +77,8 @@ def config_line(key, value):
 # Configs that `etproc run` must reject with exit code 1: the keys whose
 # bad values once ended in a traceback, every case of REJECTED, a key of a
 # model other than the one run, an unknown model named by a flag, every case
-# of TRAINING_REJECTED and a non-finite rate named by a flag.
+# of TRAINING_REJECTED, a non-finite rate named by a flag, flag values that
+# do not parse as their key's type, and a repeated seed.
 CLI_REJECTED = [
     ("memory_cells = 0", [], "memory_cells"),
     ("memory_update_samples = 0", [], "memory_update_samples"),
@@ -91,6 +93,10 @@ CLI_REJECTED = [
       for key, value, pattern in TRAINING_REJECTED],
     ("", ["--lr", "nan"], "lr"),
     ("", ["--lr", "inf"], "lr"),
+    ("", ["--epochs", "abc"], "epochs"),
+    ("", ["--lr", "abc"], "lr"),
+    ("", ["--workers", "1.5"], "workers"),
+    ("seeds = 1,1", [], "seeds"),
 ]
 
 
@@ -290,8 +296,7 @@ class TestDecomposition:
     def test_bnn_deterministic_weights_no_reducible(self):
         cfg = resolve_config(None, dict(FAST, model="bnn"))
         model = make_model("bnn", 1, 2, (8,), SeededRng(seed=0, stream=2))
-        for name in model.net.logvars:
-            model.net.logvars[name][...] = -60.0
+        model.params["net.logvars"][...] = -60.0
         rows = run_decomposition(cfg, model, self.probes())
         for row in rows:
             assert np.max(np.abs(row["reducible"])) <= 1e-12
@@ -648,6 +653,13 @@ decomposition_samples = 64
         ("not-an-object", "[1, 2]"),
         ("no-per-seed", '{"config": {}}'),
         ("row-without-seed", '{"per_seed": [{"nll": 1.0}]}'),
+        ("config-not-an-object", '{"config": [1], "per_seed": [{"seed": 0}]}'),
+        ("metric-a-string", '{"per_seed": [{"seed": 0, "nll": "x"}]}'),
+        ("metric-a-bool", '{"per_seed": [{"seed": 0, "nll": true}]}'),
+        ("metric-not-finite", '{"per_seed": [{"seed": 0, "nll": NaN}]}'),
+        ("seed-a-list", '{"per_seed": [{"seed": [0]}]}'),
+        ("seed-a-bool", '{"per_seed": [{"seed": true}]}'),
+        ("seed-negative", '{"per_seed": [{"seed": -1}]}'),
     ])
     def test_bad_report_input_exits_2(self, tmp_path, capsys, case, text):
         path = tmp_path / f"{case}.json"
@@ -709,6 +721,52 @@ def load_perfbench(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def run_script(name, *args):
+    """Run scripts/<name> with the package on PYTHONPATH; its stdout."""
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, str(root / "scripts" / name), *args],
+                          check=True, capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": path})
+    return done.stdout
+
+
+class TestScripts:
+    def test_run_two_gaussians(self, tmp_path):
+        out = run_script("run_two_gaussians.py", "--epochs", "1", "--seeds", "0",
+                         "--out-dir", str(tmp_path))
+        for kind in MODEL_KINDS:
+            report = json.loads((tmp_path / f"two_gaussians_{kind}.json").read_text())
+            assert report["config"]["model"] == kind and report["config"]["epochs"] == 1
+            assert [row["seed"] for row in report["per_seed"]] == [0]
+            assert report["aggregate"]["nll"]["mean"] is not None
+        assert [line.split(":")[0] for line in out.splitlines()] == list(MODEL_KINDS)
+
+    def test_run_iris(self):
+        out = run_script("run_iris.py", "--epochs", "1", "--seeds", "0")
+        lines = out.splitlines()
+        assert [line.split(":")[0] for line in lines] == list(MODEL_KINDS)
+        for line in lines:
+            assert 0.0 <= float(line.split("train acc per seed ")[1].split()[0]) <= 1.0
+
+    def test_run_fmnist_mnist(self, tmp_path):
+        rng = np.random.default_rng(0)
+        paths = harness.fmnist_mnist_paths(str(tmp_path))
+        (tmp_path / "fmnist").mkdir()
+        (tmp_path / "mnist").mkdir()
+        for split, n in (("fmnist_train", 30), ("fmnist_test", 20), ("mnist_test", 20)):
+            ds = LabeledDataset(rng.uniform(size=(n, 16)), rng.integers(0, 10, size=n), 10)
+            write_idx(ds, paths[f"{split}_images"], paths[f"{split}_labels"], rows=4, cols=4)
+        out = tmp_path / "report.json"
+        stdout = run_script("run_fmnist_mnist.py", "--data-dir", str(tmp_path), "--epochs", "1",
+                            "--seeds", "0", "--model", "edl", "--out", str(out))
+        report = json.loads(out.read_text())
+        assert report["config"]["task"] == "fmnist-vs-mnist"
+        assert [row["seed"] for row in report["per_seed"]] == [0]
+        assert report["aggregate"]["auroc_ood_pct"]["mean"] is not None
+        assert stdout.startswith("edl: entropy OOD-AUROC")
 
 
 def test_benchmark_span_table_names_existing_attributes():

@@ -69,8 +69,8 @@ def attend_np(v, keys, z):
 
 def etp_alpha_np(model, x, z):
     """NumPy oracle of ETP's concentrations at the encoder means under memory z."""
-    v = mlp_np(x, model.encoder.means, "enc", model.encoder.n_layers)
-    keys = z if model.keynet is None else mlp_np(z, model.keynet.params, "key", 1)
+    v = mlp_np(x, model.params, "enc", model.encoder.n_layers)
+    keys = z if model.keynet is None else mlp_np(z, model.params, "key", 1)
     _, read = attend_np(v, keys, z)
     expo = v + np.tanh(read) if model.combiner == "residual" else read
     return np.exp(np.minimum(expo, LOG_ALPHA_CAP))
@@ -81,15 +81,15 @@ def enp_loss_np(model, xb, yb, cx, cy, eps, n_total):
     KL of each target row to N(1, kappa2 I) written out and averaged over
     the rows."""
     k, kappa2 = model.num_classes, model.kappa2
-    e = mlp_np(xb, model.embed.params, "emb", model.embed.n_layers)
-    h = mlp_np(np.concatenate([cx, np.eye(k)[cy]], axis=1), model.encoder.params, "ctx",
+    e = mlp_np(xb, model.params, "emb", model.embed.n_layers)
+    h = mlp_np(np.concatenate([cx, np.eye(k)[cy]], axis=1), model.params, "ctx",
                model.encoder.n_layers)
     if model.aggregation == "mean":
         read = np.repeat(h.mean(axis=0, keepdims=True), len(yb), axis=0)
     else:
         read = attend_np(e, h[:, :k], h)[1]
     mu, lv = read[:, :k], read[:, k:]
-    raw = mlp_np(np.concatenate([e, mu + np.exp(lv / 2) * eps], axis=1), model.head.params,
+    raw = mlp_np(np.concatenate([e, mu + np.exp(lv / 2) * eps], axis=1), model.params,
                  "head", model.head.n_layers)
     alpha = np.exp(np.minimum(raw, LOG_ALPHA_CAP))
     enll = -np.mean([dirichlet_expected_log_prob(a, y) for a, y in zip(alpha, yb)])
@@ -113,29 +113,26 @@ class TestBnn:
     def test_deterministic_limit_matches_plain_nll(self):
         xb, yb = small_batch()
         model = BnnModel(2, 2, (8,), SeededRng(seed=0, stream=2))
-        for name in model.net.logvars:
-            model.net.logvars[name][...] = -60.0
+        model.params["net.logvars"][...] = -60.0
         loss = model.loss(leaves_of(model), xb, yb, SeededRng(seed=1), n_total=6)
-        probs = softmax_np(mlp_np(xb, model.net.means, "net", model.net.n_layers))
+        probs = softmax_np(mlp_np(xb, model.params, "net", model.net.n_layers))
         want_nll = np.mean([-np.log(probs[i, yb[i]]) for i in range(len(yb))])
         kl = sum(
-            float(gaussian_kl_diag(m, model.net.logvars[f"{name}.logvar"],
+            float(gaussian_kl_diag(m, model.params[f"{name}.logvar"],
                                    np.zeros_like(m), np.zeros_like(m)).data)
-            for name, m in model.net.means.items())
+            for name, m in model.trainable().items() if name in model.net.shapes)
         assert float(loss.data) == pytest.approx(want_nll + kl / 6.0, rel=1e-9)
 
     def test_prior_posterior_reduces_to_expected_nll(self):
         xb, yb = small_batch()
         model = BnnModel(2, 2, (4,), SeededRng(seed=0, stream=2), beta=1.0)
         # q = prior: zero means, unit variances
-        for name in model.net.means:
-            model.net.means[name][...] = 0.0
-        for name in model.net.logvars:
-            model.net.logvars[name][...] = 0.0
+        model.params["net.means"][...] = 0.0
+        model.params["net.logvars"][...] = 0.0
         loss = model.loss(leaves_of(model), xb, yb, SeededRng(seed=7), n_total=6)
         # numpy replica of the single weight draw (same rng sequence)
         rng = SeededRng(seed=7)
-        eps = {name: rng.normal(size=arr.shape) for name, arr in model.net.means.items()}
+        eps = {name: rng.normal(size=shape) for name, shape in model.net.shapes.items()}
         h = xb
         for i in range(model.net.n_layers):
             w = eps[f"net.W{i}"]  # mean 0, sd 1
@@ -150,17 +147,16 @@ class TestBnn:
     def test_tiny_network_elbo_hand_value(self):
         # one linear layer, one data point: loss = NLL(softmax(xW+b)) + KL/N
         model = BnnModel(1, 2, (), SeededRng(seed=3, stream=2))
-        for name in model.net.logvars:
-            model.net.logvars[name][...] = -60.0
+        model.params["net.logvars"][...] = -60.0
         x = np.array([[2.0]])
         y = np.array([1])
         loss = model.loss(leaves_of(model), x, y, SeededRng(seed=0), n_total=1)
-        logits = x @ model.net.means["net.W0"] + model.net.means["net.b0"]
+        logits = x @ model.params["net.W0"] + model.params["net.b0"]
         want_nll = -np.log(softmax_np(logits)[0, y[0]])
         kl = sum(
             float(gaussian_kl_diag(m, np.full_like(m, -60.0),
                                    np.zeros_like(m), np.zeros_like(m)).data)
-            for m in model.net.means.values())
+            for m in (model.params[name] for name in model.net.shapes))
         assert float(loss.data) == pytest.approx(want_nll + kl, rel=1e-9)
 
     def test_predict_is_simplex(self):
@@ -174,8 +170,8 @@ class TestBnn:
 class TestEdl:
     def make_fixed_alpha_model(self, b_values):
         model = EdlModel(1, len(b_values), (), SeededRng(seed=0, stream=2))
-        model.net.params["net.W0"][...] = 0.0
-        model.net.params["net.b0"][...] = np.log(b_values)
+        model.params["net.W0"][...] = 0.0
+        model.params["net.b0"][...] = np.log(b_values)
         return model
 
     def test_predict_dirichlet_mean(self):
@@ -185,7 +181,7 @@ class TestEdl:
 
     def test_uniform_alpha_zero_kl(self):
         model = self.make_fixed_alpha_model([1.0, 1.0])
-        alpha = np.exp(mlp_np([[0.0]], model.net.params, "net", 1))
+        alpha = np.exp(mlp_np([[0.0]], model.params, "net", 1))
         terms = model.per_sample_terms(as_tensor(alpha), [0])
         assert abs(terms["kl"].data.item()) <= 1e-10
 
@@ -274,7 +270,7 @@ class TestEdl:
         name = "net.W0"
         analytic = grads[leaves[name].node_id]
         step = 1e-6
-        w = model.net.params[name]
+        w = model.params[name]
         for idx in [(0, 0), (1, 1)]:
             orig = w[idx]
             w[idx] = orig + step
@@ -293,9 +289,9 @@ class TestAttention:
         model = EtpModel(1, z.shape[1], (), SeededRng(seed=0, stream=2),
                          memory_cells=len(z), identity_keys=key_weights is None)
         if key_weights is not None:
-            model.keynet.params["key.W0"][...] = key_weights
-            model.keynet.params["key.b0"][...] = 0.0
-        phi, read = model.attend(as_tensor(np.atleast_2d(v)), z)
+            model.params["key.W0"][...] = key_weights
+            model.params["key.b0"][...] = 0.0
+        phi, read = model.attend(as_tensor(np.atleast_2d(v)), z, model.params)
         return phi.data[0], read.data[0]
 
     def test_single_cell(self):
@@ -332,7 +328,7 @@ class TestAttention:
         model = EtpModel(2, 3, (4,), SeededRng(seed=0, stream=2), memory_cells=6)
         v = rng.normal(size=(10, 3))
         z = rng.normal(size=(6, 3))
-        phi, read = (t.data for t in model.attend(as_tensor(v), z))
+        phi, read = (t.data for t in model.attend(as_tensor(v), z, model.params))
         np.testing.assert_allclose(phi.sum(axis=1), 1.0, atol=1e-12)
         for k in range(3):
             assert np.all(read[:, k] >= z[:, k].min() - 1e-12)
@@ -346,7 +342,7 @@ class TestAttention:
         tape = Tape()
         leaves = {n: tape.leaf(a) for n, a in model.trainable().items()}
         phi_t, read_t = model.attend(as_tensor(v), z, leaves)
-        phi_n, read_n = attend_np(v, mlp_np(z, model.keynet.params, "key", 1), z)
+        phi_n, read_n = attend_np(v, mlp_np(z, model.params, "key", 1), z)
         np.testing.assert_allclose(phi_t.data, phi_n, atol=1e-12)
         np.testing.assert_allclose(read_t.data, read_n, atol=1e-12)
 
@@ -355,23 +351,23 @@ class TestEtpConcentration:
     def test_residual_with_zero_memory(self):
         model = EtpModel(1, 2, (4,), SeededRng(seed=0, stream=2))
         x = np.array([[0.5], [-1.0]])
-        v = model.encoder.forward(as_tensor(x), model.encoder.means)
-        alpha = model.concentration(v, np.zeros((16, 2))).data
+        v = model.encoder.forward(as_tensor(x), model.params)
+        alpha = model.concentration(v, np.zeros((16, 2)), model.params).data
         np.testing.assert_allclose(alpha, np.exp(v.data), atol=1e-12)
 
     def test_direct_single_cell(self):
         model = EtpModel(1, 2, (4,), SeededRng(seed=0, stream=2),
                          memory_cells=1, combiner="direct")
         z = np.array([[0.3, -0.7]])
-        v = model.encoder.forward(as_tensor(np.array([[1.0]])), model.encoder.means)
-        alpha = model.concentration(v, z).data
+        v = model.encoder.forward(as_tensor(np.array([[1.0]])), model.params)
+        alpha = model.concentration(v, z, model.params).data
         np.testing.assert_allclose(alpha, np.exp(z), atol=1e-12)
 
     def test_always_positive(self):
         rng = np.random.default_rng(7)
         model = EtpModel(2, 3, (4,), SeededRng(seed=2, stream=2))
         v = rng.normal(size=(20, 3)) * 5.0
-        alpha = model.concentration(as_tensor(v), rng.normal(size=(16, 3))).data
+        alpha = model.concentration(as_tensor(v), rng.normal(size=(16, 3)), model.params).data
         assert np.all(alpha > 0.0)
 
     def test_overflow_clamped_and_counted(self):
@@ -379,7 +375,7 @@ class TestEtpConcentration:
         tape = Tape()
         v = as_tensor(np.array([[50.0, 0.0]]))
         before = model.clamp_events
-        alpha = model.concentration(v, np.zeros((16, 2)))
+        alpha = model.concentration(v, np.zeros((16, 2)), model.params)
         assert alpha.data.max() <= 1e6
         assert model.clamp_events > before
 
@@ -417,7 +413,7 @@ class TestMemoryUpdate:
         model.memory = np.array([[0.1, -0.2]])
         ctx_x = np.array([[0.7]])
         ctx_y = np.array([1])
-        v = mlp_np(ctx_x, model.encoder.means, "enc", model.encoder.n_layers)
+        v = mlp_np(ctx_x, model.params, "enc", model.encoder.n_layers)
         info = np.array([0.0, 1.0]) + softmax_np(v)[0]
         want = np.tanh(0.9 * model.memory + 0.1 * info)  # phi = 1 for R = 1
         model.memory_update(ctx_x, ctx_y, SeededRng(seed=4), n_samples=2)
@@ -465,8 +461,7 @@ class TestFreeEnergy:
         xb, yb = small_batch(seed=12, d=1)
         model = EtpModel(1, 2, (4,), SeededRng(seed=11, stream=2),
                          memory_cells=3, kappa2=1e-20)
-        for name in model.encoder.logvars:
-            model.encoder.logvars[name][...] = -60.0
+        model.params["enc.logvars"][...] = -60.0
         model.memory = np.random.default_rng(13).normal(size=(3, 2)) * 0.3
         loss = model.free_energy(leaves_of(model), xb, yb, SeededRng(seed=12), n_total=6)
         alpha = etp_alpha_np(model, xb, model.memory)
@@ -475,7 +470,7 @@ class TestFreeEnergy:
         kl = sum(
             float(gaussian_kl_diag(m, np.full_like(m, -60.0),
                                    np.zeros_like(m), np.zeros_like(m)).data)
-            for m in model.encoder.means.values())
+            for m in (model.params[name] for name in model.encoder.shapes))
         assert float(loss.data) == pytest.approx(want_nll + kl / 6.0, rel=1e-7)
 
     def test_pi_kl_term_zero_by_default(self):
@@ -516,8 +511,7 @@ class TestFreeEnergy:
 
     def test_predict_degenerate_limit(self):
         model = EtpModel(1, 2, (4,), SeededRng(seed=17, stream=2), kappa2=1e-20)
-        for name in model.encoder.logvars:
-            model.encoder.logvars[name][...] = -60.0
+        model.params["enc.logvars"][...] = -60.0
         x = np.array([[0.3], [-0.8]])
         probs = models_mod.predict(model, x, SeededRng(seed=18), n_samples=2, n_samples_z=2)
         alpha = etp_alpha_np(model, x, model.memory)
@@ -564,8 +558,8 @@ class TestEnp:
         model = EnpModel(2, 3, (4,), SeededRng(seed=3, stream=2), kappa2=1e-20)
         x = np.random.default_rng(25).normal(size=(4, 2))
         probs = models_mod.predict(model, x, SeededRng(seed=26), n_samples=3)
-        e = mlp_np(x, model.embed.params, "emb", model.embed.n_layers)
-        raw = mlp_np(np.concatenate([e, np.ones((4, 3))], axis=1), model.head.params, "head",
+        e = mlp_np(x, model.params, "emb", model.embed.n_layers)
+        raw = mlp_np(np.concatenate([e, np.ones((4, 3))], axis=1), model.params, "head",
                      model.head.n_layers)
         alpha = np.exp(np.minimum(raw, LOG_ALPHA_CAP))
         np.testing.assert_allclose(probs, alpha / alpha.sum(axis=1, keepdims=True),
@@ -659,7 +653,7 @@ class TestTrainLoop:
     def test_divergence_reports_location(self):
         ds, _ = gen_two_gaussians(10, SeededRng(seed=0, stream=1))
         model = make_model("bnn", 1, 2, (4,), SeededRng(seed=0, stream=2))
-        model.net.means["net.b1"][0] = np.nan
+        model.params["net.b1"][0] = np.nan
         with pytest.raises(TrainingDiverged) as err:
             train(model, ds, TrainConfig(epochs=1), SeededRng(seed=0, stream=4))
         assert err.value.epoch == 0
@@ -744,6 +738,19 @@ class TestFlatParameters:
             view[...] = 7.0
             assert np.all(model.theta[start:stop] == 7.0), name
 
+    @pytest.mark.parametrize("kind", models_mod.MODEL_KINDS)
+    def test_params_view_every_span_of_theta(self, kind):
+        """``params`` holds an untracked view per span of ``theta``, under the
+        names and with the data of the tape leaves that training makes."""
+        model = make_model(kind, 2, 3, (4,), SeededRng(seed=0, stream=2))
+        leaves = leaves_of(model)
+        assert list(model.params) == list(leaves)
+        for name, view in model.params.items():
+            assert view.base is model.theta and np.array_equal(view, leaves[name].data), name
+        model.theta[...] = np.arange(model.theta.size)
+        for name, (start, stop, shape) in model.spans.items():
+            np.testing.assert_array_equal(model.params[name].ravel(), np.arange(start, stop))
+
     @pytest.mark.parametrize("kind, limit", [("bnn", 17), ("edl", 20), ("enp", 28),
                                              ("etp", 26)])
     def test_tape_records_and_adam_updates_per_step(self, kind, limit, monkeypatch):
@@ -783,12 +790,12 @@ class TestMemoryNoise:
         model.memory = rng.normal(size=(5, 3)) * 0.3
         ctx_x, ctx_y = rng.normal(size=(4, 2)), rng.integers(0, 3, size=4)
         # replica of the update with one memory draw and one attention per sample
-        v = model.encoder.forward(as_tensor(ctx_x), model.encoder.means)
+        v = model.encoder.forward(as_tensor(ctx_x), model.params)
         info = np.eye(3)[ctx_y] + softmax_np(v.data)
         draw_rng = SeededRng(seed=5)
         acc = np.zeros_like(model.memory)
         for _ in range(3):
-            phi = model.attend(v, model.draw_memory(draw_rng))[0].data
+            phi = model.attend(v, model.draw_memory(draw_rng), model.params)[0].data
             acc += np.tanh(model.gamma * model.memory + (1.0 - model.gamma) * (phi.T @ info))
         model.memory_update(ctx_x, ctx_y, SeededRng(seed=5), n_samples=3)
         assert np.array_equal(model.memory, acc / 3)
@@ -798,9 +805,9 @@ class TestMemoryNoise:
         model = EtpModel(2, 3, (4,), SeededRng(seed=4, stream=2), memory_cells=5)
         calls, attend = [], model.attend
 
-        def counting_attend(v, z):
+        def counting_attend(v, z, params):
             calls.append(z.shape)
-            return attend(v, z)
+            return attend(v, z, params)
 
         monkeypatch.setattr(model, "attend", counting_attend)
         rng = np.random.default_rng(33)
@@ -816,8 +823,7 @@ class TestDecompose:
         if kind == "etp":
             model.memory = np.random.default_rng(34).normal(size=model.memory.shape) * 0.3
         net = model.net if kind == "bnn" else model.encoder
-        for logvar in net.logvars.values():
-            logvar[...] = -2.0
+        model.params[f"{net.prefix}.logvars"][...] = -2.0
         x, n = np.array([[0.4]]), 16
         got = model.decompose(x, SeededRng(seed=7), n)
         # replica: one weight draw, then (ETP) one memory draw, per sample
@@ -829,7 +835,7 @@ class TestDecompose:
             if kind == "bnn":
                 draws.append(ad.softmax_rows(out).data[0])
             else:
-                draws.append(model.concentration(out, model.draw_memory(rng)).data[0])
+                draws.append(model.concentration(out, model.draw_memory(rng), params).data[0])
         split = decompose_pbm if kind == "bnn" else decompose_cbm
         want = split(lambda s: draws[s], n)
         for term in ("reducible", "irreducible", "data", "total"):
