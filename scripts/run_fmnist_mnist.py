@@ -4,17 +4,14 @@ Expects IDX files under <data-dir>/fmnist and <data-dir>/mnist (the
 standard train/t10k image and label file names).
 """
 
-import argparse
-
+from etproc.cli import ArgumentParser, add_options, guarded
 from etproc.harness import emit_report, resolve_config, run_experiment
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--data-dir", required=True)
-    ap.add_argument("--model", default="etp")
-    ap.add_argument("--epochs", type=int, default=5)
-    ap.add_argument("--seeds", default="0,1,2,3,4")
+    ap = ArgumentParser(description=__doc__)
+    add_options(ap, "model", "epochs", "seeds", data_dir={"required": True})
+    ap.set_defaults(epochs=5, seeds="0,1,2,3,4")
     ap.add_argument("--out", default="fmnist_mnist.json")
     args = ap.parse_args()
     cfg = resolve_config(None, {
@@ -27,10 +24,10 @@ def main():
     report = run_experiment(cfg)
     emit_report(report, "json", args.out)
     agg = report["aggregate"]
-    print(f"{args.model}: entropy OOD-AUROC "
+    print(f"{cfg.model}: entropy OOD-AUROC "
           f"{agg['auroc_ood_pct']['mean']:.1f}% +- {agg['auroc_ood_pct']['sd']:.1f}%"
           f"  -> {args.out}")
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(guarded(main))

@@ -1,28 +1,25 @@
 """Train all four models on the 2-D PCA projection of Iris and report
 training accuracy per seed."""
 
-import argparse
-
 import numpy as np
 
 from etproc import harness
+from etproc.cli import ArgumentParser, add_options, guarded
 from etproc.distributions import SeededRng
-from etproc.harness import resolve_config
 from etproc.models import MODEL_KINDS, predict
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--epochs", type=int, default=400)
-    ap.add_argument("--seeds", default="0,1,2")
+    ap = ArgumentParser(description=__doc__)
+    add_options(ap, "epochs", "seeds")
+    ap.set_defaults(seeds="0,1,2")
     args = ap.parse_args()
-    seeds = [int(s) for s in args.seeds.split(",")]
     for kind in MODEL_KINDS:
-        cfg = resolve_config(None, {"task": "iris2d", "model": kind,
-                                    "epochs": args.epochs})
+        cfg = harness.resolve_config(None, {"task": "iris2d", "model": kind,
+                                            "epochs": args.epochs, "seeds": args.seeds})
         train_ds, _, _, _ = harness.build_task_data(cfg, seed=0)
         accs = []
-        for seed in seeds:
+        for seed in cfg.seeds:
             model, _ = harness.train_seed(cfg, seed, train_ds)
             probs = predict(model, train_ds.features, SeededRng(seed=seed, stream=3),
                             n_samples=8, n_samples_z=2)
@@ -32,4 +29,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(guarded(main))

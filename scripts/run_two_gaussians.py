@@ -4,28 +4,27 @@ Writes one JSON report per model kind into --out-dir and prints the
 aggregate metrics.
 """
 
-import argparse
 import os
 
+from etproc.cli import ArgumentParser, add_options, guarded
 from etproc.harness import emit_report, resolve_config, run_experiment
 from etproc.models import MODEL_KINDS
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = ArgumentParser(description=__doc__)
     ap.add_argument("--out-dir", default="reports")
-    ap.add_argument("--epochs", type=int, default=400)
-    ap.add_argument("--seeds", default="0,1,2,3,4,5,6,7,8,9")
+    add_options(ap, "epochs", "seeds")  # their defaults are the config's: 400, 0,...,9
     ap.add_argument("--simplified", action="store_true",
                     help="use the simplified memory variant for ETP")
     args = ap.parse_args()
-    os.makedirs(args.out_dir, exist_ok=True)
     for kind in MODEL_KINDS:
         cfg = resolve_config(None, {
             "task": "two-gaussians", "model": kind, "epochs": args.epochs,
             "batch_size": 40, "seeds": args.seeds,
             "simplified": args.simplified and kind == "etp",
         })
+        os.makedirs(args.out_dir, exist_ok=True)
         report = run_experiment(cfg)
         path = os.path.join(args.out_dir, f"two_gaussians_{kind}.json")
         emit_report(report, "json", path)
@@ -37,4 +36,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(guarded(main))

@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands: train / eval / run / decompose / report.
-Exit codes: 0 success, 1 config error, 2 data error (an unreadable data,
-checkpoint or report file), 3 training diverged (on every seed, for ``run``).
+Exit codes: 0 success, 1 config or usage error, 2 data error (an unreadable
+data, checkpoint or report file), 3 training diverged (on every seed, for ``run``).
 """
 
 from __future__ import annotations
@@ -23,57 +23,72 @@ DEFAULT_PROBES = {
 }
 
 
-def _add_common(p):
-    p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--task", help=f"one of {', '.join(harness.TASKS)}")
-    p.add_argument("--model", help=f"one of {', '.join(models.MODEL_KINDS)}")
-    p.add_argument("--seeds", help="comma-separated seed list, e.g. 1,2,3")
-    p.add_argument("--epochs")
-    p.add_argument("--lr")
-    p.add_argument("--data-dir", dest="data_dir", help="directory with IDX files")
-    p.add_argument("--workers", help="seed-level parallelism")
+# every option by its name, with its argparse settings; an option named after a
+# config key sets that key, from the raw string that harness.resolve_config parses
+OPTIONS = {
+    "config": {"help": "flat key = value config file"},
+    "task": {"help": f"one of {', '.join(harness.TASKS)}"},
+    "model": {"help": f"one of {', '.join(models.MODEL_KINDS)}"},
+    "seeds": {"help": "comma-separated seed list, e.g. 1,2,3"},
+    "epochs": {"help": "training epochs"},
+    "lr": {"help": "Adam learning rate"},
+    "data_dir": {"help": "directory with IDX files"},
+    "workers": {"help": "seed-level parallelism"},
+    "checkpoint": {"required": True, "help": "checkpoint path (.npz)"},
+    "inputs": {"required": True, "help": "comma-separated JSON report paths"},
+    "out": {"required": True, "help": "output path; for train, the checkpoint (.npz)"},
+    "format": {"choices": ("json", "csv"), "default": "json"},
+}
+
+
+class ArgumentParser(argparse.ArgumentParser):
+    """Exits 1, the config-error code, on a usage error; argparse's 2 is the data-error code."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def add_options(parser, *names, **settings):
+    """The options in ``names`` and ``settings``; ``settings`` maps a name to
+    argparse settings that replace or add to its OPTIONS entry."""
+    for name in (*names, *settings):
+        parser.add_argument("--" + name.replace("_", "-"), dest=name,
+                            **{**OPTIONS[name], **settings.get(name, {})})
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(prog="etproc")
+    parser = ArgumentParser(prog="etproc")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("train", help="train one model, write checkpoint + loss trace")
-    _add_common(p)
-    p.add_argument("--out", required=True, help="checkpoint output path (.npz)")
-
-    p = sub.add_parser("eval", help="evaluate a checkpoint into a report")
-    _add_common(p)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-
-    p = sub.add_parser("run", help="train + evaluate over the seed list")
-    _add_common(p)
-    p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-
-    p = sub.add_parser("decompose", help="predictive-variance decomposition at probe inputs")
-    _add_common(p)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("report", help="re-aggregate existing per-seed report files")
-    p.add_argument("--inputs", required=True, help="comma-separated JSON report paths")
-    p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    for name, run, summary, names in (
+            ("train", cmd_train, "train one model, write checkpoint + loss trace",
+             ("config", "task", "model", "seeds", "epochs", "lr", "data_dir", "out")),
+            ("eval", cmd_eval, "evaluate a checkpoint into a report",
+             ("config", "task", "seeds", "data_dir", "checkpoint", "out", "format")),
+            ("run", cmd_run, "train + evaluate over the seed list",
+             ("config", "task", "model", "seeds", "epochs", "lr", "data_dir", "workers",
+              "out", "format")),
+            ("decompose", cmd_decompose, "predictive-variance decomposition at probe inputs; "
+             "it draws with seed 0, so --seeds is checked but has no effect",
+             ("config", "task", "seeds", "checkpoint", "out")),
+            ("report", cmd_report, "re-aggregate existing per-seed report files",
+             ("inputs", "out", "format"))):
+        p = sub.add_parser(name, help=summary, description=summary)
+        p.set_defaults(run=run)
+        add_options(p, *names)
     return parser
 
 
 def _resolve(args) -> harness.ExperimentConfig:
-    keys = ("task", "model", "seeds", "epochs", "lr", "data_dir", "workers")
-    return harness.resolve_config(args.config, {key: getattr(args, key) for key in keys})
+    """The config of ``--config`` and of the config-key options the command takes."""
+    return harness.resolve_config(
+        args.config, {key: val for key, val in vars(args).items() if key in harness.FIELD_TYPES})
 
 
 def _checkpoint_config(cfg, path, model, meta) -> harness.ExperimentConfig:
-    """The config with the checkpoint's model kind and model keys, and its task
-    and seed where its metadata records them. ``cfg`` has passed its checks,
-    so a ConfigError here is the checkpoint's, and becomes a CheckpointError."""
+    """The config with the checkpoint's model kind and model keys, and its task,
+    seed and training keys where its metadata records them. ``cfg`` has passed its
+    checks, so a ConfigError here is the checkpoint's, and becomes a CheckpointError."""
     hyper = model.hyper()
     values = {key: hyper[key] for key in models.MODEL_KEYS if key in hyper}
     values.update(model=model.kind, hidden=tuple(hyper["hidden"]))
@@ -88,7 +103,12 @@ def _checkpoint_config(cfg, path, model, meta) -> harness.ExperimentConfig:
         values["task"] = meta["task"]
     if meta.get("seed") is not None:
         values["seeds"] = (meta["seed"],)
+    # `etproc train` records the training keys, models.save_checkpoint does not
+    train = meta.get("train", {key: getattr(cfg, key) for key in models.TRAIN_KEYS})
     try:
+        if not isinstance(train, dict) or set(train) != set(models.TRAIN_KEYS):
+            raise ConfigError(f"train: expected an object of the keys {models.TRAIN_KEYS}")
+        values.update((key, harness.coerce(key, str(val))) for key, val in train.items())
         return dataclasses.replace(cfg, **values)  # replace runs validate again
     except ConfigError as exc:
         raise models.CheckpointError(f"checkpoint {path} has bad metadata: {exc}") from exc
@@ -99,14 +119,13 @@ def cmd_train(args):
     seed = cfg.seeds[0]
     train_ds, _, _, _ = harness.build_task_data(cfg, seed)
     model, trace = harness.train_seed(cfg, seed, train_ds)
-    models.save_checkpoint(model, args.out, seed=seed,
-                           extra_meta={"task": cfg.task})
+    models.save_checkpoint(model, args.out, seed=seed, extra_meta={
+        "task": cfg.task, "train": {key: getattr(cfg, key) for key in models.TRAIN_KEYS}})
     with open(str(args.out) + ".trace.json", "w") as f:
         json.dump({"seed": seed, "loss_trace": trace}, f, indent=2)
         f.write("\n")
     print(f"wrote checkpoint {args.out} (final loss {trace[-1]:.6f})"
           if trace else f"wrote checkpoint {args.out}")
-    return 0
 
 
 def cmd_eval(args):
@@ -124,7 +143,6 @@ def cmd_eval(args):
     report = harness.build_report(harness.config_dict(cfg), [row])
     harness.emit_report(report, args.format, args.out)
     print(f"wrote report {args.out}")
-    return 0
 
 
 def cmd_run(args):
@@ -137,7 +155,6 @@ def cmd_run(args):
         if m["mean"] is not None:
             print(f"{key}: {m['mean']:.3f} +- {m['sd']:.3f}")
     print(f"wrote report {args.out}")
-    return 0
 
 
 def cmd_decompose(args):
@@ -152,7 +169,6 @@ def cmd_decompose(args):
         json.dump({"schema_version": harness.SCHEMA_VERSION, "rows": rows}, f, indent=2)
         f.write("\n")
     print(f"wrote decomposition {args.out}")
-    return 0
 
 
 def cmd_report(args):
@@ -160,22 +176,14 @@ def cmd_report(args):
     report = harness.reaggregate(paths)
     harness.emit_report(report, args.format, args.out)
     print(f"wrote report {args.out}")
-    return 0
 
 
-COMMANDS = {
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "run": cmd_run,
-    "decompose": cmd_decompose,
-    "report": cmd_report,
-}
-
-
-def main(argv=None):
-    args = build_parser().parse_args(argv)
+def guarded(command, *args):
+    """The exit code of ``command(*args)``: 0, or 1, 2 or 3 for a config, data or training
+    error, whose message it prints."""
     try:
-        return COMMANDS[args.command](args)
+        command(*args)
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -185,6 +193,11 @@ def main(argv=None):
     except models.TrainingFailed as exc:
         print(f"training failed: {exc}", file=sys.stderr)
         return 3
+
+
+def main(argv=None):
+    args = build_parser().parse_args(argv)
+    return guarded(args.run, args)
 
 
 if __name__ == "__main__":

@@ -92,7 +92,7 @@ class ExperimentConfig(models_mod.TrainConfig, models_mod.ModelConfig):
 FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}  # annotations, as text
 
 
-def _coerce(key: str, raw: str):
+def coerce(key: str, raw: str):
     if key not in FIELD_TYPES:
         raise ConfigError(f"unknown configuration key: '{key}'")
     raw = raw.strip()
@@ -125,7 +125,7 @@ def parse_config_file(path) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, raw = (tok.strip() for tok in line.split("=", 1))
-        values[key] = _coerce(key, raw)
+        values[key] = coerce(key, raw)
     return values
 
 
@@ -139,7 +139,7 @@ def resolve_config(file_path=None, overrides=None) -> ExperimentConfig:
         if val is None:
             continue
         if isinstance(val, str):
-            val = _coerce(key, val)
+            val = coerce(key, val)
         elif key not in FIELD_TYPES:
             raise ConfigError(f"unknown configuration key: '{key}'")
         values[key] = val

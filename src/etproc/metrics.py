@@ -33,9 +33,6 @@ class PredictionSet:
         if len(self.labels) and (self.labels.min() < 0 or self.labels.max() >= k):
             raise ValueError("labels out of range")
 
-    def entropies(self):
-        return entropy_rows(self.probs)
-
 
 @dataclass
 class DecompositionTriple:

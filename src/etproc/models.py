@@ -106,9 +106,6 @@ class ModelConfig:
                 raise ValueError(f"{key}: {domain}, got {getattr(self, key)!r}")
 
 
-MODEL_KEYS = tuple(f.name for f in fields(ModelConfig))
-
-
 @dataclass
 class TrainConfig:
     """The training keys, each with its default; construction checks them."""
@@ -130,6 +127,10 @@ class TrainConfig:
             raise ValueError(f"lr: must be finite and > 0, got {self.lr!r}")
         if not 0.0 < self.context_fraction <= 1.0:
             raise ValueError("context_fraction: must lie in (0, 1]")
+
+
+MODEL_KEYS = tuple(f.name for f in fields(ModelConfig))
+TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig))
 
 
 class _Model:
@@ -265,13 +266,6 @@ class VariationalMlp(_Mlp):
                                 0.0, float(np.log(1.0 / beta)))
 
 
-def _onehot(labels, k):
-    labels = np.asarray(labels)
-    out = np.zeros((len(labels), k))
-    out[np.arange(len(labels)), labels] = 1.0
-    return out
-
-
 def _nll_rows(probs: Tensor, labels) -> Tensor:
     """Differentiable -log p_y per row, shape (N, 1)."""
     return ad.scale(-1.0, ad.take_labels(ad.log(probs), labels))
@@ -367,7 +361,7 @@ class EdlModel(_Model):
         concentration is replaced by 1.
         """
         n, k = alpha.shape
-        onehot = _onehot(yb, k)
+        onehot = np.eye(k)[yb]
         mean, var = dirichlet_moments_rows(alpha)
         diff = ad.sub(as_tensor(onehot), mean)
         sq = ad.sum_rows(ad.add(ad.mul(diff, diff), var))
@@ -462,7 +456,7 @@ class EtpModel(_Model):
         contrib = np.zeros_like(z)
         if len(ctx_y):
             v = self.encoder.forward(as_tensor(np.atleast_2d(ctx_x)), self.params)
-            info = _onehot(ctx_y, self.num_classes) + ad.softmax_rows(v).data
+            info = np.eye(self.num_classes)[ctx_y] + ad.softmax_rows(v).data
             phi, _ = self.attend(v, z, self.params)                # (S, C, R)
             contrib = np.swapaxes(phi.data, -1, -2) @ info         # (S, R, K)
         update = self.gamma * self.memory + (1.0 - self.gamma) * contrib
@@ -549,7 +543,7 @@ class EnpModel(_Model):
             raise ValueError("ENP training requires a non-empty context set")
         n, k, c = len(yb), self.num_classes, len(ctx_y)
         e = self.embed.forward(as_tensor(np.atleast_2d(xb)), leaves)
-        ctx_in = np.concatenate([np.atleast_2d(ctx_x), _onehot(ctx_y, k)], axis=1)
+        ctx_in = np.concatenate([np.atleast_2d(ctx_x), np.eye(k)[ctx_y]], axis=1)
         h = self.encoder.forward(as_tensor(ctx_in), leaves)      # (C, 2K)
         if self.aggregation == "mean":
             phi = np.broadcast_to(1.0 / c, (n, c))

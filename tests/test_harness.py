@@ -5,6 +5,7 @@ import csv
 import importlib.util
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -33,7 +34,15 @@ from etproc.harness import (
     run_single_seed,
 )
 from etproc.data import LabeledDataset, write_idx
-from etproc.models import MODEL_KINDS, load_checkpoint, make_model, save_checkpoint
+from etproc.metrics import auroc, entropy_rows
+from etproc.models import (
+    MODEL_KINDS,
+    TRAIN_KEYS,
+    load_checkpoint,
+    make_model,
+    predict,
+    save_checkpoint,
+)
 
 
 def write_config(path, text):
@@ -465,7 +474,7 @@ decomposition_samples = 64
         assert cli.main(["train", "--config", cfg, "--model", "bnn",
                          "--out", ckpt]) == 0
         out = str(tmp_path / "d.json")
-        assert cli.main(["decompose", "--config", cfg, "--model", "bnn",
+        assert cli.main(["decompose", "--config", cfg,
                          "--checkpoint", ckpt, "--out", out]) == 0
         rows = json.loads((tmp_path / "d.json").read_text())["rows"]
         assert [r["input"] for r in rows] == cli.DEFAULT_PROBES["two-gaussians"]
@@ -505,7 +514,7 @@ decomposition_samples = 64
             arrays = {k: npz[k] for k in npz.files}
         edit(arrays)
         np.savez(ckpt, **arrays)
-        assert cli.main([command, "--config", cfg, "--model", "bnn", "--checkpoint", ckpt,
+        assert cli.main([command, "--config", cfg, "--checkpoint", ckpt,
                          "--out", str(tmp_path / "out.json")]) == 2
         assert "data error" in capsys.readouterr().err
 
@@ -524,6 +533,13 @@ decomposition_samples = 64
         "seed-string": lambda meta: meta.update(seed="x"),
         "task-unknown": lambda meta: meta.update(task=5),
         "hidden-zero": lambda meta: meta["hyper"].update(hidden=[0]),
+        "train-not-an-object": lambda meta: meta.update(train=[1]),
+        "train-missing-key": lambda meta: meta.update(train=dict.fromkeys(TRAIN_KEYS[1:], 1)),
+        "train-unknown-key": lambda meta: meta.update(train=dict.fromkeys((*TRAIN_KEYS, "x"), 1)),
+        "train-epochs-float": lambda meta: meta.update(train={**dict.fromkeys(TRAIN_KEYS, 1),
+                                                             "epochs": 2.5}),
+        "train-lr-zero": lambda meta: meta.update(train={**dict.fromkeys(TRAIN_KEYS, 1),
+                                                        "lr": 0}),
     }
 
     @pytest.mark.parametrize("command", ["eval", "decompose"])
@@ -575,6 +591,87 @@ decomposition_samples = 64
         assert (config["hidden"], config["gamma"], config["beta_reg"], config["simplified"]) \
             == ([8], 0.5, 0.5, True)
         assert config["model"] == "etp"
+
+    def test_eval_reports_how_the_checkpoint_was_trained(self, tmp_path):
+        """`etproc train` records the training keys in the checkpoint and eval
+        reports them; a checkpoint without that record keeps the config's."""
+        ckpt = str(tmp_path / "bnn.npz")
+        trained = write_config(tmp_path / "train.cfg", Path(self.fast_config(tmp_path)).read_text()
+                               + "epochs = 2\nlr = 0.01\nbatch_size = 20\n")
+        assert cli.main(["train", "--config", trained, "--model", "bnn", "--out", ckpt]) == 0
+        record = load_checkpoint(ckpt)[1]["train"]
+        assert record == {key: getattr(resolve_config(trained), key) for key in TRAIN_KEYS}
+        library = str(tmp_path / "library.npz")
+        save_checkpoint(load_checkpoint(ckpt)[0], library, seed=7)
+        configs = []
+        for path in (ckpt, library):
+            out = tmp_path / "eval.json"
+            assert cli.main(["eval", "--config", self.fast_config(tmp_path), "--checkpoint", path,
+                             "--out", str(out)]) == 0
+            configs.append(json.loads(out.read_text())["config"])
+        assert (configs[0]["epochs"], configs[0]["lr"], configs[0]["batch_size"]) == (2, 0.01, 20)
+        assert (configs[1]["epochs"], configs[1]["lr"], configs[1]["batch_size"]) == (3, 0.001, 40)
+
+    def test_run_scores_ood_by_max_probability(self, tmp_path):
+        """`ood_score = maxprob` scores a row by its negated largest class
+        probability; on three classes that ranks rows unlike the entropy."""
+        aurocs = {}
+        for score in ("entropy", "maxprob"):
+            text = Path(self.fast_config(tmp_path)).read_text()
+            cfg = write_config(tmp_path / f"{score}.cfg",
+                               text + f"task = iris2d\nood_score = {score}\n")
+            out = tmp_path / f"{score}.json"
+            assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+            report = json.loads(out.read_text())
+            assert report["config"]["ood_score"] == score
+            aurocs[score] = report["per_seed"][0]["auroc_ood_pct"]
+        config = resolve_config(cfg)
+        _, test, ood, _ = build_task_data(config, 7)
+        model = run_experiment(config, keep_models=True)[1][7]
+        rng = SeededRng(seed=0, stream=3)
+        probs = [predict(model, ds.features, rng, 4, 2) for ds in (test, ood)]
+        assert aurocs["maxprob"] == 100.0 * auroc(*(-p.max(axis=1) for p in probs))
+        assert aurocs["entropy"] == 100.0 * auroc(*(entropy_rows(p) for p in probs))
+        assert aurocs["maxprob"] != aurocs["entropy"]
+
+    # the optional flags of each command; report takes no config flag
+    FLAGS = {
+        "train": ["--config", "--task", "--model", "--seeds", "--epochs", "--lr", "--data-dir",
+                  "--out"],
+        "eval": ["--config", "--task", "--seeds", "--data-dir", "--checkpoint", "--out",
+                 "--format"],
+        "run": ["--config", "--task", "--model", "--seeds", "--epochs", "--lr", "--data-dir",
+                "--workers", "--out", "--format"],
+        "decompose": ["--config", "--task", "--seeds", "--checkpoint", "--out"],
+        "report": ["--inputs", "--out", "--format"],
+    }
+
+    @pytest.mark.parametrize("command", list(FLAGS))
+    def test_flag_set(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help"])
+        assert exc.value.code == 0
+        usage = capsys.readouterr().out.split("\n\n")[0]
+        assert re.findall(r"\[?(--[a-z-]+)", usage) == self.FLAGS[command]
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--workers", "2", "--out", "m.npz"],
+        *[["eval", flag, "1", "--checkpoint", "m.npz", "--out", "r.json"]
+          for flag in ("--model", "--epochs", "--lr", "--workers")],
+        *[["decompose", flag, "1", "--checkpoint", "m.npz", "--out", "d.json"]
+          for flag in ("--model", "--epochs", "--lr", "--workers", "--data-dir")],
+        ["run", "--bogus", "1", "--out", "r.json"],
+        ["run", "--format", "xml", "--out", "r.json"],
+        ["frobnicate"],
+    ])
+    def test_usage_error_exits_1(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: etproc") and "error: " in err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("identity_keys, update_tanh", [
         (True, False), (False, True), (True, True), (False, False)])
@@ -723,13 +820,19 @@ def load_perfbench(name):
     return module
 
 
-def run_script(name, *args):
-    """Run scripts/<name> with the package on PYTHONPATH; its stdout."""
+def script_process(name, *args, cwd=None):
+    """Run scripts/<name> with the package on PYTHONPATH; the finished process."""
     root = Path(__file__).resolve().parents[1]
     path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, str(root / "scripts" / name), *args],
-                          check=True, capture_output=True, text=True, timeout=300,
+    return subprocess.run([sys.executable, str(root / "scripts" / name), *args],
+                          capture_output=True, text=True, timeout=300, cwd=cwd,
                           env={**os.environ, "PYTHONPATH": path})
+
+
+def run_script(name, *args):
+    """Run scripts/<name> with the package on PYTHONPATH; its stdout."""
+    done = script_process(name, *args)
+    done.check_returncode()
     return done.stdout
 
 
@@ -768,6 +871,31 @@ class TestScripts:
         assert report["aggregate"]["auroc_ood_pct"]["mean"] is not None
         assert stdout.startswith("edl: entropy OOD-AUROC")
 
+    @pytest.mark.parametrize("name, args, code, message", [
+        ("run_iris.py", ["--seeds", "0,x"], 1, "config error: seeds: cannot parse"),
+        ("run_iris.py", ["--seeds", "-1"], 1, "config error: seeds: at least one seed"),
+        ("run_iris.py", ["--seeds", "1,1"], 1, "config error: seeds: each seed may appear once"),
+        ("run_two_gaussians.py", ["--seeds", "0,x"], 1, "config error: seeds: cannot parse"),
+        ("run_two_gaussians.py", ["--epochs", "x"], 1, "config error: epochs: cannot parse"),
+        ("run_fmnist_mnist.py", ["--data-dir", "nonexistent"], 2,
+         "data error: missing IDX files"),
+        ("run_fmnist_mnist.py", [], 1, "error: the following arguments are required: --data-dir"),
+        ("decompose_two_gaussians.py", ["--grid=1:2:0"], 1,
+         "config error: grid: expected lo:hi:count"),
+        ("decompose_two_gaussians.py", ["--grid=abc"], 1,
+         "config error: grid: expected lo:hi:count"),
+        ("decompose_two_gaussians.py", ["--model", "edl"], 1, "error: argument --model"),
+        ("run_iris.py", ["--bogus", "1"], 1, "error: unrecognized arguments: --bogus"),
+    ])
+    def test_bad_input_exit_code(self, tmp_path, name, args, code, message):
+        """A script stops on bad input with the CLI's exit code and message,
+        without a traceback and before it writes anything to its working
+        directory, where its default outputs go."""
+        done = script_process(name, "--epochs", "1", *args, cwd=tmp_path)
+        assert done.returncode == code
+        assert message in done.stderr and "Traceback" not in done.stderr
+        assert done.stdout == "" and list(tmp_path.iterdir()) == []
+
 
 def test_benchmark_span_table_names_existing_attributes():
     """Every call that perfbench/tracer.py wraps is a callable where it looks
@@ -776,6 +904,24 @@ def test_benchmark_span_table_names_existing_attributes():
     broken = [f"{getattr(owner, '__name__', owner)}.{attr}"
               for owner, attr, _, _ in table if not callable(vars(owner).get(attr))]
     assert table and broken == []
+
+
+def test_benchmark_cli_argv_parses(monkeypatch, tmp_path):
+    """The argv that perfbench/workloads.py's tg-reuse passes to cli.main for
+    train, eval and decompose parses with the CLI's parser. It is captured
+    through a fake cli.main, so nothing trains."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    calls = []
+    fake = SimpleNamespace(cli=SimpleNamespace(main=lambda argv: calls.append(argv) or 0))
+    reuse = load_perfbench("workloads").TgReuse(fake, 0, str(tmp_path))
+    for _, unit in reuse.setup_units():
+        unit()
+    for model, key in reuse.ops(0):
+        reuse.timed(model, key)
+    assert sorted({argv[0] for argv in calls}) == ["decompose", "eval", "train"]
+    for argv in calls:
+        args = cli.build_parser().parse_args(argv)
+        assert (args.task, args.seeds) == ("two-gaussians", str(reuse.seed))
 
 
 def test_benchmark_capture_wraps_existing_functions():

@@ -368,4 +368,4 @@ class TestPredictionSet:
 
     def test_entropies_shape(self):
         preds = PredictionSet(np.full((4, 2), 0.5), np.zeros(4, dtype=int))
-        np.testing.assert_allclose(preds.entropies(), np.log(2.0))
+        np.testing.assert_allclose(entropy_rows(preds.probs), np.log(2.0))
