@@ -8,6 +8,12 @@ Every leaf is a named span of a flat vector (``Tape.flat_leaves``); a
 tape may hold any number of flat vectors, and a lone ``Tape.leaf`` is a
 flat vector with one span. The leaves of one vector share one flat
 gradient, so an optimizer step needs no gathering of per-array gradients.
+
+Attention is one op, ``attention``, and one tape record. Its softmax
+reduces over the memory axis of a transposed copy of the scores, adding in
+NumPy's own summation order (``_pairwise_sum``, pinned by a test), so it
+equals the unfused graph of matmuls, transpose and ``softmax_rows`` bit for
+bit, forward and backward.
 """
 
 from __future__ import annotations
@@ -247,6 +253,83 @@ def softmax_rows(a) -> Tensor:
         return out * (g - dot)
 
     return emit(out, (a,), (vjp,))
+
+
+def _pairwise_sum(x, axis):
+    """Sums over ``axis``, kept as a length-1 axis, added in the order in
+    which NumPy sums a unit-stride axis (``pairwise_sum`` in its umath
+    loops), but with elementwise adds of whole slices. So a short axis of a
+    C-contiguous array can be summed bit for bit from the transposed layout,
+    where every add is one long vector op instead of many short reductions.
+    The order is NumPy's, not an API: tests pin it."""
+    return _pairwise_sum_lead(x.swapaxes(axis, 0)).swapaxes(0, axis)
+
+
+def _pairwise_sum_lead(x):
+    """``_pairwise_sum`` over axis 0: sequential below 8 terms, eight
+    accumulators up to 128, above that two halves split at a multiple of 8."""
+    n = len(x)
+    if n < 8:
+        total = x[:1] + x[1:2] if n > 1 else x[:1].copy()
+        for i in range(2, n):
+            total += x[i]
+        return total
+    if n <= 128:
+        stop = n - n % 8
+        r = x[:8] + x[8:16] if stop > 8 else x[:8].copy()  # eight accumulators
+        for i in range(16, stop, 8):
+            r += x[i:i + 8]
+        # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        r = r[0::2] + r[1::2]
+        r = r[0::2] + r[1::2]
+        total = r[0::2] + r[1::2]
+        for i in range(stop, n):
+            total += x[i]
+        return total
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum_lead(x[:half]) + _pairwise_sum_lead(x[half:])
+
+
+def attention(v, keys, z, scale: float):
+    """Attention of queries v, (N, K), over R cells with keys (R, K) and
+    values z, (R, Kz): ``read = softmax_rows(scale * v @ keys.T) @ z``, as
+    one tape record. Any operand may lead with a stack axis of S slices.
+
+    Returns ``read`` and the attention weights ``phi``, (N, R), as an
+    untracked array. The softmax runs on one transposed copy of the scores,
+    so its max and sum reduce over the leading memory axis; the sum keeps
+    NumPy's order (``_pairwise_sum``), so ``read`` and the VJPs equal the
+    unfused transpose/matmul/scale/softmax_rows/matmul graph bit for bit:
+    the VJPs evaluate that graph's own expressions on its own layouts and
+    deliver their terms in its reverse order, z first, then v, then keys.
+    """
+    v, keys, z = as_tensor(v), as_tensor(keys), as_tensor(z)
+    stacks = {t.shape[0] for t in (v, keys, z) if t.data.ndim == 3}
+    if (any(t.data.ndim not in (2, 3) for t in (v, keys, z)) or len(stacks) > 1
+            or v.shape[-1] != keys.shape[-1] or keys.shape[-2] != z.shape[-2]):
+        raise ShapeMismatchError(f"attention: {v.shape} over {keys.shape}, {z.shape}")
+    scale = float(scale)
+    kT = _swap(keys.data).copy()
+    weights = _swap(scale * (v.data @ kT)).copy()  # the scores, C-ordered (..., R, N)
+    weights -= weights.max(axis=-2, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= _pairwise_sum(weights, -2)
+    phi = _swap(weights).copy()  # C-ordered (..., N, R), as softmax_rows leaves it
+    memo = {}
+
+    def scores_adjoint(g):
+        """The softmax_rows VJP of phi's adjoint, times ``scale``; once per g."""
+        if memo.get("g") is not g:
+            g_phi = g @ _swap(z.data)
+            dot = (g_phi * phi).sum(axis=-1, keepdims=True)
+            memo.update(g=g, g_s=scale * (phi * (g_phi - dot)))
+        return memo["g_s"]
+
+    read = emit(phi @ z.data, (z, v, keys),
+                (lambda g: _sum_stack(_swap(phi) @ g, z.data.ndim),
+                 lambda g: _sum_stack(scores_adjoint(g) @ _swap(kT), v.data.ndim),
+                 lambda g: _swap(_sum_stack(_swap(v.data) @ scores_adjoint(g), kT.ndim))))
+    return read, phi
 
 
 def tsum(a) -> Tensor:

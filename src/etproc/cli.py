@@ -116,16 +116,21 @@ def _checkpoint_config(cfg, path, model, meta) -> harness.ExperimentConfig:
 
 def cmd_train(args):
     cfg = _resolve(args)
+    if len(cfg.seeds) != 1:
+        raise ConfigError(f"seeds: train writes one checkpoint, so it takes one seed, "
+                          f"got {','.join(map(str, cfg.seeds))}")
     seed = cfg.seeds[0]
+    # np.savez appends .npz to a path without it
+    path = args.out if args.out.endswith(".npz") else args.out + ".npz"
     train_ds, _, _, _ = harness.build_task_data(cfg, seed)
     model, trace = harness.train_seed(cfg, seed, train_ds)
-    models.save_checkpoint(model, args.out, seed=seed, extra_meta={
+    models.save_checkpoint(model, path, seed=seed, extra_meta={
         "task": cfg.task, "train": {key: getattr(cfg, key) for key in models.TRAIN_KEYS}})
-    with open(str(args.out) + ".trace.json", "w") as f:
+    with open(path + ".trace.json", "w") as f:
         json.dump({"seed": seed, "loss_trace": trace}, f, indent=2)
         f.write("\n")
-    print(f"wrote checkpoint {args.out} (final loss {trace[-1]:.6f})"
-          if trace else f"wrote checkpoint {args.out}")
+    print(f"wrote checkpoint {path} (final loss {trace[-1]:.6f})"
+          if trace else f"wrote checkpoint {path}")
 
 
 def cmd_eval(args):

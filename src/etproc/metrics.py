@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .distributions import categorical_nll_batch, dirichlet_moments_rows
 
@@ -200,6 +199,7 @@ class MixtureOracle:
 
     def bayes_error(self, lo=-12.0, hi=12.0):
         """Average risk of the Bayes-optimal rule, by numerical integration."""
+        from scipy import integrate  # imported here: it takes most of the package's import time
 
         def integrand(x):
             f = self.f_true(np.array([x]))[0]

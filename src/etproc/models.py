@@ -5,7 +5,10 @@ step records it on a tape; prediction, the ETP memory update and the
 variance decomposition run the same code untracked, since an op whose
 operands are on no tape records nothing. Where draws are independent
 (the ETP memory update, the decomposition) the untracked path stacks
-them on a leading axis instead of looping over them.
+them on a leading axis instead of looping over them. ETP's memory read
+and ENP's attention aggregation are one ``autodiff.attention`` record,
+whose softmax reduces over the memory (context) axis; the Dirichlet mean
+that prediction takes sums in NumPy's order too (``_pairwise_sum``).
 
 The models share one protocol, so no caller branches on the model kind:
 
@@ -272,7 +275,7 @@ def _nll_rows(probs: Tensor, labels) -> Tensor:
 
 
 def _dirichlet_mean(alpha):
-    return alpha / alpha.sum(axis=1, keepdims=True)
+    return alpha / ad._pairwise_sum(alpha, -1)
 
 
 def _choose_context(xb, yb, fraction, rng):
@@ -419,14 +422,12 @@ class EtpModel(_Model):
     # -- attention / concentration ------------------------------------------
 
     def attend(self, v: Tensor, z, params):
-        """Attention of embeddings v, (N, K), over a memory draw z, (R, K).
+        """The read, a Tensor, and the untracked weights phi, (N, R), of the
+        attention of embeddings v, (N, K), over a memory draw z, (R, K).
         Either may lead with a stack axis of S draws."""
         zc = as_tensor(z)
         keys = zc if self.keynet is None else self.keynet.forward(zc, params)
-        scores = ad.scale(1.0 / np.sqrt(self.num_classes),
-                          ad.matmul(v, ad.transpose(keys)))
-        phi = ad.softmax_rows(scores)
-        return phi, ad.matmul(phi, zc)
+        return ad.attention(v, keys, zc, 1.0 / np.sqrt(self.num_classes))
 
     def _evidence(self, read: Tensor) -> Tensor:
         """The memory's share of the log-concentration."""
@@ -434,7 +435,7 @@ class EtpModel(_Model):
 
     def concentration(self, v: Tensor, z, params) -> Tensor:
         """Dirichlet concentrations for embeddings v under memory draw z."""
-        _, read = self.attend(v, z, params)
+        read, _ = self.attend(v, z, params)
         evidence = self._evidence(read)
         return self._capped_exp(ad.add(v, evidence) if self.combiner == "residual" else evidence)
 
@@ -457,8 +458,8 @@ class EtpModel(_Model):
         if len(ctx_y):
             v = self.encoder.forward(as_tensor(np.atleast_2d(ctx_x)), self.params)
             info = np.eye(self.num_classes)[ctx_y] + ad.softmax_rows(v).data
-            phi, _ = self.attend(v, z, self.params)                # (S, C, R)
-            contrib = np.swapaxes(phi.data, -1, -2) @ info         # (S, R, K)
+            _, phi = self.attend(v, z, self.params)                # (S, C, R)
+            contrib = np.swapaxes(phi, -1, -2) @ info              # (S, R, K)
         update = self.gamma * self.memory + (1.0 - self.gamma) * contrib
         self.memory = (np.tanh(update) if self.update_tanh else update).sum(axis=0) / n_samples
         return self.memory
@@ -511,7 +512,7 @@ class EtpModel(_Model):
         for the direct combiner it is the raw attention read.
         """
         v = self.encoder.forward(as_tensor(np.atleast_2d(x)), self.params)
-        _, read = self.attend(v, self.draw_memory(rng, n_samples), self.params)
+        read, _ = self.attend(v, self.draw_memory(rng, n_samples), self.params)
         return self._evidence(read).data.sum(axis=0) / n_samples
 
 
@@ -546,11 +547,9 @@ class EnpModel(_Model):
         ctx_in = np.concatenate([np.atleast_2d(ctx_x), np.eye(k)[ctx_y]], axis=1)
         h = self.encoder.forward(as_tensor(ctx_in), leaves)      # (C, 2K)
         if self.aggregation == "mean":
-            phi = np.broadcast_to(1.0 / c, (n, c))
+            read = ad.matmul(np.broadcast_to(1.0 / c, (n, c)), h)  # (N, 2K)
         else:
-            scores = ad.matmul(e, ad.transpose(ad.columns(h, 0, k)))
-            phi = ad.softmax_rows(ad.scale(1.0 / np.sqrt(k), scores))
-        read = ad.matmul(phi, h)                                  # (N, 2K)
+            read, _ = ad.attention(e, ad.columns(h, 0, k), h, 1.0 / np.sqrt(k))
         mu, lv = ad.columns(read, 0, k), ad.columns(read, k, 2 * k)
         z = gaussian_reparam(mu, lv, rng.normal(size=(n, k)))
         enll = self._evidential_nll(self._alpha(e, z, leaves), yb)

@@ -447,6 +447,108 @@ class TestRowPrimitiveOracles:
             ad.take_labels(Tensor(np.ones((2, 2))), np.array([0, 2]))
 
 
+class TestPairwiseSum:
+    """``_pairwise_sum`` equals ``np.sum`` over a unit-stride axis bit for bit.
+
+    This pins NumPy's summation order (its ``pairwise_sum``: sequential below
+    8 terms, eight accumulators up to 128, two halves split at a multiple of
+    8 above), on which the fused attention and the Dirichlet mean rely to
+    match the unfused graph. A NumPy that sums in another order fails here.
+    """
+
+    @pytest.mark.parametrize("lead", [(3,), (2, 3)])
+    def test_matches_numpy_sum(self, lead):
+        rng = np.random.default_rng(50)
+        for n in range(1, 261):
+            x = rng.normal(size=(*lead, n))
+            assert np.array_equal(ad._pairwise_sum(x, -1), x.sum(axis=-1, keepdims=True)), n
+            t = np.swapaxes(x, -1, -2)  # axis -2 of this view has unit stride
+            assert np.array_equal(ad._pairwise_sum(t, -2), t.sum(axis=-2, keepdims=True)), n
+
+
+def attention_unfused(v, keys, z, scale):
+    """The graph that ``ad.attention`` fuses, with its weights as an array."""
+    phi = ad.softmax_rows(ad.scale(scale, ad.matmul(v, ad.transpose(keys))))
+    return ad.matmul(phi, z), phi.data
+
+
+class TestAttention:
+    K = 3
+
+    def operands(self, n, r, stack, seed=51):
+        """v, keys and z, each 2-D or leading with a stack of 4 draws."""
+        rng = np.random.default_rng(seed)
+        s_v = (4,) if stack in ("queries", "both") else ()
+        s_m = (4,) if stack in ("memory", "both") else ()
+        return {"v": rng.normal(size=(*s_v, n, self.K)) * 2.0,
+                "keys": rng.normal(size=(*s_m, r, self.K)),
+                "z": rng.normal(size=(*s_m, r, self.K))}
+
+    @staticmethod
+    def run(attend, arrays, shared_keys):
+        """read, phi and each operand's gradient of a loss that also reaches v
+        and z outside the attention, as ETP's residual combiner reaches v.
+        The keys pass through a linear map, as through ETP's key net; with
+        ``shared_keys`` z is its own keys, as with ETP's identity keys, and
+        gets three adjoint terms, so the order of the terms counts."""
+        rng = np.random.default_rng(52)
+        tape = Tape()
+        leaves = {name: tape.leaf(a) for name, a in arrays.items()}
+        v, z = leaves["v"], leaves["z"]
+        keys = z if shared_keys else ad.matmul(leaves["keys"], Tensor(rng.normal(size=(3, 3))))
+        read, phi = attend(v, keys, z, 1.0 / np.sqrt(3.0))
+        out = ad.tanh(read)
+        if read.shape == v.shape:
+            out = ad.add(v, out)
+        loss = ad.add(ad.tsum(ad.mul(out, Tensor(rng.normal(size=read.shape)))),
+                      ad.tsum(ad.tanh(z)))
+        grads = backward(loss)
+        return read.data, phi, {name: grads[leaf.node_id] for name, leaf in leaves.items()}
+
+    @pytest.mark.parametrize("shared_keys", [False, True])
+    @pytest.mark.parametrize("stack", ["none", "queries", "memory", "both"])
+    @pytest.mark.parametrize("n", [1, 7])
+    @pytest.mark.parametrize("r", [5, 16, 130])
+    def test_matches_unfused_graph_bit_for_bit(self, r, n, stack, shared_keys):
+        arrays = self.operands(n, r, stack)
+        read, phi, grads = self.run(ad.attention, arrays, shared_keys)
+        want_read, want_phi, want_grads = self.run(attention_unfused, arrays, shared_keys)
+        assert np.array_equal(read, want_read)
+        assert np.array_equal(phi, want_phi) and phi.flags.c_contiguous
+        for name in arrays:
+            assert np.array_equal(grads[name], want_grads[name]), name
+
+    def test_one_tape_record(self):
+        tape = Tape()
+        v, keys, z = (tape.leaf(a) for a in self.operands(4, 5, "none").values())
+        read, phi = ad.attention(v, keys, z, 0.5)
+        assert len(tape._records) == 1 and isinstance(phi, np.ndarray)
+
+    @pytest.mark.parametrize("operand", ["v", "keys", "z"])
+    @pytest.mark.parametrize("stack", ["none", "both"])
+    def test_finite_differences(self, operand, stack):
+        arrays = self.operands(3, 5, stack, seed=53)
+        w = np.random.default_rng(54).normal(size=np.broadcast_shapes(
+            arrays["v"].shape[:-2], arrays["z"].shape[:-2]) + (3, self.K))
+
+        def build(x):
+            args = {**{k: Tensor(a) for k, a in arrays.items()}, operand: x}
+            read, _ = ad.attention(args["v"], args["keys"], args["z"], 0.7)
+            return ad.tsum(ad.mul(ad.tanh(read), Tensor(w)))
+
+        assert_grad_matches(build, arrays[operand])
+
+    @pytest.mark.parametrize("shapes", [
+        ((2, 3), (5, 4), (5, 3)),        # query and key widths differ
+        ((2, 3), (5, 3), (4, 3)),        # keys and values differ in cell count
+        ((2, 2, 3), (3, 5, 3), (3, 5, 3)),  # stacks of different sizes
+        ((3,), (5, 3), (5, 3)),          # a 1-D query
+    ])
+    def test_shape_mismatch(self, shapes):
+        with pytest.raises(ShapeMismatchError, match="attention"):
+            ad.attention(*(Tensor(np.ones(s)) for s in shapes), 1.0)
+
+
 class TestFlatLeaves:
     SPANS = {"all": (0, 9, (9,)), "w": (0, 6, (2, 3)), "b": (6, 9, (3,))}
 

@@ -468,6 +468,25 @@ decomposition_samples = 64
                          "--out", str(tmp_path / "d.json")]) == 1
         assert "config error" in capsys.readouterr().err
 
+    def test_train_out_without_npz_suffix(self, tmp_path, capsys):
+        """`train --out m` writes m.npz, names its trace after it and prints
+        that path, which eval then reads."""
+        cfg = self.fast_config(tmp_path)
+        assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "m")]) == 0
+        printed = re.match(r"wrote checkpoint (\S+)", capsys.readouterr().out).group(1)
+        assert printed == str(tmp_path / "m.npz")
+        assert json.loads((tmp_path / "m.npz.trace.json").read_text())["seed"] == 7
+        assert cli.main(["eval", "--config", cfg, "--checkpoint", printed,
+                         "--out", str(tmp_path / "eval.json")]) == 0
+
+    def test_train_takes_one_seed(self, tmp_path, capsys):
+        cfg = self.fast_config(tmp_path)
+        assert cli.main(["train", "--config", cfg, "--seeds", "1,2",
+                         "--out", str(tmp_path / "m.npz")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: seeds: ") and "got 1,2" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["fast.cfg"]
+
     def test_decompose_with_bnn(self, tmp_path):
         cfg = self.fast_config(tmp_path)
         ckpt = str(tmp_path / "bnn.npz")

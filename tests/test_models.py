@@ -291,8 +291,8 @@ class TestAttention:
         if key_weights is not None:
             model.params["key.W0"][...] = key_weights
             model.params["key.b0"][...] = 0.0
-        phi, read = model.attend(as_tensor(np.atleast_2d(v)), z, model.params)
-        return phi.data[0], read.data[0]
+        read, phi = model.attend(as_tensor(np.atleast_2d(v)), z, model.params)
+        return phi[0], read.data[0]
 
     def test_single_cell(self):
         z = np.array([[0.3, -0.7]])
@@ -328,11 +328,11 @@ class TestAttention:
         model = EtpModel(2, 3, (4,), SeededRng(seed=0, stream=2), memory_cells=6)
         v = rng.normal(size=(10, 3))
         z = rng.normal(size=(6, 3))
-        phi, read = (t.data for t in model.attend(as_tensor(v), z, model.params))
+        read, phi = model.attend(as_tensor(v), z, model.params)
         np.testing.assert_allclose(phi.sum(axis=1), 1.0, atol=1e-12)
         for k in range(3):
-            assert np.all(read[:, k] >= z[:, k].min() - 1e-12)
-            assert np.all(read[:, k] <= z[:, k].max() + 1e-12)
+            assert np.all(read.data[:, k] >= z[:, k].min() - 1e-12)
+            assert np.all(read.data[:, k] <= z[:, k].max() + 1e-12)
 
     def test_tensor_attend_matches_numpy(self):
         rng = np.random.default_rng(6)
@@ -341,9 +341,9 @@ class TestAttention:
         z = rng.normal(size=(5, 3))
         tape = Tape()
         leaves = {n: tape.leaf(a) for n, a in model.trainable().items()}
-        phi_t, read_t = model.attend(as_tensor(v), z, leaves)
+        read_t, phi_t = model.attend(as_tensor(v), z, leaves)
         phi_n, read_n = attend_np(v, mlp_np(z, model.params, "key", 1), z)
-        np.testing.assert_allclose(phi_t.data, phi_n, atol=1e-12)
+        np.testing.assert_allclose(phi_t, phi_n, atol=1e-12)
         np.testing.assert_allclose(read_t.data, read_n, atol=1e-12)
 
 
@@ -752,7 +752,7 @@ class TestFlatParameters:
             np.testing.assert_array_equal(model.params[name].ravel(), np.arange(start, stop))
 
     @pytest.mark.parametrize("kind, limit", [("bnn", 17), ("edl", 20), ("enp", 28),
-                                             ("etp", 26)])
+                                             ("etp", 22)])
     def test_tape_records_and_adam_updates_per_step(self, kind, limit, monkeypatch):
         records, updates = [], []
 
@@ -795,7 +795,7 @@ class TestMemoryNoise:
         draw_rng = SeededRng(seed=5)
         acc = np.zeros_like(model.memory)
         for _ in range(3):
-            phi = model.attend(v, model.draw_memory(draw_rng), model.params)[0].data
+            phi = model.attend(v, model.draw_memory(draw_rng), model.params)[1]
             acc += np.tanh(model.gamma * model.memory + (1.0 - model.gamma) * (phi.T @ info))
         model.memory_update(ctx_x, ctx_y, SeededRng(seed=5), n_samples=3)
         assert np.array_equal(model.memory, acc / 3)
