@@ -9,11 +9,14 @@ tape may hold any number of flat vectors, and a lone ``Tape.leaf`` is a
 flat vector with one span. The leaves of one vector share one flat
 gradient, so an optimizer step needs no gathering of per-array gradients.
 
-Attention is one op, ``attention``, and one tape record. Its softmax
-reduces over the memory axis of a transposed copy of the scores, adding in
-NumPy's own summation order (``_pairwise_sum``, pinned by a test), so it
-equals the unfused graph of matmuls, transpose and ``softmax_rows`` bit for
-bit, forward and backward.
+Three fused ops each make one tape record and equal the unfused graph of
+elementary ops bit for bit, forward and backward: their VJPs evaluate that
+graph's own expressions. ``attention`` reduces its softmax over the memory
+axis of a transposed copy of the scores, adding in NumPy's own summation
+order (``_pairwise_sum``, pinned by a test). ``mlp`` runs a ReLU network
+from its whole parameter block, with the reparameterised draw of a
+variational network folded in, and returns one flat block gradient.
+``softmax_nll`` is the batch-mean categorical NLL of softmax logits.
 """
 
 from __future__ import annotations
@@ -133,7 +136,7 @@ def emit(data, parent_tensors, vjps):
 
 
 def _swap(x):
-    return np.swapaxes(x, -1, -2)
+    return x.swapaxes(-1, -2)
 
 
 def _sum_stack(x, ndim):
@@ -330,6 +333,113 @@ def attention(v, keys, z, scale: float):
                  lambda g: _sum_stack(scores_adjoint(g) @ _swap(kT), v.data.ndim),
                  lambda g: _swap(_sum_stack(_swap(v.data) @ scores_adjoint(g), kT.ndim))))
     return read, phi
+
+
+def mlp(x, layout, weights, logvars=None, eps=None) -> Tensor:
+    """A ReLU MLP on input x, (N, D) or (S, N, D), as one tape record.
+
+    ``weights`` is the network's whole parameter block, a (P,) tensor;
+    ``layout`` holds each layer's (offset, fan_in, fan_out) in it: W,
+    (fan_in, fan_out), starts at the offset and b, (fan_out,), follows. A
+    variational network also passes its log-variance block and
+    standard-normal noise, (P,) or (S, P) for S stacked draws, and runs
+    under the weights ``weights + exp(0.5 * logvars) * eps``, formed in one
+    pass over the block with ``gaussian_reparam``'s arithmetic per element.
+    Each stacked draw meets only its own slice, as bias ``add`` lays it out.
+
+    Forward and VJPs equal the unfused matmul/add/relu graph bit for bit:
+    the VJPs evaluate that graph's own expressions, once per adjoint, and
+    fill one flat gradient per block, plus x's adjoint when x is tracked.
+    Untracked, the op keeps no intermediates.
+    """
+    x, weights = as_tensor(x), as_tensor(weights)
+    off, fan_in, fan_out = layout[-1]
+    if (weights.shape != (off + fan_in * fan_out + fan_out,) or x.data.ndim not in (2, 3)
+            or x.shape[-1] != layout[0][1]):
+        raise ShapeMismatchError(f"mlp: input {x.shape}, block {weights.shape}, layout {layout}")
+    block, parents = weights.data, (x, weights)
+    if logvars is not None:
+        logvars, eps = as_tensor(logvars), np.asarray(eps, dtype=np.float64)
+        if logvars.shape != weights.shape or eps.ndim > 2 or eps.shape[-1:] != weights.shape:
+            raise ShapeMismatchError(f"mlp: block {weights.shape}, log-variances "
+                                     f"{logvars.shape}, noise {eps.shape}")
+        sd = np.exp(0.5 * logvars.data)
+        block, parents = block + sd * eps, (x, weights, logvars)
+    stack = block.shape[:-1]
+    layers = []  # (W, b) views of the block
+    for off, fan_in, fan_out in layout:
+        mid = off + fan_in * fan_out
+        b = block[..., mid:mid + fan_out]
+        layers.append((block[..., off:mid].reshape(*stack, fan_in, fan_out),
+                       b[:, None, :] if stack else b))
+    last = len(layers) - 1
+    tracked = _tape_of(*parents) is not None
+    h, inputs = x.data, []  # each layer's input, kept on a tape only
+    for i, (w, b) in enumerate(layers):
+        if tracked:
+            inputs.append(h)
+        h = h @ w
+        h += b
+        if i < last:
+            h = np.maximum(h, 0.0, out=None if tracked else h)
+    if not tracked:
+        return Tensor(h)
+    memo = {}
+
+    def backprop(g):
+        """The block's gradient, per draw when stacked, and x's adjoint; once per g."""
+        if memo.get("g") is not g:
+            memo["g"], flat = g, np.empty(block.shape)
+            for i in range(last, -1, -1):
+                off, fan_in, fan_out = layout[i]
+                mid = off + fan_in * fan_out
+                w, a = layers[i][0], inputs[i]
+                if i < last:
+                    g = g * (inputs[i + 1] > 0.0)  # relu(pre) > 0 exactly where pre > 0
+                flat[..., mid:mid + fan_out] = (g.sum(axis=1) if stack
+                                                else g.reshape(-1, fan_out).sum(axis=0))
+                flat[..., off:mid] = _sum_stack(_swap(a) @ g, w.ndim).reshape(*stack, -1)
+                if i or x.node_id is not None:
+                    g = _sum_stack(g @ _swap(w), a.ndim)
+            memo.update(flat=flat, x=g)
+        return memo
+
+    vjps = [lambda g: backprop(g)["x"], lambda g: _sum_stack(backprop(g)["flat"], 1)]
+    if logvars is not None:
+        vjps.append(lambda g: _sum_stack(0.5 * (backprop(g)["flat"] * eps * sd), 1))
+    return emit(h, parents, vjps)
+
+
+def softmax_nll(logits, labels) -> Tensor:
+    """Batch-mean -log p_y of labels under the row softmax of (N, K) logits,
+    as one tape record.
+
+    It keeps the arithmetic of the unfused softmax_rows/log/take_labels/
+    scale/tmean graph, softmax first and then log, and its VJP evaluates
+    that graph's expressions, so both round as that graph did. Like ``log``,
+    it raises DomainError when any probability is 0.
+    """
+    logits = as_tensor(logits)
+    labels = np.asarray(labels)
+    if logits.data.ndim != 2 or labels.shape != (logits.shape[0],):
+        raise ShapeMismatchError(f"softmax-nll: {logits.shape} with labels {labels.shape}")
+    if len(labels) and (labels.min() < 0 or labels.max() >= logits.shape[1]):
+        raise IndexError("label out of range")
+    probs = logits.data - logits.data.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    if np.any(probs <= 0.0):
+        raise DomainError("log: non-positive input")
+    rows = np.arange(len(labels))
+    nll = -1.0 * np.log(probs[rows, labels])[:, None]
+
+    def vjp(g):
+        g_log = np.zeros(probs.shape)
+        g_log[rows, labels] = -1.0 * (float(g) / nll.size)
+        g_probs = g_log / probs
+        return probs * (g_probs - (g_probs * probs).sum(axis=-1, keepdims=True))
+
+    return emit(np.array(nll.mean()), (logits,), (vjp,))
 
 
 def tsum(a) -> Tensor:

@@ -24,19 +24,21 @@ The models share one protocol, so no caller branches on the model kind:
 Each model keeps its trainables in one contiguous float64 vector,
 ``theta``; ``spans`` locates every array, each network's block of arrays
 and the whole vector (``FLAT``) in it. ``params`` holds an untracked view
-into ``theta`` per span, and ``train`` puts the same spans on each step's
-tape (``Tape.flat_leaves``): the gradient arrives as one flat vector and
-Adam updates ``theta`` in one call. The networks are layouts, and every
-forward pass takes its weights: the tape leaves in training, ``params``
-elsewhere. A variational network keeps its means under the plain weight
-names, so under ``params`` it is the posterior-mean network; its means and
-log-variances are one block each, so its weight KL is one tape record.
+into ``theta`` per span, and ``train`` puts the blocks and the whole
+vector (``blocks``) on each step's tape (``Tape.flat_leaves``): the
+gradient arrives as one flat vector and Adam updates ``theta`` in one
+call. The networks are layouts, and every forward pass takes its weights:
+the tape leaves in training, ``params`` elsewhere. A variational network
+keeps its means under the plain weight names, so under ``params`` it is
+the posterior-mean network; its means and log-variances are one block
+each, so its weight KL is one tape record, and each network, its weight
+draw included, is one ``autodiff.mlp`` record over its blocks too. BNN's
+NLL is one ``autodiff.softmax_nll`` record.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import zipfile
 from dataclasses import dataclass, fields
 
@@ -159,7 +161,8 @@ class _Model:
 
     def _pack(self, groups):
         """Copy the arrays of ``groups``, block -> name -> array, into ``theta``
-        in order; ``params`` views it per array, per block and whole."""
+        in order; ``params`` views it per array, per block and whole, and
+        ``blocks`` holds the spans of the blocks and the whole vector."""
         self._arrays = [name for arrays in groups.values() for name in arrays]
         self.theta = np.concatenate([a.ravel() for arrays in groups.values()
                                      for a in arrays.values()])
@@ -171,6 +174,8 @@ class _Model:
                 self.spans[name] = (start, start + a.size, a.shape)
                 start += a.size
             self.spans[group] = (group_start, start, (start - group_start,))
+        self.blocks = {name: span for name, span in self.spans.items()
+                       if name not in self._arrays}
         self.params = {name: self.theta[start:stop].reshape(shape)
                        for name, (start, stop, shape) in self.spans.items()}
 
@@ -204,16 +209,21 @@ class _Model:
 
 class _Mlp:
     """A ReLU MLP's layout: the shapes of weights f"{prefix}.W{i}" and
-    f"{prefix}.b{i}" by layer, their initial values and a forward pass."""
+    f"{prefix}.b{i}" by layer, where each layer starts in the network's
+    block, their initial values and a forward pass."""
 
     def __init__(self, dims, prefix: str):
         self.prefix = prefix
         self.n_layers = len(dims) - 1
         self.shapes = {}  # weight name -> shape, in layer order
+        self.layout = []  # per layer: (offset in the block, fan_in, fan_out)
+        offset = 0
         for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
             self.shapes[f"{prefix}.W{i}"] = (fan_in, fan_out)
             self.shapes[f"{prefix}.b{i}"] = (fan_out,)
-        self.n_weights = sum(math.prod(shape) for shape in self.shapes.values())
+            self.layout.append((offset, fan_in, fan_out))
+            offset += (fan_in + 1) * fan_out
+        self.n_weights = offset
 
     def initial_weights(self, rng: SeededRng):
         """Fan-in-scaled uniform weights and biases, layer by layer."""
@@ -224,15 +234,9 @@ class _Mlp:
             weights[name] = rng.uniform(-bound, bound, size=shape)
         return weights
 
-    def forward(self, x, weights) -> Tensor:
-        """Forward pass under the named weights, which may lead with a stack axis."""
-        h = as_tensor(x)
-        for i in range(self.n_layers):
-            h = ad.add(ad.matmul(h, weights[f"{self.prefix}.W{i}"]),
-                       weights[f"{self.prefix}.b{i}"])
-            if i < self.n_layers - 1:
-                h = ad.relu(h)
-        return h
+    def forward(self, x, params) -> Tensor:
+        """Forward pass under the network's block of ``params``: one record."""
+        return ad.mlp(x, self.layout, params[self.prefix])
 
 
 class VariationalMlp(_Mlp):
@@ -248,30 +252,20 @@ class VariationalMlp(_Mlp):
         logvars = {f"{name}.logvar": np.full_like(m, LOGVAR_INIT) for name, m in means.items()}
         return {f"{self.prefix}.means": means, f"{self.prefix}.logvars": logvars}
 
-    def sampled_weights(self, params, eps):
-        """Reparameterized weights mean + exp(logvar/2) * eps, one record per
-        array. ``eps`` is the noise of all arrays, (n_weights,), or of S
-        stacked draws, (S, n_weights), which gives stacked weights."""
-        stack = eps.shape[:-1]
-        weights = {}
-        start = 0
-        for name, shape in self.shapes.items():
-            stop = start + math.prod(shape)
-            weights[name] = gaussian_reparam(params[name], params[f"{name}.logvar"],
-                                             eps[..., start:stop].reshape(*stack, *shape))
-            start = stop
-        return weights
+    def forward(self, x, params, eps=None) -> Tensor:
+        """Forward pass under the weights means + exp(logvars/2) * eps, one
+        record; ``eps`` is the noise of one draw, (n_weights,), or of S
+        stacked draws, (S, n_weights). Without it, under the means."""
+        means = params[f"{self.prefix}.means"]
+        if eps is None:
+            return ad.mlp(x, self.layout, means)
+        return ad.mlp(x, self.layout, means, params[f"{self.prefix}.logvars"], eps)
 
     def kl_to_prior(self, params, beta: float) -> Tensor:
         """KL of the whole posterior to the N(0, 1/beta I) prior."""
         return gaussian_kl_diag(params[f"{self.prefix}.means"],
                                 params[f"{self.prefix}.logvars"],
                                 0.0, float(np.log(1.0 / beta)))
-
-
-def _nll_rows(probs: Tensor, labels) -> Tensor:
-    """Differentiable -log p_y per row, shape (N, 1)."""
-    return ad.scale(-1.0, ad.take_labels(ad.log(probs), labels))
 
 
 def _dirichlet_mean(alpha):
@@ -299,12 +293,12 @@ class BnnModel(_Model):
         self._pack(self.net.initial_groups(rng))
 
     def _probs(self, x: Tensor, params, eps) -> Tensor:
-        return ad.softmax_rows(self.net.forward(x, self.net.sampled_weights(params, eps)))
+        return ad.softmax_rows(self.net.forward(x, params, eps))
 
     def loss(self, leaves, xb, yb, rng, n_total):
         """One-draw Monte Carlo estimate of the per-example negative ELBO."""
-        probs = self._probs(as_tensor(xb), leaves, rng.normal(size=self.net.n_weights))
-        nll = ad.tmean(_nll_rows(probs, yb))
+        logits = self.net.forward(as_tensor(xb), leaves, rng.normal(size=self.net.n_weights))
+        nll = ad.softmax_nll(logits, yb)
         kl = self.net.kl_to_prior(leaves, self.beta)
         # per-example ELBO: batch-mean NLL pairs with KL / dataset-size
         return ad.add(nll, ad.scale(1.0 / n_total, kl))
@@ -469,8 +463,8 @@ class EtpModel(_Model):
     def free_energy(self, leaves, xb, yb, rng, n_total):
         """Variational free energy from one weight draw and one memory draw;
         memory treated as constant."""
-        weights = self.encoder.sampled_weights(leaves, rng.normal(size=self.encoder.n_weights))
-        v = self.encoder.forward(as_tensor(np.atleast_2d(xb)), weights)
+        v = self.encoder.forward(as_tensor(np.atleast_2d(xb)), leaves,
+                                 rng.normal(size=self.encoder.n_weights))
         enll = self._evidential_nll(self.concentration(v, self.draw_memory(rng), leaves), yb)
         kl = self.encoder.kl_to_prior(leaves, self.beta)
         return ad.add(enll, ad.scale(1.0 / n_total, kl))
@@ -487,8 +481,7 @@ class EtpModel(_Model):
         n_samples_z memory draws; one draw at a time bounds the memory."""
         params = self.params
         for _ in range(n_samples):
-            eps = rng.normal(size=self.encoder.n_weights)
-            v = self.encoder.forward(x, self.encoder.sampled_weights(params, eps))
+            v = self.encoder.forward(x, params, rng.normal(size=self.encoder.n_weights))
             for _ in range(n_samples_z):
                 yield _dirichlet_mean(self.concentration(v, self.draw_memory(rng), params).data)
 
@@ -499,10 +492,10 @@ class EtpModel(_Model):
         first, then memory."""
         n_w = self.encoder.n_weights
         noise = rng.normal(size=(n_samples, n_w + self.memory.size))
-        weights = self.encoder.sampled_weights(self.params, noise[:, :n_w])
+        v = self.encoder.forward(x, self.params, noise[:, :n_w])
         z = self.memory + np.sqrt(self.kappa2) * noise[:, n_w:].reshape(
             n_samples, *self.memory.shape)
-        alpha = self.concentration(self.encoder.forward(x, weights), z, self.params).data
+        alpha = self.concentration(v, z, self.params).data
         return decompose_cbm(lambda s: alpha[s, 0], n_samples)
 
     def memory_evidence(self, x, rng, n_samples=10):
@@ -601,7 +594,7 @@ def train(model, ds: LabeledDataset, cfg: TrainConfig, rng: SeededRng):
         for b, (xb, yb) in enumerate(batch_iterator(ds, cfg.batch_size, rng, epoch)):
             try:
                 with np.errstate(over="raise", invalid="raise"):
-                    leaves = ad.Tape().flat_leaves(model.theta, model.spans)
+                    leaves = ad.Tape().flat_leaves(model.theta, model.blocks)
                     loss = model.step_loss(leaves, xb, yb, rng, cfg, epoch, n_total)
                     value = float(loss.data)
                     if not np.isfinite(value):

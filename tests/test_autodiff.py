@@ -21,6 +21,7 @@ from etproc.autodiff import (
     adam_step,
     backward,
 )
+from etproc.distributions import gaussian_reparam
 
 FD_STEP = 1e-5
 FD_RTOL = 1e-4
@@ -547,6 +548,207 @@ class TestAttention:
     def test_shape_mismatch(self, shapes):
         with pytest.raises(ShapeMismatchError, match="attention"):
             ad.attention(*(Tensor(np.ones(s)) for s in shapes), 1.0)
+
+
+def mlp_layout(dims):
+    """(offset, fan_in, fan_out) per layer of a block that holds W0, b0, W1, ..."""
+    layout, offset = [], 0
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        layout.append((offset, fan_in, fan_out))
+        offset += (fan_in + 1) * fan_out
+    return layout, offset
+
+
+def mlp_unfused(x, layout, arrays, eps=None):
+    """The graph that ``ad.mlp`` fuses, on one leaf per array: a
+    ``gaussian_reparam`` per array when there is noise, then matmul, add
+    and relu per layer. ``arrays`` maps "W0", "b0", ... (and "W0.lv", ...
+    with noise) to leaves."""
+    h = x
+    for i, (off, fan_in, fan_out) in enumerate(layout):
+        layer = []
+        for name, start, shape in ((f"W{i}", off, (fan_in, fan_out)),
+                                   (f"b{i}", off + fan_in * fan_out, (fan_out,))):
+            w = arrays[name]
+            if eps is not None:
+                noise = eps[..., start:start + w.data.size]
+                w = gaussian_reparam(w, arrays[f"{name}.lv"],
+                                     noise.reshape(*eps.shape[:-1], *shape))
+            layer.append(w)
+        h = ad.add(ad.matmul(h, layer[0]), layer[1])
+        if i < len(layout) - 1:
+            h = ad.relu(h)
+    return h
+
+
+class TestMlp:
+    """``ad.mlp`` equals the unfused graph, forward and backward, bit for bit."""
+
+    DIMS = [(3, 5, 2), (3, 5, 10), (3, 4, 6, 2), (3, 3)]  # the last: hidden (), a linear net
+
+    @staticmethod
+    def leaves(dims, variational, seed=60):
+        """A tape with one flat vector, means then log-variances, spanned as
+        whole blocks ("means", "logvars"), per array and whole ("all")."""
+        layout, size = mlp_layout(dims)
+        rng = np.random.default_rng(seed)
+        vector = rng.normal(size=size) * 0.8
+        spans = {"all": (0, size, (size,)), "means": (0, size, (size,))}
+        if variational:
+            vector = np.concatenate([vector, rng.uniform(-3.0, -0.5, size=size)])
+            spans.update(all=(0, 2 * size, (2 * size,)), logvars=(size, 2 * size, (size,)))
+        for i, (off, fan_in, fan_out) in enumerate(layout):
+            for name, start, shape in ((f"W{i}", off, (fan_in, fan_out)),
+                                       (f"b{i}", off + fan_in * fan_out, (fan_out,))):
+                stop = start + int(np.prod(shape))
+                spans[name] = (start, stop, shape)
+                if variational:
+                    spans[f"{name}.lv"] = (start + size, stop + size, shape)
+        tape = Tape()
+        return tape, tape.flat_leaves(vector, spans), layout, size
+
+    def run(self, fused, dims, inputs, noise):
+        """Output, the flat gradient and x's gradient of a loss that also
+        reaches x outside the network, as ENP's loss reaches its head's input."""
+        rng = np.random.default_rng(61)
+        tape, leaves, layout, size = self.leaves(dims, noise is not None)
+        stack = (4,) if inputs == "stacked" else ()
+        x_data = rng.normal(size=(*stack, 7, dims[0]))
+        x = tape.leaf(x_data) if inputs == "tracked" else Tensor(x_data)
+        eps = None
+        if noise is not None:
+            eps = rng.normal(size=(4, size) if noise == "stacked" else size)
+        if not fused:
+            out = mlp_unfused(x, layout, leaves, eps)
+        elif noise is None:
+            out = ad.mlp(x, layout, leaves["means"])
+        else:
+            out = ad.mlp(x, layout, leaves["means"], leaves["logvars"], eps)
+        loss = ad.tsum(ad.mul(ad.tanh(out), Tensor(rng.normal(size=out.shape))))
+        if inputs == "tracked":
+            loss = ad.add(loss, ad.tsum(ad.tanh(x)))
+        grads = backward(loss)
+        g_x = grads[x.node_id] if inputs == "tracked" else None
+        return out.data, grads[leaves["all"].node_id], g_x
+
+    @pytest.mark.parametrize("noise", [None, "one", "stacked"])
+    @pytest.mark.parametrize("inputs", ["plain", "stacked", "tracked"])
+    @pytest.mark.parametrize("dims", DIMS)
+    def test_matches_unfused_graph_bit_for_bit(self, dims, inputs, noise):
+        out, flat, g_x = self.run(True, dims, inputs, noise)
+        want_out, want_flat, want_g_x = self.run(False, dims, inputs, noise)
+        assert np.array_equal(out, want_out)
+        assert np.array_equal(flat, want_flat)
+        assert np.array_equal(g_x, want_g_x)
+
+    @pytest.mark.parametrize("noise", [None, "one", "stacked"])
+    @pytest.mark.parametrize("dims", DIMS)
+    def test_untracked_matches_unfused_graph(self, dims, noise):
+        _, leaves, layout, size = self.leaves(dims, noise is not None)
+        arrays = {name: Tensor(leaf.data) for name, leaf in leaves.items()}
+        rng = np.random.default_rng(62)
+        x = Tensor(rng.normal(size=(7, dims[0])))
+        eps = None if noise is None else rng.normal(size=(4, size) if noise == "stacked" else size)
+        extra = () if noise is None else (arrays["logvars"], eps)
+        out = ad.mlp(x, layout, arrays["means"], *extra)
+        assert out.tape is None
+        assert np.array_equal(out.data, mlp_unfused(x, layout, arrays, eps).data)
+
+    def test_one_tape_record(self):
+        tape, leaves, layout, size = self.leaves((3, 5, 2), True)
+        x = tape.leaf(np.ones((2, 3)))
+        ad.mlp(x, layout, leaves["means"], leaves["logvars"], np.zeros(size))
+        ad.mlp(x, layout, leaves["means"])
+        assert len(tape._records) == 2
+
+    @pytest.mark.parametrize("operand, noise", [
+        ("x", None), ("weights", None), ("x", "one"), ("weights", "one"), ("logvars", "one"),
+        ("x", "stacked"), ("weights", "stacked"), ("logvars", "stacked")])
+    def test_finite_differences(self, operand, noise):
+        dims = (3, 4, 6, 2)
+        layout, size = mlp_layout(dims)
+        rng = np.random.default_rng(63)
+        arrays = {"x": rng.normal(size=(5, 3)), "weights": rng.normal(size=size) * 0.8,
+                  "logvars": rng.uniform(-3.0, -0.5, size=size)}
+        eps = rng.normal(size=(3, size) if noise == "stacked" else size)
+        w = rng.normal(size=(3, 5, 2) if noise == "stacked" else (5, 2))
+
+        def build(t):
+            args = {**{k: Tensor(a) for k, a in arrays.items()}, operand: t}
+            extra = () if noise is None else (args["logvars"], eps)
+            out = ad.mlp(args["x"], layout, args["weights"], *extra)
+            return ad.tsum(ad.mul(ad.tanh(out), Tensor(w)))
+
+        assert_grad_matches(build, arrays[operand])
+
+    @pytest.mark.parametrize("x_shape, block, logvars, noise", [
+        ((2, 4), 21, None, None),   # input width is not the first fan-in
+        ((2, 3), 20, None, None),   # block shorter than the layout
+        ((3,), 21, None, None),     # a 1-D input
+        ((2, 3), 21, 20, 21),       # log-variances of another size
+        ((2, 3), 21, 21, 20),       # noise of another size
+        ((2, 3), 21, 21, (2, 2, 21)),  # two stack axes of noise
+    ])
+    def test_shape_mismatch(self, x_shape, block, logvars, noise):
+        layout, _ = mlp_layout((3, 4, 1))  # a block of 21
+        extra = [] if logvars is None else [Tensor(np.zeros(logvars)), np.zeros(noise)]
+        with pytest.raises(ShapeMismatchError, match="mlp"):
+            ad.mlp(Tensor(np.ones(x_shape)), layout, Tensor(np.zeros(block)), *extra)
+
+
+def softmax_nll_unfused(logits, labels):
+    """The graph that ``ad.softmax_nll`` fuses."""
+    log_p = ad.log(ad.softmax_rows(logits))
+    return ad.tmean(ad.scale(-1.0, ad.take_labels(log_p, labels)))
+
+
+class TestSoftmaxNll:
+    @staticmethod
+    def run(nll, n, k, seed=70):
+        """Value and logits gradient of a loss that also reaches the logits
+        outside the NLL, as a network's output bias sees one adjoint."""
+        rng = np.random.default_rng(seed)
+        tape = Tape()
+        logits = tape.leaf(rng.normal(size=(n, k)) * 3.0)
+        labels = rng.integers(0, k, size=n)
+        loss = ad.add(nll(logits, labels), ad.scale(0.3, ad.tsum(ad.tanh(logits))))
+        return loss.data, backward(loss)[logits.node_id]
+
+    @pytest.mark.parametrize("k", [2, 10])
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    def test_matches_unfused_graph_bit_for_bit(self, n, k):
+        value, grad = self.run(ad.softmax_nll, n, k)
+        want_value, want_grad = self.run(softmax_nll_unfused, n, k)
+        assert np.array_equal(value, want_value)
+        assert np.array_equal(grad, want_grad)
+
+    @pytest.mark.parametrize("k", [2, 10])
+    def test_finite_differences(self, k):
+        rng = np.random.default_rng(71)
+        labels = rng.integers(0, k, size=6)
+        assert_grad_matches(lambda x: ad.softmax_nll(x, labels), rng.normal(size=(6, k)))
+
+    def test_one_tape_record(self):
+        tape = Tape()
+        ad.softmax_nll(tape.leaf(np.zeros((3, 4))), np.array([0, 1, 3]))
+        assert len(tape._records) == 1
+
+    def test_value(self):
+        logits = np.log(np.array([[0.25, 0.75], [0.5, 0.5]]))
+        nll = ad.softmax_nll(logits, np.array([1, 0]))
+        assert float(nll.data) == pytest.approx(-(np.log(0.75) + np.log(0.5)) / 2, rel=1e-14)
+
+    def test_underflow_is_a_domain_error(self):
+        """A probability that underflows to 0, even off the labels, raises as
+        ``log`` of it does; training reports that as divergence."""
+        with pytest.raises(ad.DomainError, match="non-positive"):
+            ad.softmax_nll(np.array([[0.0, -1e4, 1.0]]), np.array([0]))
+
+    def test_bad_labels(self):
+        with pytest.raises(IndexError):
+            ad.softmax_nll(np.zeros((2, 2)), np.array([0, 2]))
+        with pytest.raises(ShapeMismatchError, match="softmax-nll"):
+            ad.softmax_nll(np.zeros((2, 2)), np.array([0]))
 
 
 class TestFlatLeaves:
