@@ -246,16 +246,31 @@ def softmax_rows(a) -> Tensor:
     a = as_tensor(a)
     if a.data.ndim not in (2, 3):
         raise ShapeMismatchError(f"softmax-rows: expected 2-D or 3-D, got {a.shape}")
-    # one buffer for the shift, the exponential and the normalisation
-    out = a.data - a.data.max(axis=-1, keepdims=True)
-    np.exp(out, out=out)
-    out /= out.sum(axis=-1, keepdims=True)
+    out = _softmax(a.data)
 
     def vjp(g):
         dot = (g * out).sum(axis=-1, keepdims=True)
         return out * (g - dot)
 
     return emit(out, (a,), (vjp,))
+
+
+def _softmax(x):
+    """Softmax over the last axis: one new buffer for shift, exp and normalisation."""
+    out = x - x.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
+
+
+def _check_labels(name, a, labels):
+    """``labels`` as an array, checked to hold one label in [0, K) per row of (N, K) ``a``."""
+    labels = np.asarray(labels)
+    if a.data.ndim != 2 or labels.shape != (a.shape[0],):
+        raise ShapeMismatchError(f"{name}: {a.shape} with labels {labels.shape}")
+    if len(labels) and (labels.min() < 0 or labels.max() >= a.shape[1]):
+        raise IndexError("label out of range")
+    return labels
 
 
 def _pairwise_sum(x, axis):
@@ -420,14 +435,8 @@ def softmax_nll(logits, labels) -> Tensor:
     it raises DomainError when any probability is 0.
     """
     logits = as_tensor(logits)
-    labels = np.asarray(labels)
-    if logits.data.ndim != 2 or labels.shape != (logits.shape[0],):
-        raise ShapeMismatchError(f"softmax-nll: {logits.shape} with labels {labels.shape}")
-    if len(labels) and (labels.min() < 0 or labels.max() >= logits.shape[1]):
-        raise IndexError("label out of range")
-    probs = logits.data - logits.data.max(axis=-1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
+    labels = _check_labels("softmax-nll", logits, labels)
+    probs = _softmax(logits.data)
     if np.any(probs <= 0.0):
         raise DomainError("log: non-positive input")
     rows = np.arange(len(labels))
@@ -490,11 +499,7 @@ def sum_rows(a) -> Tensor:
 def take_labels(a, labels) -> Tensor:
     """Entry (i, labels[i]) of each row of an (N, K) tensor, as an (N, 1) column."""
     a = as_tensor(a)
-    labels = np.asarray(labels)
-    if a.data.ndim != 2 or labels.shape != (a.shape[0],):
-        raise ShapeMismatchError(f"take-labels: {a.shape} with labels {labels.shape}")
-    if len(labels) and (labels.min() < 0 or labels.max() >= a.shape[1]):
-        raise IndexError("label out of range")
+    labels = _check_labels("take-labels", a, labels)
     rows = np.arange(len(labels))
 
     def vjp(g):

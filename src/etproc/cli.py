@@ -92,13 +92,6 @@ def _checkpoint_config(cfg, path, model, meta) -> harness.ExperimentConfig:
     hyper = model.hyper()
     values = {key: hyper[key] for key in models.MODEL_KEYS if key in hyper}
     values.update(model=model.kind, hidden=tuple(hyper["hidden"]))
-    if "identity_keys" in hyper:
-        # `simplified` sets identity_keys and clears update_tanh: equal flags have no config
-        if hyper["identity_keys"] == hyper["update_tanh"]:
-            raise models.CheckpointError(
-                f"checkpoint {path} has identity_keys={hyper['identity_keys']} with "
-                f"update_tanh={hyper['update_tanh']}, which no config expresses")
-        values["simplified"] = hyper["identity_keys"]
     if meta.get("task") is not None:
         values["task"] = meta["task"]
     if meta.get("seed") is not None:

@@ -42,7 +42,6 @@ class ExperimentConfig(models_mod.TrainConfig, models_mod.ModelConfig):
 
     task: str = "two-gaussians"
     model: str = "etp"
-    simplified: bool = False
     n_predict_samples: int = 16
     n_predict_z_samples: int = 8
     ece_bins: int = 10
@@ -214,22 +213,10 @@ def fmnist_mnist_paths(data_dir) -> dict:
     }
 
 
-def model_hyper(cfg: ExperimentConfig, cls) -> dict:
-    """The config's values of the model class's HYPER arguments; ``simplified``
-    sets ETP's identity_keys and clears its update_tanh."""
-    simplified = {"identity_keys": cfg.simplified, "update_tanh": not cfg.simplified}
-    return {name: simplified[name] if name in simplified else getattr(cfg, name)
-            for name in cls.HYPER}
-
-
 def build_model(cfg: ExperimentConfig, input_dim: int, num_classes: int, rng: SeededRng):
     cls = models_mod.MODEL_CLASSES[cfg.model]
-    return cls(input_dim, num_classes, cfg.hidden, rng, **model_hyper(cfg, cls))
-
-
-def train_config(cfg: ExperimentConfig) -> models_mod.TrainConfig:
-    """The training keys of the config: an ExperimentConfig is a TrainConfig."""
-    return cfg
+    return cls(input_dim, num_classes, cfg.hidden, rng,
+               **{name: getattr(cfg, name) for name in cls.HYPER})
 
 
 # ---------------------------------------------------------------------------

@@ -111,30 +111,25 @@ def entropy_rows(probs):
 # variance decompositions
 
 
-def decompose_pbm(sampler, n_samples: int) -> DecompositionTriple:
-    """Two-term split for models with global random weights only.
-
-    ``sampler(s)`` returns the s-th class-probability vector h under a
-    fresh weight draw. The split is the three-term one with zero
-    Dirichlet variance, so the irreducible term is 0.
-    """
-    if n_samples < 2:
-        raise ValueError("need at least 2 samples")
-    means = np.stack([np.asarray(sampler(s), dtype=np.float64) for s in range(n_samples)])
+def decompose_pbm(means) -> DecompositionTriple:
+    """Two-term split for models with global random weights only: ``means``
+    stacks the class probabilities h of S weight draws, (S, K). The split is
+    the three-term one with zero Dirichlet variance, so the irreducible term is 0."""
+    means = np.asarray(means, dtype=np.float64)
+    if means.ndim != 2 or len(means) < 2:
+        raise ValueError(f"need an (S, K) stack of at least 2 samples, got shape {means.shape}")
     return _split(means, np.zeros_like(means))
 
 
-def decompose_cbm(alpha_sampler, n_outer: int) -> DecompositionTriple:
-    """Three-term split for hierarchical Dirichlet models.
-
-    ``alpha_sampler(s)`` returns the concentration vector under the s-th
-    draw of the global variables; the inner Dirichlet moments are
-    analytic, so no inner sampling is needed. The draws are stacked into
-    one (S, K) matrix and their moments taken in one call.
-    """
-    if n_outer < 2:
-        raise ValueError("need at least 2 outer samples")
-    mean_t, var_t = dirichlet_moments_rows(np.stack([alpha_sampler(s) for s in range(n_outer)]))
+def decompose_cbm(alphas) -> DecompositionTriple:
+    """Three-term split for hierarchical Dirichlet models: ``alphas`` stacks
+    the concentrations of S draws of the global variables, (S, K). The inner
+    Dirichlet moments are analytic, so one call takes them for every draw."""
+    alphas = np.asarray(alphas, dtype=np.float64)
+    if alphas.ndim != 2 or len(alphas) < 2:
+        raise ValueError(f"need an (S, K) stack of at least 2 outer samples, "
+                         f"got shape {alphas.shape}")
+    mean_t, var_t = dirichlet_moments_rows(alphas)
     return _split(mean_t.data, var_t.data)
 
 

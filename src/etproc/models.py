@@ -93,6 +93,7 @@ class ModelConfig:
     beta_reg: float = 0.0
     combiner: str = "residual"
     aggregation: str = "mean"
+    simplified: bool = False  # ETP: identity attention keys, no tanh in the memory write
 
     def __post_init__(self):
         """Raise ValueError naming the first model key outside its domain."""
@@ -106,7 +107,8 @@ class ModelConfig:
                 ("combiner", self.combiner in ("residual", "direct"),
                  "must be 'residual' or 'direct'"),
                 ("aggregation", self.aggregation in ("mean", "attention"),
-                 "must be 'mean' or 'attention'")):
+                 "must be 'mean' or 'attention'"),
+                ("simplified", isinstance(self.simplified, bool), "must be true or false")):
             if not inside:
                 raise ValueError(f"{key}: {domain}, got {getattr(self, key)!r}")
 
@@ -142,22 +144,21 @@ class _Model:
     """Trainables packed into one contiguous vector ``theta``, and the
     parts of the model protocol that every kind shares."""
 
-    HYPER = ()  # constructor arguments beyond the architecture
+    HYPER = ()  # the model keys this kind reads, beyond hidden
     clamp_events = 0  # entries the concentration cap has clamped
 
     def __init__(self, input_dim, num_classes, hidden, **keys):
-        """Set the ``HYPER`` arguments from ``keys``, or from the ModelConfig
+        """Set the ``HYPER`` model keys from ``keys``, or from the ModelConfig
         defaults, which check them; a key outside ``HYPER`` raises TypeError."""
         unknown = sorted(set(keys) - set(self.HYPER))
         if unknown:
             raise TypeError(f"{type(self).__name__} got unexpected keyword arguments {unknown}")
         if input_dim < 1 or num_classes < 1:
             raise ValueError("input_dim and num_classes must be positive")
-        config = ModelConfig(tuple(hidden), **{k: v for k, v in keys.items() if k in MODEL_KEYS})
-        values = {**vars(config), **keys}
+        config = ModelConfig(tuple(hidden), **keys)
         self.input_dim = input_dim
         self.num_classes = num_classes
-        vars(self).update({name: values[name] for name in ("hidden", *self.HYPER)})
+        vars(self).update({name: getattr(config, name) for name in ("hidden", *self.HYPER)})
 
     def _pack(self, groups):
         """Copy the arrays of ``groups``, block -> name -> array, into ``theta``
@@ -315,7 +316,7 @@ class BnnModel(_Model):
         weight draws, stacked."""
         eps = rng.normal(size=(n_samples, self.net.n_weights))
         probs = self._probs(as_tensor(x), self.params, eps).data  # (S, 1, K)
-        return decompose_pbm(lambda s: probs[s, 0], n_samples)
+        return decompose_pbm(probs[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -394,17 +395,14 @@ class EdlModel(_Model):
 
 class EtpModel(_Model):
     kind = "etp"
-    HYPER = ("memory_cells", "gamma", "kappa2", "beta", "beta_reg", "combiner",
-             "identity_keys", "update_tanh")
+    HYPER = ("memory_cells", "gamma", "kappa2", "beta", "beta_reg", "combiner", "simplified")
 
-    def __init__(self, input_dim, num_classes, hidden, rng,
-                 identity_keys=False, update_tanh=True, **keys):
-        super().__init__(input_dim, num_classes, hidden, identity_keys=identity_keys,
-                         update_tanh=update_tanh, **keys)
+    def __init__(self, input_dim, num_classes, hidden, rng, **keys):
+        super().__init__(input_dim, num_classes, hidden, **keys)
         self.encoder = VariationalMlp((input_dim, *self.hidden, num_classes), "enc")
         groups = self.encoder.initial_groups(rng)
         self.keynet = None
-        if not identity_keys:
+        if not self.simplified:
             self.keynet = _Mlp((num_classes, num_classes), "key")
             groups["key"] = self.keynet.initial_weights(rng)
         self.memory = np.zeros((self.memory_cells, num_classes))
@@ -455,7 +453,7 @@ class EtpModel(_Model):
             _, phi = self.attend(v, z, self.params)                # (S, C, R)
             contrib = np.swapaxes(phi, -1, -2) @ info              # (S, R, K)
         update = self.gamma * self.memory + (1.0 - self.gamma) * contrib
-        self.memory = (np.tanh(update) if self.update_tanh else update).sum(axis=0) / n_samples
+        self.memory = (update if self.simplified else np.tanh(update)).sum(axis=0) / n_samples
         return self.memory
 
     # -- objective ----------------------------------------------------------
@@ -496,7 +494,7 @@ class EtpModel(_Model):
         z = self.memory + np.sqrt(self.kappa2) * noise[:, n_w:].reshape(
             n_samples, *self.memory.shape)
         alpha = self.concentration(v, z, self.params).data
-        return decompose_cbm(lambda s: alpha[s, 0], n_samples)
+        return decompose_cbm(alpha[:, 0])
 
     def memory_evidence(self, x, rng, n_samples=10):
         """Mean memory-induced evidence per class at the given inputs.

@@ -206,7 +206,7 @@ def test_criterion_05_decomposition_totals():
             logits = base + rng.normal(size=(s, k)) * noise
             draws = np.exp(logits - logits.max(axis=1, keepdims=True))
             draws /= draws.sum(axis=1, keepdims=True)
-            triple = metrics.decompose_pbm(lambda i: draws[i], s)
+            triple = metrics.decompose_pbm(draws)
             # independent direct simulation of the one-hot outcome variance
             logits2 = base + rng.normal(size=(s, k)) * noise
             p2 = np.exp(logits2 - logits2.max(axis=1, keepdims=True))
@@ -215,7 +215,7 @@ def test_criterion_05_decomposition_totals():
             means = draws
         else:
             alphas = np.exp(base + rng.normal(size=(s, k)) * noise)
-            triple = metrics.decompose_cbm(lambda i: alphas[i], s)
+            triple = metrics.decompose_cbm(alphas)
             alphas2 = np.exp(base + rng.normal(size=(s, k)) * noise)
             pis = np.vstack([rng.dirichlet(a) for a in alphas2])
             labels = (pis.cumsum(axis=1) < rng.uniform(size=(s, 1))).sum(axis=1)
@@ -267,7 +267,7 @@ def test_criterion_07_iris_training_accuracy():
             model = harness.build_model(
                 resolve_config(None, {"task": "iris2d", "model": kind, "epochs": 400}),
                 2, 3, SeededRng(seed=seed, stream=2))
-            train(model, train_ds, harness.train_config(cfg), SeededRng(seed=seed, stream=4))
+            train(model, train_ds, cfg, SeededRng(seed=seed, stream=4))
             probs = predict(model, train_ds.features, SeededRng(seed=seed, stream=3),
                             n_samples=8, n_samples_z=2)
             hits = probs.argmax(axis=1) == train_ds.labels
@@ -368,7 +368,7 @@ def test_criterion_10_metric_oracles():
 
 def corruption_ece_curve(kind, seed):
     train_ds, _ = gen_two_gaussians(20, SeededRng(seed=seed, stream=1))
-    hyper = {"identity_keys": True, "update_tanh": False} if kind == "etp" else {}
+    hyper = {"simplified": True} if kind == "etp" else {}
     model = make_model(kind, 1, 2, (32,), SeededRng(seed=seed, stream=2), **hyper)
     train(model, train_ds, TrainConfig(epochs=400, batch_size=40),
           SeededRng(seed=seed, stream=4))

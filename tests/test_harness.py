@@ -157,7 +157,9 @@ seeds = 3,4,5
         assert cfg.seeds == (1, 2)
         assert cfg.epochs == 9
 
-    @pytest.mark.parametrize("key,value,pattern", REJECTED + TRAINING_REJECTED)
+    # a text value would parse as a bool; only a caller's object can be another type
+    @pytest.mark.parametrize("key,value,pattern", REJECTED + TRAINING_REJECTED + [
+        ("simplified", 1, "simplified")])
     def test_validation_rejects(self, key, value, pattern):
         with pytest.raises(ConfigError, match=pattern):
             resolve_config(None, {key: value})
@@ -692,26 +694,17 @@ decomposition_samples = 64
         assert err.startswith("usage: etproc") and "error: " in err
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("identity_keys, update_tanh", [
-        (True, False), (False, True), (True, True), (False, False)])
-    def test_etp_flag_pair_exit_code(self, tmp_path, capsys, identity_keys, update_tanh):
-        """`simplified` sets identity_keys and clears update_tanh; a checkpoint
-        whose two flags are equal has no config to report."""
+    @pytest.mark.parametrize("simplified", [True, False])
+    def test_etp_simplified_round_trip(self, tmp_path, simplified):
+        """ETP's `simplified` key goes from the checkpoint into eval's report config."""
         ckpt = tmp_path / "etp.npz"
-        model = make_model("etp", 1, 2, (4,), SeededRng(seed=0, stream=2),
-                           identity_keys=identity_keys, update_tanh=update_tanh)
-        save_checkpoint(model, ckpt, seed=0, extra_meta={"task": "two-gaussians"})
+        save_checkpoint(make_model("etp", 1, 2, (4,), SeededRng(seed=0, stream=2),
+                                   simplified=simplified),
+                        ckpt, seed=0, extra_meta={"task": "two-gaussians"})
         out = tmp_path / "eval.json"
-        code = cli.main(["eval", "--config", self.fast_config(tmp_path), "--checkpoint",
-                         str(ckpt), "--out", str(out)])
-        err = capsys.readouterr().err
-        if identity_keys != update_tanh:
-            assert code == 0
-            assert json.loads(out.read_text())["config"]["simplified"] is identity_keys
-        else:
-            assert code == 2 and not out.exists()
-            assert err.startswith("data error: ") and str(ckpt) in err
-            assert "identity_keys" in err and "update_tanh" in err
+        assert cli.main(["eval", "--config", self.fast_config(tmp_path), "--checkpoint",
+                         str(ckpt), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["config"]["simplified"] is simplified
 
     @pytest.mark.parametrize("command", ["eval", "decompose"])
     @pytest.mark.parametrize("name", ["enc.W0", "__memory__"])
@@ -856,12 +849,15 @@ def run_script(name, *args):
 
 
 class TestScripts:
-    def test_run_two_gaussians(self, tmp_path):
+    @pytest.mark.parametrize("simplified", [False, True])
+    def test_run_two_gaussians(self, tmp_path, simplified):
         out = run_script("run_two_gaussians.py", "--epochs", "1", "--seeds", "0",
-                         "--out-dir", str(tmp_path))
+                         "--out-dir", str(tmp_path), *(["--simplified"] if simplified else []))
         for kind in MODEL_KINDS:
             report = json.loads((tmp_path / f"two_gaussians_{kind}.json").read_text())
             assert report["config"]["model"] == kind and report["config"]["epochs"] == 1
+            # the flag reaches ETP only
+            assert report["config"]["simplified"] is (simplified and kind == "etp")
             assert [row["seed"] for row in report["per_seed"]] == [0]
             assert report["aggregate"]["nll"]["mean"] is not None
         assert [line.split(":")[0] for line in out.splitlines()] == list(MODEL_KINDS)

@@ -210,21 +210,20 @@ class TestEntropy:
 
 class TestDecomposePbm:
     def test_constant_sampler(self):
-        triple = decompose_pbm(lambda s: np.array([0.5, 0.5]), 100)
+        triple = decompose_pbm(np.full((100, 2), 0.5))
         np.testing.assert_allclose(triple.reducible, 0.0, atol=1e-15)
         np.testing.assert_allclose(triple.data, 0.25)
         np.testing.assert_allclose(triple.irreducible, 0.0)
 
     def test_pure_disagreement(self):
-        triple = decompose_pbm(
-            lambda s: np.array([1.0, 0.0]) if s % 2 == 0 else np.array([0.0, 1.0]), 100)
+        triple = decompose_pbm(np.tile([[1.0, 0.0], [0.0, 1.0]], (50, 1)))
         np.testing.assert_allclose(triple.reducible, 0.25)
         np.testing.assert_allclose(triple.data, 0.0, atol=1e-15)
 
     def test_terms_sum_to_total_exactly(self):
         rng = np.random.default_rng(4)
         draws = rng.dirichlet([1.0, 1.0, 1.0], size=64)
-        triple = decompose_pbm(lambda s: draws[s], 64)
+        triple = decompose_pbm(draws)
         np.testing.assert_allclose(triple.reducible + triple.irreducible + triple.data,
                                    triple.total, atol=1e-14)
 
@@ -233,7 +232,7 @@ class TestDecomposePbm:
         # should match the decomposition total within MC error
         rng = np.random.default_rng(5)
         draws = rng.dirichlet([2.0, 1.0, 0.5], size=200)
-        triple = decompose_pbm(lambda s: draws[s], 200)
+        triple = decompose_pbm(draws)
         n_sim = 200_000
         h = draws[rng.integers(0, 200, size=n_sim)]
         y = (rng.uniform(size=n_sim)[:, None] > h.cumsum(axis=1)).sum(axis=1)
@@ -244,12 +243,17 @@ class TestDecomposePbm:
 
     def test_minimum_samples(self):
         with pytest.raises(ValueError):
-            decompose_pbm(lambda s: np.array([1.0, 0.0]), 1)
+            decompose_pbm(np.array([[1.0, 0.0]]))
+
+    def test_unstacked_vector_rejected(self):
+        # one (K,) probability vector is not K draws of a scalar
+        with pytest.raises(ValueError, match="\\(S, K\\) stack"):
+            decompose_pbm(np.array([0.3, 0.7]))
 
 
 class TestDecomposeCbm:
     def test_deterministic_outer_uniform_alpha(self):
-        triple = decompose_cbm(lambda s: np.array([1.0, 1.0]), 50)
+        triple = decompose_cbm(np.ones((50, 2)))
         np.testing.assert_allclose(triple.reducible, 0.0, atol=1e-15)
         np.testing.assert_allclose(triple.irreducible, 1.0 / 12.0)
         np.testing.assert_allclose(triple.data, 1.0 / 6.0)
@@ -257,14 +261,14 @@ class TestDecomposeCbm:
     def test_terms_sum_to_total_exactly(self):
         rng = np.random.default_rng(6)
         alphas = rng.uniform(0.3, 10.0, size=(40, 4))
-        triple = decompose_cbm(lambda s: alphas[s], 40)
+        triple = decompose_cbm(alphas)
         np.testing.assert_allclose(triple.reducible + triple.irreducible + triple.data,
                                    triple.total, atol=1e-14)
 
     def test_against_nested_sampling_oracle(self):
         rng = np.random.default_rng(7)
         alphas = rng.uniform(0.5, 6.0, size=(100, 3))
-        triple = decompose_cbm(lambda s: alphas[s], 100)
+        triple = decompose_cbm(alphas)
         n_sim = 200_000
         a = alphas[rng.integers(0, 100, size=n_sim)]
         pis = np.stack([rng.dirichlet(row) for row in a[:5000]])
@@ -281,12 +285,16 @@ class TestDecomposeCbm:
 
     def test_minimum_samples(self):
         with pytest.raises(ValueError):
-            decompose_cbm(lambda s: np.array([1.0, 1.0]), 1)
+            decompose_cbm(np.array([[1.0, 1.0]]))
+
+    def test_unstacked_vector_rejected(self):
+        with pytest.raises(ValueError, match="\\(S, K\\) stack"):
+            decompose_cbm(np.array([1.0, 2.0]))
 
     @pytest.mark.parametrize("bad", [0.0, -1.0])
     def test_nonpositive_concentration_rejected(self, bad):
         with pytest.raises(DomainError):
-            decompose_cbm(lambda s: np.array([1.0, bad]), 2)
+            decompose_cbm(np.array([[1.0, bad]] * 2))
 
 
 class TestMixtureOracle:

@@ -288,7 +288,7 @@ class TestAttention:
         """Attention weights and read of one query under EtpModel.attend,
         with identity keys or a linear key map."""
         model = EtpModel(1, z.shape[1], (), SeededRng(seed=0, stream=2),
-                         memory_cells=len(z), identity_keys=key_weights is None)
+                         memory_cells=len(z), simplified=key_weights is None)
         if key_weights is not None:
             model.params["key.W0"][...] = key_weights
             model.params["key.b0"][...] = 0.0
@@ -429,8 +429,7 @@ class TestMemoryUpdate:
 
     def test_simplified_variant_stays_finite(self):
         rng = np.random.default_rng(9)
-        model = EtpModel(1, 2, (4,), SeededRng(seed=7, stream=2),
-                         identity_keys=True, update_tanh=False)
+        model = EtpModel(1, 2, (4,), SeededRng(seed=7, stream=2), simplified=True)
         update_rng = SeededRng(seed=8)
         for _ in range(50):
             model.memory_update(rng.normal(size=(4, 1)), rng.integers(0, 2, size=4),
@@ -616,7 +615,7 @@ class TestEnp:
 class TestPredictDispatch:
     @pytest.mark.parametrize("kind", models_mod.MODEL_KINDS)
     def test_simplex_output(self, kind):
-        hyper = {"identity_keys": True} if kind == "etp" else {}
+        hyper = {"simplified": True} if kind == "etp" else {}
         model = make_model(kind, 2, 3, (4,), SeededRng(seed=4, stream=2), **hyper)
         x = np.random.default_rng(27).normal(size=(7, 2)) * 4.0
         probs = predict(model, x, SeededRng(seed=5), n_samples=3, n_samples_z=2)
@@ -642,7 +641,7 @@ class TestTrainLoop:
     @pytest.mark.parametrize("kind", models_mod.MODEL_KINDS)
     def test_loss_trace_decreases(self, kind):
         ds, _ = gen_two_gaussians(20, SeededRng(seed=0, stream=1))
-        hyper = {"identity_keys": True, "update_tanh": False} if kind == "etp" else {}
+        hyper = {"simplified": True} if kind == "etp" else {}
         model = make_model(kind, 1, 2, (32,), SeededRng(seed=0, stream=2), **hyper)
         trace = train(model, ds, TrainConfig(epochs=40, batch_size=40),
                       SeededRng(seed=0, stream=4))
@@ -836,7 +835,7 @@ class TestDecompose:
             else:
                 draws.append(model.concentration(out, model.draw_memory(rng), params).data[0])
         split = decompose_pbm if kind == "bnn" else decompose_cbm
-        want = split(lambda s: draws[s], n)
+        want = split(np.array(draws))
         for term in ("reducible", "irreducible", "data", "total"):
             assert np.array_equal(getattr(got, term), getattr(want, term)), term
 
@@ -886,6 +885,13 @@ class TestCheckpointValidation:
             load_checkpoint(path)
 
 
+def old_etp_hyper(hyper):
+    """ETP's hyper record as written before `simplified` was its one model key:
+    two flags, which `simplified` set and cleared, in its place."""
+    old = {k: v for k, v in hyper.items() if k != "simplified"}
+    return {**old, "identity_keys": hyper["simplified"], "update_tanh": not hyper["simplified"]}
+
+
 class TestUnreadableCheckpoint:
     META_EDITS = {
         "unknown-kind": lambda meta: meta.update(kind="gp"),
@@ -895,6 +901,8 @@ class TestUnreadableCheckpoint:
         "seed-negative": lambda meta: meta.update(seed=-1),
         "seed-string": lambda meta: meta.update(seed="x"),
         "task-unknown": lambda meta: meta.update(task=5),
+        "simplified-not-bool": lambda meta: meta["hyper"].update(simplified="yes"),
+        "two-flag-record": lambda meta: meta.update(hyper=old_etp_hyper(meta["hyper"])),
     }
     # __meta__ records that are not a JSON object, by their undecoded contents
     RAW_META = {
@@ -935,8 +943,6 @@ class TestUnreadableCheckpoint:
 class TestModelConfig:
     """Each model key is declared, defaulted and checked once, in ModelConfig."""
 
-    ETP_FLAGS = ("identity_keys", "update_tanh")  # set from the config's `simplified`
-
     def test_positive_dimensions(self):
         for kind in models_mod.MODEL_KINDS:
             for input_dim, num_classes in ((0, 2), (2, 0)):
@@ -945,8 +951,7 @@ class TestModelConfig:
 
     def test_hyper_names_are_model_keys(self):
         for cls in models_mod.MODEL_CLASSES.values():
-            extra = set(cls.HYPER) - set(models_mod.MODEL_KEYS)
-            assert extra <= (set(self.ETP_FLAGS) if cls is EtpModel else set()), cls
+            assert set(cls.HYPER) <= set(models_mod.MODEL_KEYS), cls
 
     def test_every_model_key_is_read(self):
         read = {name for cls in models_mod.MODEL_CLASSES.values() for name in cls.HYPER}
@@ -964,8 +969,7 @@ class TestModelConfig:
         model = make_model(kind, 1, 2, (4,), SeededRng(seed=0, stream=2))
         defaults = ModelConfig()
         for name in model.HYPER:
-            if name not in self.ETP_FLAGS:
-                assert getattr(model, name) == getattr(defaults, name), name
+            assert getattr(model, name) == getattr(defaults, name), name
 
     @pytest.mark.parametrize("kind", models_mod.MODEL_KINDS)
     def test_key_the_kind_does_not_read_rejected(self, kind):
