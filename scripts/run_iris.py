@@ -17,7 +17,7 @@ def main():
     for kind in MODEL_KINDS:
         cfg = harness.resolve_config(None, {"task": "iris2d", "model": kind,
                                             "epochs": args.epochs, "seeds": args.seeds})
-        train_ds, _, _, _ = harness.build_task_data(cfg, seed=0)
+        train_ds = harness.build_task_data(cfg, seed=0)[0]
         accs = []
         for seed in cfg.seeds:
             model, _ = harness.train_seed(cfg, seed, train_ds)

@@ -115,7 +115,7 @@ def cmd_train(args):
     seed = cfg.seeds[0]
     # np.savez appends .npz to a path without it
     path = args.out if args.out.endswith(".npz") else args.out + ".npz"
-    train_ds, _, _, _ = harness.build_task_data(cfg, seed)
+    train_ds = harness.build_task_data(cfg, seed)[0]
     model, trace = harness.train_seed(cfg, seed, train_ds)
     models.save_checkpoint(model, path, seed=seed, extra_meta={
         "task": cfg.task, "train": {key: getattr(cfg, key) for key in models.TRAIN_KEYS}})
@@ -130,7 +130,7 @@ def cmd_eval(args):
     model, meta = models.load_checkpoint(args.checkpoint)
     cfg = _checkpoint_config(_resolve(args), args.checkpoint, model, meta)
     seed = cfg.seeds[0]
-    _, test_ds, ood_ds, _ = harness.build_task_data(cfg, seed)
+    _, test_ds, ood_ds = harness.build_task_data(cfg, seed)
     if (test_ds.features.shape[1], test_ds.num_classes) != (model.input_dim, model.num_classes):
         raise ConfigError(
             f"checkpoint model does not fit task {cfg.task}: it takes {model.input_dim} inputs "

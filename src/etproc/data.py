@@ -1,6 +1,9 @@
 """Datasets: synthetic two-Gaussian task, Iris on two principal
 components, IDX binary reader/writer, z-scoring, feature corruption,
 and deterministic shuffled minibatches.
+
+The two-Gaussian task's exact oracle is
+``metrics.MixtureOracle([0.5, 0.5], [-1.0, 1.0], [1.0, 1.0])``.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import numpy as np
 
 from . import iris_table
 from .distributions import SeededRng
-from .metrics import MixtureOracle
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -32,7 +34,6 @@ class LabeledDataset:
     features: np.ndarray  # (N, D)
     labels: np.ndarray    # (N,)
     num_classes: int
-    provenance: str = "in-domain"
 
     def __post_init__(self):
         object.__setattr__(self, "features", np.asarray(self.features, dtype=np.float64))
@@ -62,7 +63,7 @@ class CorruptionSpec:
 # generators / loaders
 
 
-def gen_two_gaussians(n_per_class: int, rng: SeededRng):
+def gen_two_gaussians(n_per_class: int, rng: SeededRng) -> LabeledDataset:
     """1-D two-class task: N(-1, 1) vs N(+1, 1), equal priors."""
     if n_per_class < 1:
         raise ValueError("n_per_class must be >= 1")
@@ -70,9 +71,7 @@ def gen_two_gaussians(n_per_class: int, rng: SeededRng):
     x1 = rng.normal(size=n_per_class) + 1.0
     feats = np.concatenate([x0, x1])[:, None]
     labels = np.concatenate([np.zeros(n_per_class, int), np.ones(n_per_class, int)])
-    ds = LabeledDataset(feats, labels, num_classes=2)
-    oracle = MixtureOracle(priors=[0.5, 0.5], means=[-1.0, 1.0], variances=[1.0, 1.0])
-    return ds, oracle
+    return LabeledDataset(feats, labels, num_classes=2)
 
 
 def _iris_arrays():
@@ -159,7 +158,8 @@ def write_idx(ds: LabeledDataset, images_path, labels_path, rows: int, cols: int
 
 
 def zscore(train: LabeledDataset, others=()):
-    """Normalize with train statistics only; zero-variance features get sd 1."""
+    """Normalize with train statistics only; zero-variance features get sd 1.
+    Returns the normalized datasets, train first, and the zero-variance count."""
     if len(train) == 0:
         raise ValueError("empty training set")
     mean = train.features.mean(axis=0)
@@ -171,7 +171,7 @@ def zscore(train: LabeledDataset, others=()):
         return replace(ds, features=(ds.features - mean) / sd)
 
     normed = [apply(train)] + [apply(ds) for ds in others]
-    return normed, (mean, sd), degenerate
+    return normed, degenerate
 
 
 def corrupt(ds: LabeledDataset, spec: CorruptionSpec, rng: SeededRng) -> LabeledDataset:
@@ -202,8 +202,7 @@ def corrupt(ds: LabeledDataset, spec: CorruptionSpec, rng: SeededRng) -> Labeled
         out = mean + c * (x - mean)
     else:  # pragma: no cover - guarded by CorruptionSpec
         raise ValueError(spec.kind)
-    tag = f"corrupted({spec.kind}, {s})" if s > 0 else ds.provenance
-    return LabeledDataset(out, ds.labels.copy(), ds.num_classes, provenance=tag)
+    return LabeledDataset(out, ds.labels.copy(), ds.num_classes)
 
 
 def _moving_average(row, w):

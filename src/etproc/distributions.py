@@ -5,10 +5,9 @@ Categorical, Dirichlet, and diagonal-Gaussian laws shared by all four
 models. Each Dirichlet law (KL divergence, mean and variance, expected
 log-probability) has one implementation, the ``_rows`` primitive: it takes
 an (N, K) concentration matrix, records one fused op on the gradient tape
-when its input is tracked, and runs untracked on plain arrays. The scalar
-helpers ``dirichlet_kl``, ``dirichlet_moments`` and
-``dirichlet_expected_log_prob`` run that primitive untracked on one row, so
-an oracle that checks a scalar helper checks the formula training uses.
+when its input is tracked, and runs untracked on plain arrays. The oracle
+tests call the primitives themselves, on one row or many, so they check the
+formulas that training uses.
 """
 
 from __future__ import annotations
@@ -57,11 +56,6 @@ def _check_alpha(alpha):
 # Dirichlet
 
 
-def dirichlet_kl(alpha_q, alpha_p) -> float:
-    """KL(Dir(alpha_q) || Dir(alpha_p)): ``dirichlet_kl_rows`` on one row."""
-    return float(dirichlet_kl_rows(np.atleast_2d(alpha_q), alpha_p).data[0, 0])
-
-
 def dirichlet_kl_rows(alpha_q: Tensor, alpha_p) -> Tensor:
     """Row-wise KL(Dir(q_row) || Dir(p)) for an (N, K) tensor; returns (N, 1).
 
@@ -93,13 +87,6 @@ def dirichlet_kl_rows(alpha_q: Tensor, alpha_p) -> Tensor:
                 np.repeat(g_a0, k, axis=1))
 
     return ad.emit(kl, (alpha_q,), (vjp,))
-
-
-def dirichlet_moments(alpha):
-    """Mean and variance vectors of Dir(alpha): ``dirichlet_moments_rows`` on
-    one row."""
-    mean, var = dirichlet_moments_rows(np.atleast_2d(alpha))
-    return mean.data[0], var.data[0]
 
 
 def dirichlet_moments_rows(alpha: Tensor):
@@ -134,12 +121,6 @@ def dirichlet_moments_rows(alpha: Tensor):
 
     mean_t, var_t = ad.unstack(ad.emit(np.stack([mean, var]), (alpha,), (vjp,)))
     return mean_t, var_t
-
-
-def dirichlet_expected_log_prob(alpha, k: int) -> float:
-    """E_Dir(alpha)[log pi_k] = psi(alpha_k) - psi(alpha_0):
-    ``dirichlet_expected_log_prob_rows`` on one row."""
-    return float(dirichlet_expected_log_prob_rows(np.atleast_2d(alpha), [k]).data[0, 0])
 
 
 def dirichlet_expected_log_prob_rows(alpha: Tensor, labels) -> Tensor:

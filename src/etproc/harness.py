@@ -64,11 +64,9 @@ class ExperimentConfig(models_mod.TrainConfig, models_mod.ModelConfig):
             raise ConfigError(f"task: unknown value '{self.task}'")
         if self.model not in models_mod.MODEL_KINDS:
             raise ConfigError(f"model: unknown value '{self.model}'")
-        if not self.hidden:
-            raise ConfigError("hidden: layer widths must be positive")
         if self.ood_score not in OOD_SCORES:
             raise ConfigError(f"ood_score: unknown value '{self.ood_score}'")
-        if not self.seeds or not all(isinstance(s, int) and s >= 0 for s in self.seeds):
+        if not self.seeds or not all(type(s) is int and s >= 0 for s in self.seeds):
             raise ConfigError(f"seeds: at least one seed required, each an integer >= 0, "
                               f"got {self.seeds!r}")
         if len(set(self.seeds)) < len(self.seeds):
@@ -160,15 +158,14 @@ def build_task_data(cfg: ExperimentConfig, seed: int):
     """(train, test, ood) datasets for one seed; raises DataError on bad files."""
     data_rng = SeededRng(seed=seed, stream=1)
     if cfg.task == "two-gaussians":
-        train, oracle = data_mod.gen_two_gaussians(cfg.n_per_class, data_rng)
+        train = data_mod.gen_two_gaussians(cfg.n_per_class, data_rng)
         labels = (data_rng.uniform(size=cfg.test_size) < 0.5).astype(int)
         x = data_rng.normal(size=cfg.test_size) + np.where(labels == 1, 1.0, -1.0)
         test = data_mod.LabeledDataset(x[:, None], labels, 2)
         sign = np.where(data_rng.uniform(size=cfg.ood_size) < 0.5, -1.0, 1.0)
         ood_x = sign * data_rng.uniform(4.0, 8.0, size=cfg.ood_size)
-        ood = data_mod.LabeledDataset(ood_x[:, None], np.zeros(cfg.ood_size, int), 2,
-                                      provenance="ood")
-        return train, test, ood, oracle
+        ood = data_mod.LabeledDataset(ood_x[:, None], np.zeros(cfg.ood_size, int), 2)
+        return train, test, ood
     if cfg.task == "iris2d":
         train = data_mod.load_iris_pca2()
         # evaluation reuses the training points (150-sample task)
@@ -177,8 +174,8 @@ def build_task_data(cfg: ExperimentConfig, seed: int):
         while len(pts) < cfg.ood_size:  # far candidates, drawn until there are enough
             cand = data_rng.uniform(-10.0, 10.0, size=(4 * cfg.ood_size, 2))
             pts = np.concatenate([pts, cand[np.max(np.abs(cand), axis=1) >= 5.0]])[: cfg.ood_size]
-        ood = data_mod.LabeledDataset(pts, np.zeros(len(pts), int), 3, provenance="ood")
-        return train, test, ood, None
+        ood = data_mod.LabeledDataset(pts, np.zeros(len(pts), int), 3)
+        return train, test, ood
     # fmnist-vs-mnist, the one task left
     paths = fmnist_mnist_paths(cfg.data_dir)
     missing = [p for p in paths.values() if not os.path.exists(p)]
@@ -196,10 +193,9 @@ def build_task_data(cfg: ExperimentConfig, seed: int):
     n = cfg.n_train_points
     train = data_mod.LabeledDataset(fm_train.features[:n], fm_train.labels[:n], 10)
     test = data_mod.LabeledDataset(fm_test.features[:n], fm_test.labels[:n], 10)
-    ood = data_mod.LabeledDataset(mn_test.features[:n], mn_test.labels[:n], 10,
-                                  provenance="ood")
-    (train, test, ood), _, _ = data_mod.zscore(train, [test, ood])
-    return train, test, ood, None
+    ood = data_mod.LabeledDataset(mn_test.features[:n], mn_test.labels[:n], 10)
+    (train, test, ood), _ = data_mod.zscore(train, [test, ood])
+    return train, test, ood
 
 
 def fmnist_mnist_paths(data_dir) -> dict:
@@ -255,7 +251,7 @@ def train_seed(cfg: ExperimentConfig, seed: int, train_ds):
 def run_single_seed(cfg: ExperimentConfig, seed: int):
     """(report row, trained model) for one seed; the model is None when
     training diverged, and the row then holds null metrics."""
-    train_ds, test_ds, ood_ds, _ = build_task_data(cfg, seed)
+    train_ds, test_ds, ood_ds = build_task_data(cfg, seed)
     t0 = time.perf_counter()
     try:
         model, trace = train_seed(cfg, seed, train_ds)

@@ -367,23 +367,6 @@ class EdlModel(_Model):
         kl = dirichlet_kl_rows(misleading, np.ones(k))
         return {"sq": sq, "kl": kl}
 
-    def per_sample_loss_np(self, x, y, lam):
-        per = self.per_sample_terms(self._alpha(as_tensor(np.atleast_2d(x)), self.params), y)
-        return (per["sq"].data + lam * per["kl"].data).ravel()
-
-    def per_sample_negative_elbo_np(self, x, y):
-        """The constant K/2 * log(pi) plus the per-sample loss at lam = 1.
-
-        In the latent-variable reading (prior Dir(1), likelihood
-        N(y | pi, 0.5 I), q = Dir(alpha)) the likelihood contributes that
-        constant on top of the expected squared error. The sum equals the
-        negative ELBO of that reading only when the KL acts on the full
-        alpha; training regularises the misleading evidence alpha~ instead.
-        """
-        k = self.num_classes
-        const = 0.5 * k * np.log(np.pi)
-        return const + self.per_sample_loss_np(x, y, lam=1.0)
-
     def draws(self, x, rng, n_samples, n_samples_z):
         """The Dirichlet mean, once: the network is deterministic."""
         yield _dirichlet_mean(self._alpha(x, self.params).data)

@@ -24,6 +24,7 @@ from etproc.data import (
     zscore,
 )
 from etproc.distributions import SeededRng
+from etproc.metrics import MixtureOracle
 
 
 class TestLabeledDataset:
@@ -38,25 +39,21 @@ class TestLabeledDataset:
 
 class TestTwoGaussians:
     def test_counts(self):
-        ds, _ = gen_two_gaussians(20, SeededRng(seed=0, stream=1))
+        ds = gen_two_gaussians(20, SeededRng(seed=0, stream=1))
         assert len(ds) == 40
         assert int((ds.labels == 0).sum()) == 20
         assert int((ds.labels == 1).sum()) == 20
 
     def test_class_means_large_sample(self):
-        ds, _ = gen_two_gaussians(10**5, SeededRng(seed=1, stream=1))
+        ds = gen_two_gaussians(10**5, SeededRng(seed=1, stream=1))
         assert ds.features[ds.labels == 0].mean() == pytest.approx(-1.0, abs=0.01)
         assert ds.features[ds.labels == 1].mean() == pytest.approx(1.0, abs=0.01)
 
-    def test_oracle_symmetry_point(self):
-        _, oracle = gen_two_gaussians(5, SeededRng(seed=0, stream=1))
-        np.testing.assert_allclose(oracle.f_true(np.array([0.0]))[0], [0.5, 0.5],
-                                   atol=1e-12)
-
     def test_threshold_classifier_matches_bayes_error(self):
-        ds, oracle = gen_two_gaussians(5 * 10**4, SeededRng(seed=2, stream=1))
+        ds = gen_two_gaussians(5 * 10**4, SeededRng(seed=2, stream=1))
         pred = (ds.features[:, 0] > 0.0).astype(int)
         err = np.mean(pred != ds.labels)
+        oracle = MixtureOracle([0.5, 0.5], [-1.0, 1.0], [1.0, 1.0])
         assert abs(err - oracle.bayes_error()) <= 0.01
 
     def test_n_per_class_validated(self):
@@ -206,7 +203,7 @@ class TestZscore:
         rng = np.random.default_rng(2)
         train = LabeledDataset(rng.normal(3.0, 2.0, size=(100, 4)),
                                rng.integers(0, 2, size=100), 2)
-        (normed,), _, degenerate = zscore(train)
+        (normed,), degenerate = zscore(train)
         np.testing.assert_allclose(normed.features.mean(axis=0), 0.0, atol=1e-9)
         np.testing.assert_allclose(normed.features.std(axis=0), 1.0, atol=1e-9)
         assert degenerate == 0
@@ -214,13 +211,13 @@ class TestZscore:
     def test_others_use_train_statistics(self):
         train = LabeledDataset(np.array([[0.0], [2.0]]), np.array([0, 1]), 2)
         other = LabeledDataset(np.array([[4.0]]), np.array([0]), 2)
-        (_, normed_other), (mean, sd), _ = zscore(train, [other])
-        assert mean[0] == pytest.approx(1.0)
+        (normed_train, normed_other), _ = zscore(train, [other])
+        np.testing.assert_allclose(normed_train.features[:, 0], [-1.0, 1.0])
         assert normed_other.features[0, 0] == pytest.approx((4.0 - 1.0) / 1.0)
 
     def test_constant_feature(self):
         train = LabeledDataset(np.array([[5.0, 1.0], [5.0, 3.0]]), np.array([0, 1]), 2)
-        (normed,), _, degenerate = zscore(train)
+        (normed,), degenerate = zscore(train)
         assert degenerate == 1
         assert np.all(np.isfinite(normed.features))
         np.testing.assert_allclose(normed.features[:, 0], 0.0)
@@ -279,10 +276,9 @@ class TestCorrupt:
                 out = corrupt(self.ds, CorruptionSpec(kind, s), SeededRng(seed=s))
                 assert not np.array_equal(out.features, self.ds.features), (kind, s)
 
-    def test_labels_untouched_and_provenance(self):
+    def test_labels_untouched(self):
         out = corrupt(self.ds, CorruptionSpec("gaussian-noise", 2), SeededRng(seed=0))
         assert np.array_equal(out.labels, self.ds.labels)
-        assert out.provenance == "corrupted(gaussian-noise, 2)"
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown corruption"):

@@ -16,11 +16,8 @@ from etproc.distributions import (
     NLL_PROB_FLOOR,
     SeededRng,
     categorical_nll_batch,
-    dirichlet_expected_log_prob,
     dirichlet_expected_log_prob_rows,
-    dirichlet_kl,
     dirichlet_kl_rows,
-    dirichlet_moments,
     dirichlet_moments_rows,
     gaussian_kl_diag,
     gaussian_reparam,
@@ -70,12 +67,12 @@ class TestSeededRng:
 class TestDirichletKl:
     def test_identical_laws_zero(self):
         a = np.array([0.7, 2.0, 5.5])
-        assert abs(dirichlet_kl(a, a)) <= 1e-10
+        assert abs(dirichlet_kl_rows(np.atleast_2d(a), a).data.item()) <= 1e-10
 
     def test_known_value(self):
         # KL(Dir(2,1) || Dir(1,1)) = ln 2 - 1/2
-        assert dirichlet_kl([2.0, 1.0], [1.0, 1.0]) == pytest.approx(
-            np.log(2.0) - 0.5, abs=1e-12)
+        assert dirichlet_kl_rows(np.atleast_2d([2.0, 1.0]), [1.0, 1.0]).data.item() \
+            == pytest.approx(np.log(2.0) - 0.5, abs=1e-12)
 
     def test_monte_carlo_oracle(self):
         q = np.array([2.0, 1.0, 0.5])
@@ -84,7 +81,7 @@ class TestDirichletKl:
         x = mc_dirichlet(q, n, seed=0)
         ratio = dirichlet_logpdf(x, q) - dirichlet_logpdf(x, p)
         se = ratio.std(ddof=1) / np.sqrt(n)
-        assert abs(dirichlet_kl(q, p) - ratio.mean()) <= 3.0 * se
+        assert abs(dirichlet_kl_rows(np.atleast_2d(q), p).data.item() - ratio.mean()) <= 3.0 * se
 
     def test_uniform_reference_specialization(self):
         # specialized expression for KL(Dir(a) || Dir(1,...,1))
@@ -95,11 +92,12 @@ class TestDirichletKl:
             want = (special.gammaln(a.sum()) - special.gammaln(k)
                     - special.gammaln(a).sum()
                     + np.sum((a - 1.0) * (special.psi(a) - special.psi(a.sum()))))
-            assert dirichlet_kl(a, np.ones(k)) == pytest.approx(want, abs=1e-10)
+            assert dirichlet_kl_rows(np.atleast_2d(a), np.ones(k)).data.item() \
+                == pytest.approx(want, abs=1e-10)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            dirichlet_kl([1.0, 2.0], [1.0, 2.0, 3.0])
+            dirichlet_kl_rows(np.atleast_2d([1.0, 2.0]), [1.0, 2.0, 3.0])
 
     def test_rows_length_mismatch_names_both_lengths(self):
         with pytest.raises(ValueError, match=r"length 2.*\(3,\)"):
@@ -107,7 +105,7 @@ class TestDirichletKl:
 
     def test_nonpositive_alpha_rejected(self):
         with pytest.raises(ValueError, match="positive"):
-            dirichlet_kl([1.0, 0.0], [1.0, 1.0])
+            dirichlet_kl_rows(np.atleast_2d([1.0, 0.0]), [1.0, 1.0])
 
     def test_rows_variant_matches_scalar(self):
         rng = np.random.default_rng(3)
@@ -141,28 +139,28 @@ class TestDirichletKl:
     @given(alphas)
     def test_nonnegative_property(self, a):
         k = len(a)
-        assert dirichlet_kl(a, np.ones(k)) >= -1e-12
+        assert dirichlet_kl_rows(np.atleast_2d(a), np.ones(k)).data.item() >= -1e-12
 
 
 class TestDirichletMoments:
     def test_uniform(self):
-        mean, var = dirichlet_moments([1.0, 1.0])
-        np.testing.assert_allclose(mean, [0.5, 0.5])
-        np.testing.assert_allclose(var, [1.0 / 12.0] * 2)
+        mean, var = dirichlet_moments_rows(np.atleast_2d([1.0, 1.0]))
+        np.testing.assert_allclose(mean.data[0], [0.5, 0.5])
+        np.testing.assert_allclose(var.data[0], [1.0 / 12.0] * 2)
 
     def test_symmetric_three(self):
-        mean, _ = dirichlet_moments([10.0, 10.0, 10.0])
-        np.testing.assert_allclose(mean, [1.0 / 3.0] * 3, atol=1e-12)
+        mean, _ = dirichlet_moments_rows(np.atleast_2d([10.0, 10.0, 10.0]))
+        np.testing.assert_allclose(mean.data[0], [1.0 / 3.0] * 3, atol=1e-12)
 
     def test_asymmetric(self):
-        mean, _ = dirichlet_moments([2.0, 3.0])
-        np.testing.assert_allclose(mean, [0.4, 0.6], atol=1e-12)
+        mean, _ = dirichlet_moments_rows(np.atleast_2d([2.0, 3.0]))
+        np.testing.assert_allclose(mean.data[0], [0.4, 0.6], atol=1e-12)
 
     def test_monte_carlo_oracle(self):
         a = np.array([2.0, 3.0])
         n = 10**6
         draws = mc_dirichlet(a, n, seed=1)
-        mean, var = dirichlet_moments(a)
+        mean, var = (m.data[0] for m in dirichlet_moments_rows(np.atleast_2d(a)))
         se_mean = draws.std(axis=0, ddof=1) / np.sqrt(n)
         np.testing.assert_array_less(np.abs(mean - draws.mean(axis=0)), 3.0 * se_mean)
         mc_var = draws.var(axis=0, ddof=1)
@@ -172,7 +170,7 @@ class TestDirichletMoments:
     @settings(max_examples=40, deadline=None)
     @given(alphas)
     def test_mean_sums_to_one(self, a):
-        mean, var = dirichlet_moments(a)
+        mean, var = (m.data[0] for m in dirichlet_moments_rows(np.atleast_2d(a)))
         assert abs(mean.sum() - 1.0) <= 1e-12
         assert np.all(var >= 0.0)
 
@@ -188,22 +186,24 @@ class TestDirichletMoments:
 
 class TestExpectedLogProb:
     def test_uniform_k0(self):
-        assert dirichlet_expected_log_prob([1.0, 1.0], 0) == pytest.approx(-1.0, abs=1e-12)
+        assert dirichlet_expected_log_prob_rows(np.atleast_2d([1.0, 1.0]), [0]).data.item() \
+            == pytest.approx(-1.0, abs=1e-12)
 
     def test_symmetric_independent_of_k(self):
-        vals = [dirichlet_expected_log_prob([3.0, 3.0, 3.0], k) for k in range(3)]
-        assert max(vals) - min(vals) <= 1e-14
+        vals = dirichlet_expected_log_prob_rows(np.full((3, 3), 3.0), [0, 1, 2]).data
+        assert vals.max() - vals.min() <= 1e-14
 
     def test_monte_carlo_oracle(self):
         a = np.array([2.0, 3.0, 5.0])
         n = 10**6
         logs = np.log(mc_dirichlet(a, n, seed=2)[:, 1])
         se = logs.std(ddof=1) / np.sqrt(n)
-        assert abs(dirichlet_expected_log_prob(a, 1) - logs.mean()) <= 4.0 * se
+        assert abs(dirichlet_expected_log_prob_rows(np.atleast_2d(a), [1]).data.item()
+                   - logs.mean()) <= 4.0 * se
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
-            dirichlet_expected_log_prob([1.0, 2.0], 2)
+            dirichlet_expected_log_prob_rows(np.atleast_2d([1.0, 2.0]), [2])
 
     def test_rows_variant(self):
         a = np.array([[2.0, 3.0], [4.0, 1.0]])
@@ -216,9 +216,10 @@ class TestExpectedLogProb:
     @given(alphas)
     def test_jensen_property(self, a):
         # E[log pi_k] <= log E[pi_k] per coordinate
-        mean, _ = dirichlet_moments(a)
+        mean, _ = dirichlet_moments_rows(np.atleast_2d(a))
         for k in range(len(a)):
-            assert dirichlet_expected_log_prob(a, k) <= np.log(mean[k]) + 1e-12
+            assert dirichlet_expected_log_prob_rows(np.atleast_2d(a), [k]).data.item() \
+                <= np.log(mean.data[0, k]) + 1e-12
 
 
 def reparam_draw(mean, logvar, rng):

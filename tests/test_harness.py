@@ -157,9 +157,10 @@ seeds = 3,4,5
         assert cfg.seeds == (1, 2)
         assert cfg.epochs == 9
 
-    # a text value would parse as a bool; only a caller's object can be another type
+    # a text value parses as its key's type, so only a caller's object can be of
+    # another type: a `simplified` that is not a bool, or a bool seed (a bool is an int)
     @pytest.mark.parametrize("key,value,pattern", REJECTED + TRAINING_REJECTED + [
-        ("simplified", 1, "simplified")])
+        ("simplified", 1, "simplified"), ("seeds", (True,), "seeds")])
     def test_validation_rejects(self, key, value, pattern):
         with pytest.raises(ConfigError, match=pattern):
             resolve_config(None, {key: value})
@@ -169,14 +170,12 @@ class TestTaskData:
     def test_two_gaussians_shapes(self):
         cfg = resolve_config(None, {"n_per_class": 15, "test_size": 300,
                                     "ood_size": 40})
-        train, test, ood, oracle = build_task_data(cfg, seed=3)
+        train, test, ood = build_task_data(cfg, seed=3)
         assert train.features.shape == (30, 1)
         assert test.features.shape == (300, 1)
         assert ood.features.shape == (40, 1)
-        assert ood.provenance == "ood"
         assert np.all(np.abs(ood.features) >= 4.0)
         assert np.all(np.abs(ood.features) <= 8.0)
-        assert oracle is not None
 
     def test_two_gaussians_seed_determinism(self):
         cfg = resolve_config(None, {"test_size": 100, "ood_size": 20})
@@ -188,17 +187,16 @@ class TestTaskData:
 
     def test_iris_test_is_train(self):
         cfg = resolve_config(None, {"task": "iris2d", "ood_size": 30})
-        train, test, ood, oracle = build_task_data(cfg, seed=0)
+        train, test, ood = build_task_data(cfg, seed=0)
         assert test is train
         assert train.features.shape == (150, 2)
         assert train.num_classes == 3
         assert np.all(np.max(np.abs(ood.features), axis=1) >= 5.0)
-        assert oracle is None
 
     def test_iris_ood_split_is_filled(self):
         # seed 246's first 4 candidates all lie inside [-5, 5]^2
         cfg = resolve_config(None, {"task": "iris2d", "ood_size": 1, "seeds": (246,)})
-        _, _, ood, _ = build_task_data(cfg, seed=246)
+        _, _, ood = build_task_data(cfg, seed=246)
         assert ood.features.shape == (1, 2)
         assert np.all(np.max(np.abs(ood.features), axis=1) >= 5.0)
 
@@ -228,10 +226,10 @@ class TestTaskData:
         cfg = resolve_config(None, {"task": "fmnist-vs-mnist",
                                     "data_dir": str(tmp_path),
                                     "n_train_points": 8})
-        train, test, ood, _ = build_task_data(cfg, seed=0)
+        train, test, ood = build_task_data(cfg, seed=0)
         assert train.features.shape == (8, 4)
         assert test.features.shape == (8, 4)
-        assert ood.provenance == "ood"
+        assert ood.features.shape == (8, 4)
         # features are standardized with the training statistics
         np.testing.assert_allclose(train.features.mean(axis=0), 0.0, atol=1e-12)
 
@@ -647,7 +645,7 @@ decomposition_samples = 64
             assert report["config"]["ood_score"] == score
             aurocs[score] = report["per_seed"][0]["auroc_ood_pct"]
         config = resolve_config(cfg)
-        _, test, ood, _ = build_task_data(config, 7)
+        _, test, ood = build_task_data(config, 7)
         model = run_experiment(config, keep_models=True)[1][7]
         rng = SeededRng(seed=0, stream=3)
         probs = [predict(model, ds.features, rng, 4, 2) for ds in (test, ood)]
@@ -693,6 +691,29 @@ decomposition_samples = 64
         err = capsys.readouterr().err
         assert err.startswith("usage: etproc") and "error: " in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_empty_hidden_runs_a_linear_net(self, tmp_path, kind):
+        cfg = write_config(tmp_path / "linear.cfg",
+                           Path(self.fast_config(tmp_path)).read_text() + "hidden =\n")
+        out = tmp_path / "run.json"
+        assert cli.main(["run", "--config", cfg, "--model", kind, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["config"]["hidden"] == []
+
+    def test_linear_etp_checkpoint_round_trip(self, tmp_path):
+        """A linear ETP checkpoint goes through train, eval and decompose, and
+        eval reports its empty `hidden`."""
+        cfg = write_config(tmp_path / "linear.cfg",
+                           Path(self.fast_config(tmp_path)).read_text() + "hidden =\n")
+        ckpt = str(tmp_path / "etp.npz")
+        assert cli.main(["train", "--config", cfg, "--model", "etp", "--out", ckpt]) == 0
+        assert load_checkpoint(ckpt)[0].hidden == ()
+        out = tmp_path / "eval.json"
+        assert cli.main(["eval", "--config", self.fast_config(tmp_path), "--checkpoint", ckpt,
+                         "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["config"]["hidden"] == []
+        assert cli.main(["decompose", "--config", self.fast_config(tmp_path), "--checkpoint",
+                         ckpt, "--out", str(tmp_path / "d.json")]) == 0
 
     @pytest.mark.parametrize("simplified", [True, False])
     def test_etp_simplified_round_trip(self, tmp_path, simplified):
