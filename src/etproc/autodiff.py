@@ -11,12 +11,14 @@ gradient, so an optimizer step needs no gathering of per-array gradients.
 
 Three fused ops each make one tape record and equal the unfused graph of
 elementary ops bit for bit, forward and backward: their VJPs evaluate that
-graph's own expressions. ``attention`` reduces its softmax over the memory
-axis of a transposed copy of the scores, adding in NumPy's own summation
+graph's own expressions. ``attention`` forms its scores memory-major and
+reduces its softmax over that leading axis, adding in NumPy's own summation
 order (``_pairwise_sum``, pinned by a test). ``mlp`` runs a ReLU network
 from its whole parameter block, with the reparameterised draw of a
 variational network folded in, and returns one flat block gradient.
 ``softmax_nll`` is the batch-mean categorical NLL of softmax logits.
+``row_max``, ``row_sum`` and ``row_argmax`` reduce a short last axis in
+whole columns, where NumPy loops over rows, and equal NumPy bit for bit.
 """
 
 from __future__ import annotations
@@ -257,9 +259,9 @@ def softmax_rows(a) -> Tensor:
 
 def _softmax(x):
     """Softmax over the last axis: one new buffer for shift, exp and normalisation."""
-    out = x - x.max(axis=-1, keepdims=True)
+    out = x - row_max(x)
     np.exp(out, out=out)
-    out /= out.sum(axis=-1, keepdims=True)
+    out /= row_sum(out)
     return out
 
 
@@ -308,14 +310,45 @@ def _pairwise_sum_lead(x):
     return _pairwise_sum_lead(x[:half]) + _pairwise_sum_lead(x[half:])
 
 
+def row_sum(x):
+    """``x.sum(axis=-1, keepdims=True)`` bit for bit: see ``_pairwise_sum``."""
+    return _pairwise_sum(x, -1)
+
+
+def row_max(x):
+    """``x.max(axis=-1, keepdims=True)`` from elementwise maxima of column
+    halves (a view of x when the axis has length 1). A max is exact in any
+    order; only the sign of a zero maximum may differ, and no caller sees it:
+    a softmax subtracts the maximum before ``exp``, where both zeros give 1,
+    and a probability row's maximum is at least 1/K."""
+    m = np.swapaxes(x, -1, 0)
+    while len(m) > 1:
+        h = (len(m) + 1) // 2
+        m = np.maximum(m[:h], m[len(m) - h:], order="C")  # loops along whole columns
+    return np.swapaxes(m, 0, -1)
+
+
+def row_argmax(x):
+    """``x.argmax(axis=-1)`` of NaN-free x: a later column wins only when
+    strictly greater than every column before it."""
+    cols = np.swapaxes(x, -1, 0)
+    best, idx = cols[:1], np.zeros(cols[:1].shape, dtype=np.intp)
+    for i in range(1, len(cols)):
+        col = cols[i:i + 1]
+        np.maximum(idx, (col > best) * i, out=idx)  # i exceeds every index before it
+        if i + 1 < len(cols):
+            best = np.maximum(best, col)
+    return np.swapaxes(idx, 0, -1)[..., 0]
+
+
 def attention(v, keys, z, scale: float):
     """Attention of queries v, (N, K), over R cells with keys (R, K) and
     values z, (R, Kz): ``read = softmax_rows(scale * v @ keys.T) @ z``, as
     one tape record. Any operand may lead with a stack axis of S slices.
 
     Returns ``read`` and the attention weights ``phi``, (N, R), as an
-    untracked array. The softmax runs on one transposed copy of the scores,
-    so its max and sum reduce over the leading memory axis; the sum keeps
+    untracked array. The scores are formed memory-major, (R, N), so the
+    softmax's max and sum reduce over the leading memory axis; the sum keeps
     NumPy's order (``_pairwise_sum``), so ``read`` and the VJPs equal the
     unfused transpose/matmul/scale/softmax_rows/matmul graph bit for bit:
     the VJPs evaluate that graph's own expressions on its own layouts and
@@ -328,7 +361,10 @@ def attention(v, keys, z, scale: float):
         raise ShapeMismatchError(f"attention: {v.shape} over {keys.shape}, {z.shape}")
     scale = float(scale)
     kT = _swap(keys.data).copy()
-    weights = _swap(scale * (v.data @ kT)).copy()  # the scores, C-ordered (..., R, N)
+    # the scores, C-ordered (..., R, N); keys @ v.T rounds as v @ keys.T for
+    # N >= 2, but not for one query, where NumPy takes its vector path
+    weights = keys.data @ _swap(v.data) if v.shape[-2] > 1 else _swap(v.data @ kT).copy()
+    weights *= scale
     weights -= weights.max(axis=-2, keepdims=True)
     np.exp(weights, out=weights)
     weights /= _pairwise_sum(weights, -2)

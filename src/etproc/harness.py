@@ -17,6 +17,7 @@ import numpy as np
 from . import data as data_mod
 from . import metrics as metrics_mod
 from . import models as models_mod
+from .autodiff import row_max
 from .distributions import SeededRng
 from .metrics import PredictionSet
 
@@ -223,7 +224,7 @@ def ood_scores(probs, mode: str):
     if mode == "entropy":
         return metrics_mod.entropy_rows(probs)
     # max-probability scoring: low confidence = more OOD-like
-    return -probs.max(axis=1)
+    return -row_max(probs)[:, 0]
 
 
 def evaluate_model(cfg: ExperimentConfig, model, test, ood):

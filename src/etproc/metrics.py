@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import row_argmax, row_max, row_sum
 from .distributions import categorical_nll_batch, dirichlet_moments_rows
 
 
@@ -26,7 +27,7 @@ class PredictionSet:
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.probs.ndim != 2 or len(self.probs) != len(self.labels):
             raise ValueError("probs/labels shape mismatch")
-        if not np.all(np.abs(self.probs.sum(axis=1) - 1.0) <= 1e-6):
+        if not np.all(np.abs(row_sum(self.probs) - 1.0) <= 1e-6):
             raise ValueError("prediction rows must sum to 1 within 1e-6")
         k = self.probs.shape[1]
         if len(self.labels) and (self.labels.min() < 0 or self.labels.max() >= k):
@@ -51,7 +52,7 @@ def nll(preds: PredictionSet) -> float:
 
 
 def error_rate(preds: PredictionSet) -> float:
-    return float(np.mean(preds.probs.argmax(axis=1) != preds.labels))
+    return float(np.mean(row_argmax(preds.probs) != preds.labels))
 
 
 def ece(preds: PredictionSet, n_bins: int = 10) -> float:
@@ -61,19 +62,19 @@ def ece(preds: PredictionSet, n_bins: int = 10) -> float:
     """
     if n_bins < 1:
         raise ValueError("n_bins must be >= 1")
-    conf = preds.probs.max(axis=1)
-    correct = preds.probs.argmax(axis=1) == preds.labels
+    conf = row_max(preds.probs)[:, 0]
+    correct = row_argmax(preds.probs) == preds.labels
     n = len(conf)
     # right-closed binning: bin m covers ((m-1)/M, m/M]
     idx = np.ceil(conf * n_bins).astype(int) - 1
     idx = np.clip(idx, 0, n_bins - 1)
-    total = 0.0
-    for m in range(n_bins):
-        mask = idx == m
-        cnt = int(mask.sum())
-        if cnt == 0:
-            continue
-        total += cnt / n * abs(correct[mask].mean() - conf[mask].mean())
+    order = np.argsort(idx, kind="stable")  # each bin one slice, its rows in order
+    conf, correct = conf[order], correct[order]
+    total, lo = 0.0, 0
+    for hi in np.cumsum(np.bincount(idx, minlength=n_bins)).tolist():
+        if hi > lo:
+            total += (hi - lo) / n * abs(correct[lo:hi].mean() - conf[lo:hi].mean())
+        lo = hi
     return float(total)
 
 
@@ -102,9 +103,9 @@ def entropy_rows(probs):
     Raises ValueError when a row sum is not within 1e-6 of 1, NaN included.
     """
     p = np.asarray(probs, dtype=np.float64)
-    if not np.all(np.abs(p.sum(axis=1) - 1.0) <= 1e-6):
+    if not np.all(np.abs(row_sum(p) - 1.0) <= 1e-6):
         raise ValueError("entropy: input not on the simplex")
-    return -np.sum(p * np.log(np.where(p > 0.0, p, 1.0)), axis=1)
+    return -row_sum(p * np.log(np.where(p > 0.0, p, 1.0)))[:, 0]
 
 
 # ---------------------------------------------------------------------------

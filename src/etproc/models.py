@@ -8,7 +8,7 @@ operands are on no tape records nothing. Where draws are independent
 them on a leading axis instead of looping over them. ETP's memory read
 and ENP's attention aggregation are one ``autodiff.attention`` record,
 whose softmax reduces over the memory (context) axis; the Dirichlet mean
-that prediction takes sums in NumPy's order too (``_pairwise_sum``).
+that prediction takes sums in NumPy's order too (``autodiff.row_sum``).
 
 The models share one protocol, so no caller branches on the model kind:
 
@@ -270,7 +270,7 @@ class VariationalMlp(_Mlp):
 
 
 def _dirichlet_mean(alpha):
-    return alpha / ad._pairwise_sum(alpha, -1)
+    return alpha / ad.row_sum(alpha)
 
 
 def _choose_context(xb, yb, fraction, rng):

@@ -467,6 +467,31 @@ class TestPairwiseSum:
             assert np.array_equal(ad._pairwise_sum(t, -2), t.sum(axis=-2, keepdims=True)), n
 
 
+class TestRowReductions:
+    """``row_max``, ``row_sum`` and ``row_argmax`` equal NumPy's ``max``,
+    ``sum`` and ``argmax`` over the last axis bit for bit, on 2-D and
+    stacked inputs, with ties drawn from few integer values."""
+
+    @staticmethod
+    def same(got, want):
+        return (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
+
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+    @pytest.mark.parametrize("n", [1, 7, 10000])
+    def test_match_numpy(self, n, lead):
+        rng = np.random.default_rng(55)
+        for k in range(1, 13):
+            for x in (rng.normal(size=(*lead, n, k)),
+                      rng.integers(0, 3, size=(*lead, n, k)).astype(np.float64)):
+                assert self.same(ad.row_max(x), x.max(axis=-1, keepdims=True)), k
+                assert self.same(ad.row_sum(x), x.sum(axis=-1, keepdims=True)), k
+                assert self.same(ad.row_argmax(x), x.argmax(axis=-1)), k
+
+    def test_first_index_wins_ties(self):
+        x = np.array([[1.0, 1.0, 0.0], [0.0, 2.0, 2.0], [3.0, 3.0, 3.0], [-1.0, -0.0, 0.0]])
+        assert ad.row_argmax(x).tolist() == [0, 1, 0, 1]
+
+
 def attention_unfused(v, keys, z, scale):
     """The graph that ``ad.attention`` fuses, with its weights as an array."""
     phi = ad.softmax_rows(ad.scale(scale, ad.matmul(v, ad.transpose(keys))))
@@ -508,7 +533,7 @@ class TestAttention:
 
     @pytest.mark.parametrize("shared_keys", [False, True])
     @pytest.mark.parametrize("stack", ["none", "queries", "memory", "both"])
-    @pytest.mark.parametrize("n", [1, 7])
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
     @pytest.mark.parametrize("r", [5, 16, 130])
     def test_matches_unfused_graph_bit_for_bit(self, r, n, stack, shared_keys):
         arrays = self.operands(n, r, stack)
@@ -518,6 +543,24 @@ class TestAttention:
         assert np.array_equal(phi, want_phi) and phi.flags.c_contiguous
         for name in arrays:
             assert np.array_equal(grads[name], want_grads[name]), name
+
+    @pytest.mark.parametrize("stack", ["none", "queries", "memory", "both"])
+    @pytest.mark.parametrize("n", [1, 2, 40, 1000, 10000])
+    @pytest.mark.parametrize("r", [5, 16, 130])
+    def test_prediction_sizes_match_unfused_forward(self, r, n, stack):
+        """At N >= 2 the scores are formed as keys @ v.T, in the softmax's
+        (R, N) layout, and round as the unfused v @ keys.T; one query keeps
+        the unfused form. Query widths K of 2, 3 and 10, as the tasks have."""
+        rng = np.random.default_rng(56)
+        s_v = (2,) if stack in ("queries", "both") else ()
+        s_m = (2,) if stack in ("memory", "both") else ()
+        for k in (2, 3, 10):
+            v = rng.normal(size=(*s_v, n, k)) * 2.0
+            keys, z = rng.normal(size=(2, *s_m, r, k))
+            read, phi = ad.attention(v, keys, z, 1.0 / np.sqrt(k))
+            want_read, want_phi = attention_unfused(v, keys, z, 1.0 / np.sqrt(k))
+            assert np.array_equal(read.data, want_read.data), k
+            assert np.array_equal(phi, want_phi) and phi.flags.c_contiguous, k
 
     def test_one_tape_record(self):
         tape = Tape()

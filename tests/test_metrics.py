@@ -107,6 +107,23 @@ class TestEce:
             assert ece(preds, bins) == pytest.approx(
                 brute_force_ece(preds.probs, preds.labels, bins), abs=1e-12)
 
+    @pytest.mark.parametrize("k", [2, 3, 10])
+    def test_equals_per_bin_mask_formula_bit_for_bit(self, k):
+        """The slices of the stable sort hold each bin's rows in their order,
+        so every bin mean, and the sum, round as the per-bin masks do. With
+        K = 2 every bin below 1/2 is empty."""
+        rng = np.random.default_rng(60 + k)
+        for n, bins in ((1, 10), (37, 10), (500, 20), (10000, 10), (10000, 15)):
+            preds = random_prediction_set(rng, n, k)
+            conf, hits = preds.probs.max(axis=1), preds.probs.argmax(axis=1) == preds.labels
+            idx = np.clip(np.ceil(conf * bins).astype(int) - 1, 0, bins - 1)
+            want = 0.0
+            for m in range(bins):
+                mask = idx == m
+                if mask.any():
+                    want += mask.sum() / n * abs(hits[mask].mean() - conf[mask].mean())
+            assert ece(preds, bins) == want, (n, bins)
+
     def test_invalid_bins(self):
         preds = PredictionSet(np.array([[0.5, 0.5]]), np.array([0]))
         with pytest.raises(ValueError):
