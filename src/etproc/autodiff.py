@@ -265,12 +265,13 @@ def _softmax(x):
     return out
 
 
-def _check_labels(name, a, labels):
-    """``labels`` as an array, checked to hold one label in [0, K) per row of (N, K) ``a``."""
+def _check_labels(name, shape, labels):
+    """``labels`` as an array, checked to hold one label in [0, K) per row of
+    an (N, K) operand of the given shape."""
     labels = np.asarray(labels)
-    if a.data.ndim != 2 or labels.shape != (a.shape[0],):
-        raise ShapeMismatchError(f"{name}: {a.shape} with labels {labels.shape}")
-    if len(labels) and (labels.min() < 0 or labels.max() >= a.shape[1]):
+    if len(shape) != 2 or labels.shape != shape[:1]:
+        raise ShapeMismatchError(f"{name}: {shape} with labels {labels.shape}")
+    if len(labels) and (labels.min() < 0 or labels.max() >= shape[1]):
         raise IndexError("label out of range")
     return labels
 
@@ -471,7 +472,7 @@ def softmax_nll(logits, labels) -> Tensor:
     it raises DomainError when any probability is 0.
     """
     logits = as_tensor(logits)
-    labels = _check_labels("softmax-nll", logits, labels)
+    labels = _check_labels("softmax-nll", logits.shape, labels)
     probs = _softmax(logits.data)
     if np.any(probs <= 0.0):
         raise DomainError("log: non-positive input")
@@ -535,7 +536,7 @@ def sum_rows(a) -> Tensor:
 def take_labels(a, labels) -> Tensor:
     """Entry (i, labels[i]) of each row of an (N, K) tensor, as an (N, 1) column."""
     a = as_tensor(a)
-    labels = _check_labels("take-labels", a, labels)
+    labels = _check_labels("take-labels", a.shape, labels)
     rows = np.arange(len(labels))
 
     def vjp(g):

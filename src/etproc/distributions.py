@@ -1,12 +1,16 @@
-"""Seeded random streams, closed-form moments and divergences, and the
-reparameterised Gaussian draw.
+"""Seeded random streams, closed-form moments and divergences, the
+evidential losses, and the reparameterised Gaussian draw.
 
 Categorical, Dirichlet, and diagonal-Gaussian laws shared by all four
 models. Each Dirichlet law (KL divergence, mean and variance, expected
-log-probability) has one implementation, the ``_rows`` primitive: it takes
-an (N, K) concentration matrix, records one fused op on the gradient tape
-when its input is tracked, and runs untracked on plain arrays. The oracle
-tests call the primitives themselves, on one row or many, so they check the
+log-probability) has one implementation, a kernel that returns the law's
+value and its VJP. The ``_rows`` primitive of a law takes an (N, K)
+concentration matrix, records its kernel as one fused op on the gradient
+tape when its input is tracked, and runs untracked on plain arrays. The
+evidential losses of training, ``edl_loss`` (EDL) and ``evidential_nll``
+(ENP, ETP), chain the same kernels behind the capped exp of the
+log-concentrations in one record each. The oracle tests call the
+primitives and ``edl_terms``, on one row or many, so they check the
 formulas that training uses.
 """
 
@@ -54,27 +58,45 @@ def _check_alpha(alpha):
 
 # ---------------------------------------------------------------------------
 # Dirichlet
+#
+# Each law is one kernel on checked arrays that returns the law's value and
+# its VJP. A VJP returns the terms of its operand's gradient in the order in
+# which the unfused graph of elementary ops adds them, so adding them in that
+# order (``autodiff.backward``, ``_add_terms``) rounds as that graph did.
 
 
-def dirichlet_kl_rows(alpha_q: Tensor, alpha_p) -> Tensor:
-    """Row-wise KL(Dir(q_row) || Dir(p)) for an (N, K) tensor; returns (N, 1).
+def _add_terms(terms):
+    """The terms of a VJP added in order, as ``autodiff.backward`` adds them."""
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
 
-    One tape record. Its VJP forms the same products, and adds the four
-    terms of the alpha_q gradient in the same order, as the log-gamma graph
-    of elementary ops it replaces, so the gradient rounds as that graph did.
+
+def _trigamma(a, unit=None):
+    """zeta(2, a) elementwise; where the boolean mask ``unit`` holds, ``a`` is
+    exactly 1.0, and zeta(2, 1.0) is filled in instead of evaluated."""
+    if unit is None:
+        return special.zeta(2, a)
+    out = np.full(a.shape, special.zeta(2, 1.0))
+    rest = ~unit
+    out[rest] = special.zeta(2, a[rest])
+    return out
+
+
+def _kl_kernel(a, p, unit=None):
+    """KL(Dir(a_row) || Dir(p)) of (N, K) ``a`` and (K,) ``p``, (N, 1), and its VJP.
+
+    The VJP forms the products of the log-gamma graph of elementary ops it
+    replaces and returns the four terms of the gradient in that graph's
+    order. ``unit`` marks entries of ``a`` that are exactly 1.0 (``_trigamma``).
     """
-    alpha_q = as_tensor(alpha_q)
-    a = _check_alpha(alpha_q.data)
-    p = _check_alpha(alpha_p)
     k = a.shape[1]
-    if p.shape != (k,):
-        raise ValueError(f"dirichlet_kl: length mismatch, alpha_q has length {k}, "
-                         f"alpha_p has shape {p.shape}")
     a0 = a.sum(axis=1, keepdims=True)
     psi_a, psi_a0 = special.psi(a), special.psi(a0)
     d = a - p
     e = psi_a - psi_a0
-    const = float(np.sum(special.gammaln(p)) - special.gammaln(p.sum()))
+    const = float(special.gammaln(p).sum() - special.gammaln(p.sum()))
     kl = (special.gammaln(a0) - special.gammaln(a).sum(axis=1, keepdims=True)
           + (d * e).sum(axis=1, keepdims=True)) + const
 
@@ -83,21 +105,18 @@ def dirichlet_kl_rows(alpha_q: Tensor, alpha_p) -> Tensor:
         g_e = gb * d
         g_a0 = ((-g_e).sum(axis=1, keepdims=True) * special.zeta(2, a0)
                 + g * psi_a0)
-        return (gb * e, g_e * special.zeta(2, a), -gb * psi_a,
+        return (gb * e, g_e * _trigamma(a, unit), -gb * psi_a,
                 np.repeat(g_a0, k, axis=1))
 
-    return ad.emit(kl, (alpha_q,), (vjp,))
+    return kl, vjp
 
 
-def dirichlet_moments_rows(alpha: Tensor):
-    """Differentiable row-wise Dirichlet mean and variance for (N, K) alpha.
+def _moments_kernel(a):
+    """Row-wise mean and variance of Dir(a) for (N, K) ``a``, and their VJP.
 
-    One fused record holds both moments stacked, and one record each takes
-    them apart. The VJP forms the products of the graph of elementary ops it
-    replaces and adds its three alpha terms in that graph's order.
+    The VJP takes the adjoints of both moments and returns the three terms of
+    the gradient of the graph of elementary ops it replaces, in its order.
     """
-    alpha = as_tensor(alpha)
-    a = _check_alpha(alpha.data)
     k = a.shape[1]
     a0 = np.repeat(a.sum(axis=1, keepdims=True), k, axis=1)
     inv_a0 = 1.0 / a0
@@ -108,8 +127,7 @@ def dirichlet_moments_rows(alpha: Tensor):
     t3 = t2 * inv_a0
     var = t3 * inv_a0p1
 
-    def vjp(g):
-        g_mean, g_var = g
+    def vjp(g_mean, g_var):
         g_t3 = g_var * inv_a0p1
         g_t2 = g_t3 * inv_a0
         g_mean = g_mean + g_t2 * t1
@@ -119,22 +137,14 @@ def dirichlet_moments_rows(alpha: Tensor):
         g_a0 = g_a0 + -g_inv_a0 * inv_a0 * inv_a0
         return (-g_t1, g_mean * inv_a0, np.repeat(g_a0.sum(axis=1, keepdims=True), k, axis=1))
 
-    mean_t, var_t = ad.unstack(ad.emit(np.stack([mean, var]), (alpha,), (vjp,)))
-    return mean_t, var_t
+    return mean, var, vjp
 
 
-def dirichlet_expected_log_prob_rows(alpha: Tensor, labels) -> Tensor:
-    """Row-wise psi(alpha_y) - psi(alpha_0) for integer labels; returns (N, 1).
-
-    One tape record; the VJP adds the alpha_0 term before the alpha_y term,
-    in the order of the graph of elementary ops it replaces.
-    """
-    alpha = as_tensor(alpha)
-    a = _check_alpha(alpha.data)
+def _expected_log_prob_kernel(a, labels):
+    """Row-wise psi(a_y) - psi(a_0) of (N, K) ``a`` at checked labels, (N, 1),
+    and its VJP, whose alpha_0 term comes before its alpha_y term, as in the
+    graph of elementary ops it replaces."""
     n, k = a.shape
-    labels = np.asarray(labels)
-    if labels.min() < 0 or labels.max() >= k:
-        raise IndexError(f"class index out of range for K={k}")
     rows = np.arange(n)
     a_y = a[rows, labels]
     a0 = a.sum(axis=1, keepdims=True)
@@ -145,7 +155,133 @@ def dirichlet_expected_log_prob_rows(alpha: Tensor, labels) -> Tensor:
         g_sel[rows, labels] = g[:, 0] * special.zeta(2, a_y)
         return np.repeat(-g * special.zeta(2, a0), k, axis=1), g_sel
 
+    return out, vjp
+
+
+def dirichlet_kl_rows(alpha_q: Tensor, alpha_p) -> Tensor:
+    """Row-wise KL(Dir(q_row) || Dir(p)) for an (N, K) tensor; returns (N, 1).
+
+    One tape record; its VJP rounds as the log-gamma graph it replaces
+    (``_kl_kernel``).
+    """
+    alpha_q = as_tensor(alpha_q)
+    a = _check_alpha(alpha_q.data)
+    p = _check_alpha(alpha_p)
+    k = a.shape[1]
+    if p.shape != (k,):
+        raise ValueError(f"dirichlet_kl: length mismatch, alpha_q has length {k}, "
+                         f"alpha_p has shape {p.shape}")
+    kl, vjp = _kl_kernel(a, p)
+    return ad.emit(kl, (alpha_q,), (vjp,))
+
+
+def dirichlet_moments_rows(alpha: Tensor):
+    """Differentiable row-wise Dirichlet mean and variance for (N, K) alpha.
+
+    One fused record holds both moments stacked, and one record each takes
+    them apart (``_moments_kernel``).
+    """
+    alpha = as_tensor(alpha)
+    mean, var, vjp = _moments_kernel(_check_alpha(alpha.data))
+    return ad.unstack(ad.emit(np.stack([mean, var]), (alpha,), (lambda g: vjp(*g),)))
+
+
+def dirichlet_expected_log_prob_rows(alpha: Tensor, labels) -> Tensor:
+    """Row-wise psi(alpha_y) - psi(alpha_0) for one label per row of (N, K)
+    alpha; returns (N, 1). One tape record (``_expected_log_prob_kernel``)."""
+    alpha = as_tensor(alpha)
+    a = _check_alpha(alpha.data)
+    labels = ad._check_labels("dirichlet-expected-log-prob", a.shape, labels)
+    out, vjp = _expected_log_prob_kernel(a, labels)
     return ad.emit(out, (alpha,), (vjp,))
+
+
+# ---------------------------------------------------------------------------
+# evidential losses: one tape record each, from the log-concentrations
+#
+# Each chains the kernels above behind exp(min(raw, cap)). Value and VJP equal
+# the unfused graph (clip_upper, exp, the ``_rows`` primitives, elementwise
+# ops, tmean) bit for bit: the VJP evaluates that graph's expressions and adds
+# its terms in that graph's reverse order.
+
+
+def _capped_exp(raw, cap):
+    """exp(min(raw, cap)) of an array, and its VJP, which is 0 where capped."""
+    alpha = np.exp(np.minimum(raw, cap))
+    return alpha, lambda g: g * alpha * (raw < cap)
+
+
+def evidential_nll(raw, labels, cap, beta_reg=0.0) -> Tensor:
+    """Batch-mean expected NLL, -E[log pi_y] under pi ~ Dir(alpha), of one
+    label per row, at alpha = exp(min(raw, cap)) of (N, K) log-concentrations
+    ``raw``, plus ``beta_reg`` times the batch-mean KL(Dir(alpha) ||
+    Dir(1, ..., 1)) when it is > 0. One tape record; its VJP adds the KL's
+    terms before the expected log-probability's, as the unfused graph does."""
+    raw = as_tensor(raw)
+    labels = ad._check_labels("evidential-nll", raw.shape, labels)
+    alpha, exp_vjp = _capped_exp(raw.data, cap)
+    elp, elp_vjp = _expected_log_prob_kernel(_check_alpha(alpha), labels)
+    n, k = alpha.shape
+    beta_reg = float(beta_reg)
+    loss = -1.0 * elp.mean()
+    if beta_reg > 0.0:
+        kl, kl_vjp = _kl_kernel(alpha, np.ones(k))
+        loss = loss + beta_reg * kl.mean()
+
+    def vjp(g):
+        terms = kl_vjp(np.full((n, 1), float(beta_reg * g) / n)) if beta_reg > 0.0 else ()
+        terms += elp_vjp(np.full((n, 1), float(-1.0 * g) / n))
+        return exp_vjp(_add_terms(terms))
+
+    return ad.emit(np.array(loss), (raw,), (vjp,))
+
+
+def edl_terms(alpha, labels):
+    """EDL's per-row terms at (N, K) concentrations and one label per row,
+    each (N, 1), and their VJP (Sensoy et al. 2018, arXiv 1806.01768, Eq. 5).
+
+    ``sq`` is the expected squared error E||y - pi||^2 under pi ~ Dir(alpha),
+    from the Dirichlet moments. ``kl`` is KL(Dir(alpha~) || Dir(1, ..., 1)) on
+    the misleading evidence alpha~ = y + (1 - y) * alpha: the true class's
+    concentration is replaced by 1, so the KL never penalises evidence for
+    the true class. The VJP maps the adjoints of ``sq`` and ``kl`` to the
+    terms of alpha's gradient, the KL's first, as the unfused graph adds them.
+    """
+    alpha = _check_alpha(alpha)
+    labels = ad._check_labels("edl-terms", alpha.shape, labels)
+    k = alpha.shape[1]
+    onehot = np.eye(k)[labels]
+    mean, var, moments_vjp = _moments_kernel(alpha)
+    diff = onehot - mean
+    sq = (diff * diff + var).sum(axis=1, keepdims=True)
+    off = 1.0 - onehot
+    kl, kl_vjp = _kl_kernel(onehot + alpha * off, np.ones(k), unit=onehot == 1.0)
+
+    def vjp(g_sq, g_kl):
+        g_rows = np.repeat(g_sq, k, axis=1)
+        g_diff = g_rows * diff + g_rows * diff
+        return (_add_terms(kl_vjp(g_kl)) * off, *moments_vjp(-g_diff, g_rows))
+
+    return sq, kl, vjp
+
+
+def edl_loss(raw, labels, lam, cap) -> Tensor:
+    """EDL's batch-mean loss, the mean of sq + lam * kl (``edl_terms``), at
+    alpha = exp(min(raw, cap)) of (N, K) log-concentrations ``raw``; one tape
+    record. Like the unfused graph, the VJP evaluates the KL's adjoint at
+    lam = 0 too, so an overflowing trigamma there still forms a NaN."""
+    raw = as_tensor(raw)
+    alpha, exp_vjp = _capped_exp(raw.data, cap)
+    sq, kl, terms_vjp = edl_terms(alpha, labels)
+    lam = float(lam)
+    n = len(sq)
+    total = sq + lam * kl
+
+    def vjp(g):
+        g_rows = np.full((n, 1), float(g) / n)
+        return exp_vjp(_add_terms(terms_vjp(g_rows, lam * g_rows)))
+
+    return ad.emit(np.array(total.mean()), (raw,), (vjp,))
 
 
 # ---------------------------------------------------------------------------

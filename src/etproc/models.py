@@ -33,7 +33,10 @@ keeps its means under the plain weight names, so under ``params`` it is
 the posterior-mean network; its means and log-variances are one block
 each, so its weight KL is one tape record, and each network, its weight
 draw included, is one ``autodiff.mlp`` record over its blocks too. BNN's
-NLL is one ``autodiff.softmax_nll`` record.
+NLL is one ``autodiff.softmax_nll`` record. The evidential losses start
+from the raw log-concentrations, capped at ``LOG_ALPHA_CAP`` inside them:
+EDL's is one ``distributions.edl_loss`` record, and ENP's and ETP's
+expected Dirichlet NLL is one ``distributions.evidential_nll`` record.
 """
 
 from __future__ import annotations
@@ -47,11 +50,14 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import AdamState, Tensor, adam_step, as_tensor, backward
 from .data import LabeledDataset, batch_iterator
+# perfbench's tracer wraps the three Dirichlet primitives on this module by name
 from .distributions import (
     SeededRng,
     dirichlet_expected_log_prob_rows,
     dirichlet_kl_rows,
     dirichlet_moments_rows,
+    edl_loss,
+    evidential_nll,
     gaussian_kl_diag,
     gaussian_reparam,
 )
@@ -193,19 +199,21 @@ class _Model:
         """Name -> array of everything a checkpoint stores."""
         return self.trainable()
 
+    def _count_clamps(self, raw: Tensor):
+        """Count the entries of log-concentrations that the cap clamps."""
+        self.clamp_events += int(np.sum(raw.data >= LOG_ALPHA_CAP))
+
     def _capped_exp(self, raw: Tensor) -> Tensor:
         """exp(min(raw, LOG_ALPHA_CAP)), counting the entries the cap clamps."""
-        self.clamp_events += int(np.sum(raw.data >= LOG_ALPHA_CAP))
+        self._count_clamps(raw)
         return ad.exp(ad.clip_upper(raw, LOG_ALPHA_CAP))
 
-    def _evidential_nll(self, alpha: Tensor, yb) -> Tensor:
-        """Batch-mean expected NLL of the labels under Dir(alpha), plus
-        ``beta_reg`` times the batch-mean KL to Dir(1, ..., 1) when it is > 0."""
-        enll = ad.scale(-1.0, ad.tmean(dirichlet_expected_log_prob_rows(alpha, yb)))
-        if self.beta_reg > 0.0:
-            reg = ad.tmean(dirichlet_kl_rows(alpha, np.ones(self.num_classes)))
-            enll = ad.add(enll, ad.scale(self.beta_reg, reg))
-        return enll
+    def _evidential_nll(self, raw: Tensor, yb) -> Tensor:
+        """Batch-mean expected NLL of the labels under Dir(alpha) at capped
+        log-concentrations ``raw``, plus ``beta_reg`` times the batch-mean KL
+        to Dir(1, ..., 1) when it is > 0; one record."""
+        self._count_clamps(raw)
+        return evidential_nll(raw, yb, LOG_ALPHA_CAP, self.beta_reg)
 
 
 class _Mlp:
@@ -331,11 +339,9 @@ class EdlModel(_Model):
         self.net = _Mlp((input_dim, *self.hidden, num_classes), "net")
         self._pack({"net": self.net.initial_weights(rng)})
 
-    def _alpha(self, x: Tensor, params) -> Tensor:
-        return self._capped_exp(self.net.forward(x, params))
-
     def loss(self, leaves, xb, yb, lam):
-        """Analytic expected squared error plus annealed KL to Dir(1,...,1).
+        """Analytic expected squared error plus annealed KL to Dir(1,...,1),
+        one ``edl_loss`` record on the network's output.
 
         The KL acts on the misleading evidence alpha~ = y + (1-y)*alpha, as in
         Sensoy et al. 2018 (arXiv 1806.01768, Eq. 5), so it never penalises
@@ -343,33 +349,17 @@ class EdlModel(_Model):
         """
         if lam < 0:
             raise ValueError("annealing weight must be >= 0")
-        alpha = self._alpha(as_tensor(xb), leaves)
-        per = self.per_sample_terms(alpha, yb)
-        return ad.tmean(ad.add(per["sq"], ad.scale(lam, per["kl"])))
+        raw = self.net.forward(as_tensor(xb), leaves)
+        self._count_clamps(raw)
+        return edl_loss(raw, yb, lam, LOG_ALPHA_CAP)
 
     def step_loss(self, leaves, xb, yb, rng, cfg, epoch, n_total):
         lam = min(1.0, epoch / cfg.edl_anneal_epochs) if cfg.edl_anneal_epochs > 0 else 1.0
         return self.loss(leaves, xb, yb, lam)
 
-    def per_sample_terms(self, alpha: Tensor, yb):
-        """(N,1) tensors: squared-error-plus-variance term and the KL term.
-
-        The KL is KL(Dir(alpha~) || Dir(1,...,1)) on the misleading evidence
-        alpha~ = y + (1-y)*alpha (Sensoy et al. 2018): the true class's
-        concentration is replaced by 1.
-        """
-        n, k = alpha.shape
-        onehot = np.eye(k)[yb]
-        mean, var = dirichlet_moments_rows(alpha)
-        diff = ad.sub(as_tensor(onehot), mean)
-        sq = ad.sum_rows(ad.add(ad.mul(diff, diff), var))
-        misleading = ad.add(onehot, ad.mul(alpha, 1.0 - onehot))
-        kl = dirichlet_kl_rows(misleading, np.ones(k))
-        return {"sq": sq, "kl": kl}
-
     def draws(self, x, rng, n_samples, n_samples_z):
         """The Dirichlet mean, once: the network is deterministic."""
-        yield _dirichlet_mean(self._alpha(x, self.params).data)
+        yield _dirichlet_mean(self._capped_exp(self.net.forward(x, self.params)).data)
 
 
 # ---------------------------------------------------------------------------
@@ -408,11 +398,15 @@ class EtpModel(_Model):
         """The memory's share of the log-concentration."""
         return ad.tanh(read) if self.combiner == "residual" else read
 
-    def concentration(self, v: Tensor, z, params) -> Tensor:
-        """Dirichlet concentrations for embeddings v under memory draw z."""
+    def log_concentration(self, v: Tensor, z, params) -> Tensor:
+        """Uncapped log-concentrations for embeddings v under memory draw z."""
         read, _ = self.attend(v, z, params)
         evidence = self._evidence(read)
-        return self._capped_exp(ad.add(v, evidence) if self.combiner == "residual" else evidence)
+        return ad.add(v, evidence) if self.combiner == "residual" else evidence
+
+    def concentration(self, v: Tensor, z, params) -> Tensor:
+        """Dirichlet concentrations for embeddings v under memory draw z."""
+        return self._capped_exp(self.log_concentration(v, z, params))
 
     def draw_memory(self, rng: SeededRng, n_draws=None):
         """A memory draw M + sqrt(kappa2) * noise, (R, K), or a stack of
@@ -446,7 +440,7 @@ class EtpModel(_Model):
         memory treated as constant."""
         v = self.encoder.forward(as_tensor(np.atleast_2d(xb)), leaves,
                                  rng.normal(size=self.encoder.n_weights))
-        enll = self._evidential_nll(self.concentration(v, self.draw_memory(rng), leaves), yb)
+        enll = self._evidential_nll(self.log_concentration(v, self.draw_memory(rng), leaves), yb)
         kl = self.encoder.kl_to_prior(leaves, self.beta)
         return ad.add(enll, ad.scale(1.0 / n_total, kl))
 
@@ -507,8 +501,8 @@ class EnpModel(_Model):
         self._pack({net.prefix: net.initial_weights(rng)
                     for net in (self.embed, self.encoder, self.head)})
 
-    def _alpha(self, e: Tensor, z, params) -> Tensor:
-        return self._capped_exp(self.head.forward(ad.concat([e, z], axis=1), params))
+    def _log_alpha(self, e: Tensor, z, params) -> Tensor:
+        return self.head.forward(ad.concat([e, z], axis=1), params)
 
     def loss(self, leaves, xb, yb, ctx_x, ctx_y, rng, n_total):
         """Expected Dirichlet NLL plus KL(N(mu, e^lv) || N(1, kappa2 I)) / n_total;
@@ -526,7 +520,7 @@ class EnpModel(_Model):
             read, _ = ad.attention(e, ad.columns(h, 0, k), h, 1.0 / np.sqrt(k))
         mu, lv = ad.columns(read, 0, k), ad.columns(read, k, 2 * k)
         z = gaussian_reparam(mu, lv, rng.normal(size=(n, k)))
-        enll = self._evidential_nll(self._alpha(e, z, leaves), yb)
+        enll = self._evidential_nll(self._log_alpha(e, z, leaves), yb)
         kl = gaussian_kl_diag(mu, lv, 1.0, float(np.log(self.kappa2)))
         return ad.add(enll, ad.scale(1.0 / n_total, kl))
 
@@ -539,7 +533,8 @@ class EnpModel(_Model):
         e = self.embed.forward(x, self.params)
         for _ in range(n_samples):
             z = 1.0 + np.sqrt(self.kappa2) * rng.normal(size=self.num_classes)
-            yield _dirichlet_mean(self._alpha(e, np.broadcast_to(z, e.shape), self.params).data)
+            alpha = self._capped_exp(self._log_alpha(e, np.broadcast_to(z, e.shape), self.params))
+            yield _dirichlet_mean(alpha.data)
 
 
 MODEL_CLASSES = {cls.kind: cls for cls in (BnnModel, EdlModel, EnpModel, EtpModel)}

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 
 from etproc import autodiff as ad
+from etproc import distributions as dist
 from etproc.autodiff import Tape, Tensor, as_tensor, backward
 from etproc.distributions import (
     NLL_PROB_FLOOR,
@@ -19,9 +20,13 @@ from etproc.distributions import (
     dirichlet_expected_log_prob_rows,
     dirichlet_kl_rows,
     dirichlet_moments_rows,
+    edl_loss,
+    edl_terms,
+    evidential_nll,
     gaussian_kl_diag,
     gaussian_reparam,
 )
+from etproc.models import LOG_ALPHA_CAP
 
 alphas = st.lists(st.floats(0.1, 20.0), min_size=2, max_size=6)
 
@@ -204,6 +209,18 @@ class TestExpectedLogProb:
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
             dirichlet_expected_log_prob_rows(np.atleast_2d([1.0, 2.0]), [2])
+
+    def test_one_label_for_many_rows_rejected(self):
+        with pytest.raises(ad.ShapeMismatchError, match="expected-log-prob"):
+            dirichlet_expected_log_prob_rows(np.ones((3, 2)), [1])
+
+    def test_empty_labels_rejected(self):
+        with pytest.raises(ad.ShapeMismatchError, match="expected-log-prob"):
+            dirichlet_expected_log_prob_rows(np.ones((3, 2)), np.array([], dtype=int))
+
+    def test_no_rows_no_labels(self):
+        out = dirichlet_expected_log_prob_rows(np.ones((0, 2)), np.array([], dtype=int))
+        assert out.shape == (0, 1)
 
     def test_rows_variant(self):
         a = np.array([[2.0, 3.0], [4.0, 1.0]])
@@ -528,3 +545,165 @@ class TestFusedPrimitives:
         self.assert_matches_unfused(build(dirichlet_moments_rows),
                                     build(unfused_moments_rows), x0, exact=k == 2)
         self.assert_finite_differences(build(dirichlet_moments_rows), x0)
+
+
+# ---------------------------------------------------------------------------
+# the evidential losses, one record each, against the unfused graphs they fold
+
+
+def unfused_evidential_nll(raw, labels, cap, beta_reg=0.0):
+    """clip_upper, exp, the expected log-probability and KL primitives, tmean,
+    scale and add: the graph ``evidential_nll`` folds into one record."""
+    alpha = ad.exp(ad.clip_upper(raw, cap))
+    enll = ad.scale(-1.0, ad.tmean(dirichlet_expected_log_prob_rows(alpha, labels)))
+    if beta_reg > 0.0:
+        reg = ad.tmean(dirichlet_kl_rows(alpha, np.ones(alpha.shape[1])))
+        enll = ad.add(enll, ad.scale(beta_reg, reg))
+    return enll
+
+
+def unfused_edl_loss(raw, labels, lam, cap):
+    """The graph ``edl_loss`` folds into one record: the moments primitive and
+    the squared error, the KL primitive on the misleading evidence, lam and
+    the batch mean."""
+    alpha = ad.exp(ad.clip_upper(raw, cap))
+    k = alpha.shape[1]
+    onehot = np.eye(k)[labels]
+    mean, var = dirichlet_moments_rows(alpha)
+    diff = ad.sub(as_tensor(onehot), mean)
+    sq = ad.sum_rows(ad.add(ad.mul(diff, diff), var))
+    misleading = ad.add(onehot, ad.mul(alpha, 1.0 - onehot))
+    kl = dirichlet_kl_rows(misleading, np.ones(k))
+    return ad.tmean(ad.add(sq, ad.scale(lam, kl)))
+
+
+def raw_batch(n, k, seed):
+    """Log-concentrations and labels; some entries sit at or above the cap."""
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=(n, k)) * 3.0
+    raw.flat[rng.integers(0, n * k, size=max(1, n * k // 8))] = LOG_ALPHA_CAP
+    raw.flat[rng.integers(0, n * k, size=max(1, n * k // 8))] = LOG_ALPHA_CAP + 2.0
+    return raw, rng.integers(0, k, size=n)
+
+
+def loss_and_grad(loss, raw):
+    """Value and raw gradient of a loss that also reaches the log-concentrations
+    outside the evidential loss, as a network's output bias sees one adjoint."""
+    tape = Tape()
+    leaf = tape.leaf(raw)
+    total = ad.add(loss(leaf), ad.scale(0.3, ad.tsum(ad.tanh(leaf))))
+    return total.data, backward(total)[leaf.node_id]
+
+
+def assert_same_bits(got, want):
+    """Equal arrays, the signs of zeros included."""
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestEvidentialNll:
+    @pytest.mark.parametrize("beta_reg", [0.0, 0.5])
+    @pytest.mark.parametrize("k", [2, 3, 10])
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    def test_matches_unfused_graph_bit_for_bit(self, n, k, beta_reg):
+        raw, labels = raw_batch(n, k, seed=60 + n + k)
+        value, grad = loss_and_grad(
+            lambda x: evidential_nll(x, labels, LOG_ALPHA_CAP, beta_reg), raw)
+        want_value, want_grad = loss_and_grad(
+            lambda x: unfused_evidential_nll(x, labels, LOG_ALPHA_CAP, beta_reg), raw)
+        assert_same_bits(value, want_value)
+        assert_same_bits(grad, want_grad)
+
+    @pytest.mark.parametrize("beta_reg", [0.0, 0.5])
+    def test_finite_differences(self, beta_reg):
+        rng = np.random.default_rng(61)
+        raw, labels = rng.normal(size=(5, 3)), rng.integers(0, 3, size=5)
+
+        def build(x):
+            return evidential_nll(x, labels, LOG_ALPHA_CAP, beta_reg)
+
+        _, analytic = value_and_grad(build, raw)
+        np.testing.assert_allclose(analytic, finite_diff_grad(build, raw), rtol=1e-5, atol=1e-7)
+
+    @pytest.mark.parametrize("beta_reg", [0.0, 0.5])
+    def test_one_tape_record(self, beta_reg):
+        tape = Tape()
+        evidential_nll(tape.leaf(np.zeros((3, 4))), [0, 1, 3], LOG_ALPHA_CAP, beta_reg)
+        assert len(tape._records) == 1
+
+    def test_underflow_to_zero_is_a_domain_error(self):
+        with pytest.raises(ad.DomainError, match="positive"):
+            evidential_nll(np.array([[0.0, -1e4]]), [0], LOG_ALPHA_CAP)
+
+    def test_bad_labels(self):
+        with pytest.raises(IndexError):
+            evidential_nll(np.zeros((2, 2)), [0, 2], LOG_ALPHA_CAP)
+        with pytest.raises(ad.ShapeMismatchError, match="evidential-nll"):
+            evidential_nll(np.zeros((3, 2)), [1], LOG_ALPHA_CAP)
+
+
+class TestEdlLoss:
+    @pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("k", [2, 3, 10])
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    def test_matches_unfused_graph_bit_for_bit(self, n, k, lam):
+        raw, labels = raw_batch(n, k, seed=70 + n + k)
+        value, grad = loss_and_grad(lambda x: edl_loss(x, labels, lam, LOG_ALPHA_CAP), raw)
+        want_value, want_grad = loss_and_grad(
+            lambda x: unfused_edl_loss(x, labels, lam, LOG_ALPHA_CAP), raw)
+        assert_same_bits(value, want_value)
+        assert_same_bits(grad, want_grad)
+
+    def test_terms_are_the_loss_rows(self):
+        raw, labels = raw_batch(7, 3, seed=71)
+        sq, kl, _ = edl_terms(np.exp(np.minimum(raw, LOG_ALPHA_CAP)), labels)
+        want = float(edl_loss(raw, labels, 0.3, LOG_ALPHA_CAP).data)
+        assert float((sq + 0.3 * kl).mean()) == want
+
+    @pytest.mark.parametrize("lam", [0.0, 0.7])
+    def test_finite_differences(self, lam):
+        rng = np.random.default_rng(72)
+        raw, labels = rng.normal(size=(5, 3)), rng.integers(0, 3, size=5)
+
+        def build(x):
+            return edl_loss(x, labels, lam, LOG_ALPHA_CAP)
+
+        _, analytic = value_and_grad(build, raw)
+        np.testing.assert_allclose(analytic, finite_diff_grad(build, raw), rtol=1e-5, atol=1e-7)
+
+    def test_one_tape_record(self):
+        tape = Tape()
+        edl_loss(tape.leaf(np.zeros((3, 4))), [0, 1, 3], 0.5, LOG_ALPHA_CAP)
+        assert len(tape._records) == 1
+
+    def test_underflow_to_zero_is_a_domain_error(self):
+        with pytest.raises(ad.DomainError, match="positive"):
+            edl_loss(np.array([[0.0, -1e4]]), [0], 0.5, LOG_ALPHA_CAP)
+
+    def test_overflowing_trigamma_at_zero_weight_diverges_as_unfused(self):
+        """At lam = 0 the KL's adjoint is still evaluated: an off-label
+        concentration of about 1e-174 overflows its trigamma, and the VJP
+        forms 0 * inf, as the unfused graph's does."""
+        raw, labels = np.array([[0.0, -400.0], [1.0, 0.5]]), [0, 1]
+        for loss in (edl_loss, unfused_edl_loss):
+            tape = Tape()
+            out = loss(tape.leaf(raw), labels, 0.0, LOG_ALPHA_CAP)
+            with np.errstate(over="raise", invalid="raise"):
+                with pytest.raises(FloatingPointError):
+                    backward(out)
+
+    def test_label_minus_one_rejected(self):
+        with pytest.raises(IndexError):
+            edl_loss(np.zeros((2, 3)), [0, -1], 0.5, LOG_ALPHA_CAP)
+        with pytest.raises(IndexError):
+            edl_terms(np.ones((2, 3)), [0, -1])
+
+    def test_one_label_for_many_rows_rejected(self):
+        with pytest.raises(ad.ShapeMismatchError, match="edl-terms"):
+            edl_terms(np.ones((3, 2)), [1])
+
+    def test_trigamma_of_unit_entries_filled_in_bit_for_bit(self):
+        rng = np.random.default_rng(73)
+        a = rng.uniform(1e-3, 30.0, size=(50, 4))
+        unit = rng.uniform(size=a.shape) < 0.3
+        a[unit] = 1.0
+        assert_same_bits(dist._trigamma(a, unit), special.zeta(2, a))

@@ -23,6 +23,7 @@ from etproc.distributions import (
     SeededRng,
     dirichlet_expected_log_prob_rows,
     dirichlet_kl_rows,
+    edl_terms,
     gaussian_kl_diag,
 )
 from etproc.harness import ExperimentConfig
@@ -183,31 +184,28 @@ class TestEdl:
     def test_uniform_alpha_zero_kl(self):
         model = self.make_fixed_alpha_model([1.0, 1.0])
         alpha = np.exp(mlp_np([[0.0]], model.params, "net", 1))
-        terms = model.per_sample_terms(as_tensor(alpha), [0])
-        assert abs(terms["kl"].data.item()) <= 1e-10
+        _, kl, _ = edl_terms(alpha, [0])
+        assert abs(kl.item()) <= 1e-10
 
     def test_hand_evaluated_squared_error_term(self):
-        model = EdlModel(1, 2, (), SeededRng(seed=0, stream=2))
-        terms = model.per_sample_terms(as_tensor(np.array([[2.0, 2.0]])), [0])
+        sq, _, _ = edl_terms(np.array([[2.0, 2.0]]), [0])
         # mean (0.5, 0.5), per-class var = 2*2/(16*5) = 0.05
-        assert terms["sq"].data.item() == pytest.approx(0.6, abs=1e-12)
+        assert sq.item() == pytest.approx(0.6, abs=1e-12)
 
     def test_hand_evaluated_kl_on_misleading_evidence(self):
-        model = EdlModel(1, 2, (), SeededRng(seed=0, stream=2))
-        terms = model.per_sample_terms(as_tensor(np.array([[2.0, 2.0]])), [0])
+        _, kl, _ = edl_terms(np.array([[2.0, 2.0]]), [0])
         # alpha~ = (1, 2): KL(Dir(1, 2) || Dir(1, 1)) = ln 2 + psi(2) - psi(3)
-        assert terms["kl"].data.item() == pytest.approx(np.log(2.0) - 0.5, abs=1e-12)
+        assert kl.item() == pytest.approx(np.log(2.0) - 0.5, abs=1e-12)
 
     @staticmethod
     def random_terms(k, n_rows=3):
         """Random concentrations in [0.5, 4.5] and labels over k classes, with
-        the model's per-sample terms at them."""
+        EDL's per-row terms at them."""
         rng = np.random.default_rng(40 + k)
         alpha = np.exp(rng.uniform(-0.7, 1.5, size=(n_rows, k)))
         labels = rng.integers(0, k, size=n_rows)
-        model = EdlModel(1, k, (), SeededRng(seed=0, stream=2))
-        terms = model.per_sample_terms(as_tensor(alpha), labels)
-        return rng, alpha, labels, {name: t.data[:, 0] for name, t in terms.items()}
+        sq, kl, _ = edl_terms(alpha, labels)
+        return rng, alpha, labels, {"sq": sq[:, 0], "kl": kl[:, 0]}
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_squared_error_term_monte_carlo(self, k):
@@ -377,6 +375,21 @@ class TestEtpConcentration:
             EtpModel(1, 2, (4,), rng, kappa2=0.0)
         with pytest.raises(ValueError, match="combiner"):
             EtpModel(1, 2, (4,), rng, combiner="mlp")
+
+
+class TestConcentrationCap:
+    @pytest.mark.parametrize("kind, bias", [("edl", "net.b0"), ("enp", "head.b0"),
+                                            ("etp", "enc.b0")])
+    def test_training_loss_counts_clamped_entries(self, kind, bias):
+        """The fused training losses count the log-concentrations the cap
+        clamps, as the capped exp of prediction does."""
+        model = make_model(kind, 2, 3, (), SeededRng(seed=0, stream=2))
+        model.params[bias][...] = 50.0
+        xb, yb = small_batch(seed=18, k=3)
+        before = model.clamp_events
+        loss = model.step_loss(leaves_of(model), xb, yb, SeededRng(seed=19), TrainConfig(),
+                               5, 6)
+        assert np.isfinite(loss.data) and model.clamp_events - before == xb.shape[0] * 3
 
 
 class TestMemoryUpdate:
@@ -740,8 +753,8 @@ class TestFlatParameters:
         for name, (start, stop, shape) in model.spans.items():
             np.testing.assert_array_equal(model.params[name].ravel(), np.arange(start, stop))
 
-    @pytest.mark.parametrize("kind, count", [("bnn", 5), ("edl", 16), ("enp", 16),
-                                             ("etp", 13)])
+    @pytest.mark.parametrize("kind, count", [("bnn", 5), ("edl", 2), ("enp", 12),
+                                             ("etp", 9)])
     def test_tape_records_and_adam_updates_per_step(self, kind, count, monkeypatch):
         records, updates = [], []
 
