@@ -13,9 +13,11 @@ Three fused ops each make one tape record and equal the unfused graph of
 elementary ops bit for bit, forward and backward: their VJPs evaluate that
 graph's own expressions. ``attention`` forms its scores memory-major and
 reduces its softmax over that leading axis, adding in NumPy's own summation
-order (``_pairwise_sum``, pinned by a test). ``mlp`` runs a ReLU network
-from its whole parameter block, with the reparameterised draw of a
-variational network folded in, and returns one flat block gradient.
+order (``_pairwise_sum``, pinned by a test); at some prediction sizes its
+scores round apart from the unfused graph's in the last bit (see its
+docstring). ``mlp`` runs a ReLU network from its whole parameter block,
+with the reparameterised draw of a variational network folded in, and
+returns one flat block gradient.
 ``softmax_nll`` is the batch-mean categorical NLL of softmax logits.
 ``row_max``, ``row_sum`` and ``row_argmax`` reduce a short last axis in
 whole columns, where NumPy loops over rows, and equal NumPy bit for bit.
@@ -350,10 +352,13 @@ def attention(v, keys, z, scale: float):
     Returns ``read`` and the attention weights ``phi``, (N, R), as an
     untracked array. The scores are formed memory-major, (R, N), so the
     softmax's max and sum reduce over the leading memory axis; the sum keeps
-    NumPy's order (``_pairwise_sum``), so ``read`` and the VJPs equal the
-    unfused transpose/matmul/scale/softmax_rows/matmul graph bit for bit:
-    the VJPs evaluate that graph's own expressions on its own layouts and
-    deliver their terms in its reverse order, z first, then v, then keys.
+    NumPy's order (``_pairwise_sum``). The VJPs evaluate the unfused
+    transpose/matmul/scale/softmax_rows/matmul graph's own expressions on
+    its own layouts and deliver their terms in its reverse order, z first,
+    then v, then keys. The op equals that graph bit for bit at training
+    sizes, but ``keys @ v.T`` need not round as its ``v @ keys.T``: at
+    R >= 16 they differ in the last bit for some N between 257 and 1999
+    (wide-idx's N = 1500 prediction among them), by about 1e-15 on the read.
     """
     v, keys, z = as_tensor(v), as_tensor(keys), as_tensor(z)
     stacks = {t.shape[0] for t in (v, keys, z) if t.data.ndim == 3}
@@ -362,8 +367,8 @@ def attention(v, keys, z, scale: float):
         raise ShapeMismatchError(f"attention: {v.shape} over {keys.shape}, {z.shape}")
     scale = float(scale)
     kT = _swap(keys.data).copy()
-    # the scores, C-ordered (..., R, N); keys @ v.T rounds as v @ keys.T for
-    # N >= 2, but not for one query, where NumPy takes its vector path
+    # the scores, C-ordered (..., R, N); one query keeps v @ keys.T, since
+    # NumPy takes its vector path for keys @ v.T there
     weights = keys.data @ _swap(v.data) if v.shape[-2] > 1 else _swap(v.data @ kT).copy()
     weights *= scale
     weights -= weights.max(axis=-2, keepdims=True)
@@ -417,23 +422,18 @@ def mlp(x, layout, weights, logvars=None, eps=None) -> Tensor:
                                      f"{logvars.shape}, noise {eps.shape}")
         sd = np.exp(0.5 * logvars.data)
         block, parents = block + sd * eps, (x, weights, logvars)
-    stack = block.shape[:-1]
-    layers = []  # (W, b) views of the block
-    for off, fan_in, fan_out in layout:
-        mid = off + fan_in * fan_out
-        b = block[..., mid:mid + fan_out]
-        layers.append((block[..., off:mid].reshape(*stack, fan_in, fan_out),
-                       b[:, None, :] if stack else b))
-    last = len(layers) - 1
+    stack, last = block.shape[:-1], len(layout) - 1
     tracked = _tape_of(*parents) is not None
-    h, inputs = x.data, []  # each layer's input, kept on a tape only
-    for i, (w, b) in enumerate(layers):
+    h, layers = x.data, []  # per layer, on a tape only: its input, W and where W and b sit
+    for i, (off, fan_in, fan_out) in enumerate(layout):
+        mid = off + fan_in * fan_out
+        w, b = block[..., off:mid].reshape(*stack, fan_in, fan_out), block[..., mid:mid + fan_out]
         if tracked:
-            inputs.append(h)
+            layers.append((h, w, off, mid, mid + fan_out))
         h = h @ w
-        h += b
+        h += b[:, None, :] if stack else b
         if i < last:
-            h = np.maximum(h, 0.0, out=None if tracked else h)
+            np.maximum(h, 0.0, out=h)  # a new array: the next layer's input
     if not tracked:
         return Tensor(h)
     memo = {}
@@ -443,13 +443,11 @@ def mlp(x, layout, weights, logvars=None, eps=None) -> Tensor:
         if memo.get("g") is not g:
             memo["g"], flat = g, np.empty(block.shape)
             for i in range(last, -1, -1):
-                off, fan_in, fan_out = layout[i]
-                mid = off + fan_in * fan_out
-                w, a = layers[i][0], inputs[i]
+                a, w, off, mid, end = layers[i]
                 if i < last:
-                    g = g * (inputs[i + 1] > 0.0)  # relu(pre) > 0 exactly where pre > 0
-                flat[..., mid:mid + fan_out] = (g.sum(axis=1) if stack
-                                                else g.reshape(-1, fan_out).sum(axis=0))
+                    g = g * (layers[i + 1][0] > 0.0)  # relu(pre) > 0 exactly where pre > 0
+                flat[..., mid:end] = (np.add.reduce(g, axis=1) if stack
+                                      else np.add.reduce(g.reshape(-1, end - mid), axis=0))
                 flat[..., off:mid] = _sum_stack(_swap(a) @ g, w.ndim).reshape(*stack, -1)
                 if i or x.node_id is not None:
                     g = _sum_stack(g @ _swap(w), a.ndim)
@@ -469,23 +467,25 @@ def softmax_nll(logits, labels) -> Tensor:
     It keeps the arithmetic of the unfused softmax_rows/log/take_labels/
     scale/tmean graph, softmax first and then log, and its VJP evaluates
     that graph's expressions, so both round as that graph did. Like ``log``,
-    it raises DomainError when any probability is 0.
+    it raises DomainError when any probability is 0; a NaN one raises too.
+    The mean is ``np.add.reduce(nll) / n``, the arithmetic of ``nll.mean()``.
     """
     logits = as_tensor(logits)
     labels = _check_labels("softmax-nll", logits.shape, labels)
     probs = _softmax(logits.data)
-    if np.any(probs <= 0.0):
+    if not np.minimum.reduce(probs, axis=None) > 0.0:
         raise DomainError("log: non-positive input")
-    rows = np.arange(len(labels))
-    nll = -1.0 * np.log(probs[rows, labels])[:, None]
+    n = len(labels)
+    rows = np.arange(n)
+    nll = -1.0 * np.log(probs[rows, labels])
 
     def vjp(g):
         g_log = np.zeros(probs.shape)
-        g_log[rows, labels] = -1.0 * (float(g) / nll.size)
+        g_log[rows, labels] = -1.0 * (float(g) / n)
         g_probs = g_log / probs
-        return probs * (g_probs - (g_probs * probs).sum(axis=-1, keepdims=True))
+        return probs * (g_probs - np.add.reduce(g_probs * probs, axis=-1, keepdims=True))
 
-    return emit(np.array(nll.mean()), (logits,), (vjp,))
+    return emit(np.add.reduce(nll) / n, (logits,), (vjp,))
 
 
 def tsum(a) -> Tensor:
@@ -597,7 +597,7 @@ def backward(loss: Tensor) -> dict:
         for nid, (start, stop, shape) in spans.items():
             adjoints[nid] = flat[start:stop].reshape(shape)
     views = set(adjoints)
-    adjoints[loss.node_id] = np.ones_like(loss.data)
+    adjoints[loss.node_id] = np.ones(loss.data.shape)
     for out_id, parents in reversed(loss.tape._records):
         g = adjoints.get(out_id)
         if g is None:

@@ -305,32 +305,38 @@ def gaussian_reparam(mean, logvar, eps) -> Tensor:
                    (unstack, lambda g: unstack(0.5 * (g * eps * sd))))
 
 
-def gaussian_kl_diag(mean_q, logvar_q, mean_p, logvar_p):
-    """KL(N(mq, diag exp lq) || N(mp, diag exp lp)), summed over all entries.
+def gaussian_kl_diag(mean_q, logvar_q, mean_p, logvar_p, weight=1.0):
+    """``weight`` times KL(N(mq, diag exp lq) || N(mp, diag exp lp)), summed
+    over all entries.
 
     One tape record with an analytic VJP; returns a scalar Tensor. The prior
-    arguments are arrays of the posterior's shape, or scalars.
+    arguments are arrays of the posterior's shape, or scalars. The weight (an
+    ELBO's 1 / n_total) rounds as a ``scale`` record after the KL: the value
+    is ``weight * kl`` and the VJPs read ``weight * g``.
     """
     mq, lq = as_tensor(mean_q), as_tensor(logvar_q)
-    mp = np.asarray(mean_p, dtype=np.float64)
-    lp = np.asarray(logvar_p, dtype=np.float64)
-    if mq.shape != lq.shape or any(x.ndim and x.shape != mq.shape for x in (mp, lp)):
+    mp, lp = np.asarray(mean_p, dtype=np.float64), np.asarray(logvar_p, dtype=np.float64)
+    if (mq.shape != lq.shape or mp.ndim and mp.shape != mq.shape
+            or lp.ndim and lp.shape != mq.shape):
         raise ValueError("gaussian_kl_diag: length mismatch")
+    # a scalar prior as a Python float: the same IEEE arithmetic, without 0-d arrays
+    mp, lp = mp if mp.ndim else float(mp), lp if lp.ndim else float(lp)
     inv_var_p = 1.0 / np.exp(lp)
     var_q = np.exp(lq.data)
     diff = mq.data - mp
     inner = (var_q + diff * diff) * inv_var_p + lp - lq.data
-    kl = 0.5 * (inner.sum() - mq.data.size)
+    weight = float(weight)
 
     def vjp_mean(g):
-        t = 0.5 * float(g) * inv_var_p * diff
+        t = 0.5 * (weight * float(g)) * inv_var_p * diff
         return t + t
 
     def vjp_logvar(g):
-        half = 0.5 * float(g)
+        half = 0.5 * (weight * float(g))
         return half * inv_var_p * var_q - half
 
-    return ad.emit(np.array(kl), (mq, lq), (vjp_mean, vjp_logvar))
+    return ad.emit(weight * (0.5 * (np.add.reduce(inner, axis=None) - mq.data.size)), (mq, lq),
+                   (vjp_mean, vjp_logvar))
 
 
 # ---------------------------------------------------------------------------

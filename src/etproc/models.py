@@ -42,6 +42,7 @@ expected Dirichlet NLL is one ``distributions.evidential_nll`` record.
 from __future__ import annotations
 
 import json
+import math
 import zipfile
 from dataclasses import dataclass, fields
 
@@ -270,11 +271,11 @@ class VariationalMlp(_Mlp):
             return ad.mlp(x, self.layout, means)
         return ad.mlp(x, self.layout, means, params[f"{self.prefix}.logvars"], eps)
 
-    def kl_to_prior(self, params, beta: float) -> Tensor:
-        """KL of the whole posterior to the N(0, 1/beta I) prior."""
+    def kl_to_prior(self, params, beta: float, weight=1.0) -> Tensor:
+        """``weight`` times the KL of the whole posterior to the N(0, 1/beta I) prior."""
         return gaussian_kl_diag(params[f"{self.prefix}.means"],
                                 params[f"{self.prefix}.logvars"],
-                                0.0, float(np.log(1.0 / beta)))
+                                0.0, float(np.log(1.0 / beta)), weight)
 
 
 def _dirichlet_mean(alpha):
@@ -308,9 +309,8 @@ class BnnModel(_Model):
         """One-draw Monte Carlo estimate of the per-example negative ELBO."""
         logits = self.net.forward(as_tensor(xb), leaves, rng.normal(size=self.net.n_weights))
         nll = ad.softmax_nll(logits, yb)
-        kl = self.net.kl_to_prior(leaves, self.beta)
         # per-example ELBO: batch-mean NLL pairs with KL / dataset-size
-        return ad.add(nll, ad.scale(1.0 / n_total, kl))
+        return ad.add(nll, self.net.kl_to_prior(leaves, self.beta, 1.0 / n_total))
 
     def step_loss(self, leaves, xb, yb, rng, cfg, epoch, n_total):
         return self.loss(leaves, xb, yb, rng, n_total)
@@ -441,8 +441,7 @@ class EtpModel(_Model):
         v = self.encoder.forward(as_tensor(np.atleast_2d(xb)), leaves,
                                  rng.normal(size=self.encoder.n_weights))
         enll = self._evidential_nll(self.log_concentration(v, self.draw_memory(rng), leaves), yb)
-        kl = self.encoder.kl_to_prior(leaves, self.beta)
-        return ad.add(enll, ad.scale(1.0 / n_total, kl))
+        return ad.add(enll, self.encoder.kl_to_prior(leaves, self.beta, 1.0 / n_total))
 
     def step_loss(self, leaves, xb, yb, rng, cfg, epoch, n_total):
         cx, cy = _choose_context(xb, yb, cfg.context_fraction, rng)
@@ -521,8 +520,8 @@ class EnpModel(_Model):
         mu, lv = ad.columns(read, 0, k), ad.columns(read, k, 2 * k)
         z = gaussian_reparam(mu, lv, rng.normal(size=(n, k)))
         enll = self._evidential_nll(self._log_alpha(e, z, leaves), yb)
-        kl = gaussian_kl_diag(mu, lv, 1.0, float(np.log(self.kappa2)))
-        return ad.add(enll, ad.scale(1.0 / n_total, kl))
+        kl = gaussian_kl_diag(mu, lv, 1.0, float(np.log(self.kappa2)), 1.0 / n_total)
+        return ad.add(enll, kl)
 
     def step_loss(self, leaves, xb, yb, rng, cfg, epoch, n_total):
         cx, cy = _choose_context(xb, yb, cfg.context_fraction, rng)
@@ -564,30 +563,33 @@ def train(model, ds: LabeledDataset, cfg: TrainConfig, rng: SeededRng):
     """
     state = AdamState(model.theta.shape)
     n_total = len(ds)
-    trace = []
-    for epoch in range(cfg.epochs):
-        epoch_losses = []
-        for b, (xb, yb) in enumerate(batch_iterator(ds, cfg.batch_size, rng, epoch)):
-            try:
-                with np.errstate(over="raise", invalid="raise"):
+    losses = []  # per epoch, each batch's loss
+    with np.errstate(over="raise", invalid="raise"):
+        for epoch in range(cfg.epochs):
+            losses.append([])
+            for b, (xb, yb) in enumerate(batch_iterator(ds, cfg.batch_size, rng, epoch)):
+                try:
                     leaves = ad.Tape().flat_leaves(model.theta, model.blocks)
                     loss = model.step_loss(leaves, xb, yb, rng, cfg, epoch, n_total)
                     value = float(loss.data)
-                    if not np.isfinite(value):
+                    if not math.isfinite(value):
                         raise FloatingPointError(f"non-finite loss {value}")
                     grads = backward(loss)
                     adam_step(model.theta, grads[leaves[FLAT].node_id], state, lr=cfg.lr)
-            except (FloatingPointError, ad.DomainError) as exc:
-                raise TrainingDiverged(epoch, b, exc) from exc
-            epoch_losses.append(value)
-        if epoch_losses:
-            trace.append(float(np.mean(epoch_losses)))
-    return trace
+                except (FloatingPointError, ad.DomainError) as exc:
+                    raise TrainingDiverged(epoch, b, exc) from exc
+                losses[-1].append(value)
+    # np.mean's arithmetic (a pairwise sum, one division), outside the raising
+    # error state: a sum of finite losses that overflows gives an inf mean
+    return [float(np.add.reduce(epoch) / len(epoch)) for epoch in losses if epoch]
 
 
 def predict(model, x, rng: SeededRng, n_samples=16, n_samples_z=8):
     """Posterior predictive class probabilities for any model kind: the
     model's draws summed in draw order, then divided once by their count."""
+    for name, n in (("n_samples", n_samples), ("n_samples_z", n_samples_z)):
+        if n < 1:
+            raise ValueError(f"{name}: must be >= 1, got {n}")
     draws = model.draws(as_tensor(np.atleast_2d(x)), rng, n_samples, n_samples_z)
     total, count = 0.0, 0
     for count, probs in enumerate(draws, 1):

@@ -498,6 +498,14 @@ def attention_unfused(v, keys, z, scale):
     return ad.matmul(phi, z), phi.data
 
 
+def attention_memory_major(v, keys, z, scale):
+    """Read and weights from scores formed as ``keys @ v.T``, (R, N), then a
+    row softmax of their transposed copy: the layout of ``ad.attention``."""
+    scores = scale * (keys @ np.swapaxes(v, -1, -2))
+    phi = ad.softmax_rows(np.swapaxes(scores, -1, -2).copy()).data
+    return phi @ z, phi
+
+
 class TestAttention:
     K = 3
 
@@ -545,12 +553,17 @@ class TestAttention:
             assert np.array_equal(grads[name], want_grads[name]), name
 
     @pytest.mark.parametrize("stack", ["none", "queries", "memory", "both"])
-    @pytest.mark.parametrize("n", [1, 2, 40, 1000, 10000])
+    @pytest.mark.parametrize("n", [1, 2, 40, 300, 1000, 1500, 10000])
     @pytest.mark.parametrize("r", [5, 16, 130])
     def test_prediction_sizes_match_unfused_forward(self, r, n, stack):
         """At N >= 2 the scores are formed as keys @ v.T, in the softmax's
-        (R, N) layout, and round as the unfused v @ keys.T; one query keeps
-        the unfused form. Query widths K of 2, 3 and 10, as the tasks have."""
+        (R, N) layout, and equal the memory-major reference bit for bit. They
+        need not round as the unfused v @ keys.T: at R >= 16 they differ for
+        some N between 257 and 1999 (300 and 1500 here; 1500 is wide-idx's
+        ETP prediction), by up to about 1e-15 on the read and 1e-14 relative
+        on phi, so the unfused graph is held to a tolerance. One query keeps
+        the unfused form, bit for bit. Query widths K of 2, 3 and 10, as the
+        tasks have."""
         rng = np.random.default_rng(56)
         s_v = (2,) if stack in ("queries", "both") else ()
         s_m = (2,) if stack in ("memory", "both") else ()
@@ -559,7 +572,12 @@ class TestAttention:
             keys, z = rng.normal(size=(2, *s_m, r, k))
             read, phi = ad.attention(v, keys, z, 1.0 / np.sqrt(k))
             want_read, want_phi = attention_unfused(v, keys, z, 1.0 / np.sqrt(k))
-            assert np.array_equal(read.data, want_read.data), k
+            want_read = want_read.data
+            np.testing.assert_allclose(read.data, want_read, rtol=1e-13, atol=1e-14)
+            np.testing.assert_allclose(phi, want_phi, rtol=1e-13, atol=0.0)
+            if n > 1:
+                want_read, want_phi = attention_memory_major(v, keys, z, 1.0 / np.sqrt(k))
+            assert np.array_equal(read.data, want_read), k
             assert np.array_equal(phi, want_phi) and phi.flags.c_contiguous, k
 
     def test_one_tape_record(self):
@@ -758,7 +776,7 @@ class TestSoftmaxNll:
         return loss.data, backward(loss)[logits.node_id]
 
     @pytest.mark.parametrize("k", [2, 10])
-    @pytest.mark.parametrize("n", [1, 7, 64])
+    @pytest.mark.parametrize("n", [1, 7, 64, 200])
     def test_matches_unfused_graph_bit_for_bit(self, n, k):
         value, grad = self.run(ad.softmax_nll, n, k)
         want_value, want_grad = self.run(softmax_nll_unfused, n, k)
@@ -786,6 +804,10 @@ class TestSoftmaxNll:
         ``log`` of it does; training reports that as divergence."""
         with pytest.raises(ad.DomainError, match="non-positive"):
             ad.softmax_nll(np.array([[0.0, -1e4, 1.0]]), np.array([0]))
+
+    def test_nan_is_a_domain_error(self):
+        with pytest.raises(ad.DomainError, match="non-positive"):
+            ad.softmax_nll(np.array([[0.0, 1.0], [np.nan, 1.0]]), np.array([0, 1]))
 
     def test_bad_labels(self):
         with pytest.raises(IndexError):
@@ -930,6 +952,25 @@ class TestAdam:
         state = AdamState(theta.shape)
         with pytest.raises(ShapeMismatchError, match="adam_step"):
             adam_step(theta, np.ones(2), state)
+
+    def test_matches_expression_order_bit_for_bit(self):
+        """theta, m and v over 50 steps of random gradients equal Kingma &
+        Ba's update evaluated in one fixed expression order, so a rewrite of
+        the step cannot move a trained model's rounding."""
+        rng = np.random.default_rng(60)
+        theta = rng.normal(size=260)
+        want_theta, m, v = theta.copy(), np.zeros(260), np.zeros(260)
+        state = AdamState(theta.shape)
+        for t in range(1, 51):
+            grad = rng.normal(size=260) * 10.0 ** rng.integers(-6, 3)
+            adam_step(theta, grad, state, lr=0.003)
+            m = 0.9 * m + (1.0 - 0.9) * grad
+            v = 0.999 * v + (1.0 - 0.999) * grad * grad
+            m_hat = m / (1.0 - 0.9**t)
+            v_hat = v / (1.0 - 0.999**t)
+            want_theta = want_theta - 0.003 * m_hat / (np.sqrt(v_hat) + 1e-8)
+            assert np.array_equal(state.m, m) and np.array_equal(state.v, v), t
+            assert np.array_equal(theta, want_theta), t
 
 
 @settings(max_examples=30, deadline=None)

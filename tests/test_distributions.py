@@ -466,6 +466,21 @@ class TestFusedPrimitives:
         self.assert_matches_unfused(fused, unfused, x0, exact=True)
         self.assert_finite_differences(fused, x0)
 
+    @pytest.mark.parametrize("prior", ["arrays", "scalars"])
+    def test_gaussian_kl_weight_rounds_as_a_scale_record(self, prior):
+        """The weight inside the KL record (an ELBO's 1 / n_total) gives the
+        value and gradient of a ``scale`` record after the KL, bit for bit."""
+        rng = np.random.default_rng(42)
+        x0 = np.stack([rng.normal(size=5), rng.uniform(-2.0, 1.0, size=5)])
+        prior = ((rng.normal(size=5), rng.normal(size=5)) if prior == "arrays"
+                 else (1.0, float(np.log(0.1))))
+        weighted = self.gaussian_builds(
+            lambda m, lv, *p: gaussian_kl_diag(m, lv, *p, 1.0 / 37), prior)
+        scaled = self.gaussian_builds(
+            lambda m, lv, *p: ad.scale(1.0 / 37, gaussian_kl_diag(m, lv, *p)), prior)
+        (v1, g1), (v2, g2) = value_and_grad(weighted, x0), value_and_grad(scaled, x0)
+        assert v1 == v2 and np.array_equal(g1, g2)
+
     def test_gaussian_reparam(self):
         rng = np.random.default_rng(41)
         x0 = np.stack([rng.normal(size=(2, 3)), rng.uniform(-2.0, 1.0, size=(2, 3))])
