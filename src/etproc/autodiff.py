@@ -9,24 +9,30 @@ tape may hold any number of flat vectors, and a lone ``Tape.leaf`` is a
 flat vector with one span. The leaves of one vector share one flat
 gradient, so an optimizer step needs no gathering of per-array gradients.
 
-Three fused ops each make one tape record and equal the unfused graph of
-elementary ops bit for bit, forward and backward: their VJPs evaluate that
-graph's own expressions. ``attention`` forms its scores memory-major and
-reduces its softmax over that leading axis, adding in NumPy's own summation
-order (``_pairwise_sum``, pinned by a test); at some prediction sizes its
+The module holds the ops that a training step records, besides the laws
+of ``distributions``: ``matmul``, ``add``, ``tanh``, ``concat`` and
+``columns``, and three fused ops that each make one tape record. A fused
+op equals the unfused graph of elementary ops bit for bit, forward and
+backward: its VJPs evaluate that graph's own expressions. The elementary
+ops of those graphs live with the tests (``tests/unfused.py``).
+``attention`` forms its scores memory-major and reduces its softmax over
+that leading axis, adding in NumPy's own summation order
+(``_pairwise_sum``, pinned by a test); at some prediction sizes its
 scores round apart from the unfused graph's in the last bit (see its
 docstring). ``mlp`` runs a ReLU network from its whole parameter block,
 with the reparameterised draw of a variational network folded in, and
-returns one flat block gradient.
-``softmax_nll`` is the batch-mean categorical NLL of softmax logits.
-``row_max``, ``row_sum`` and ``row_argmax`` reduce a short last axis in
-whole columns, where NumPy loops over rows, and equal NumPy bit for bit.
+returns one flat block gradient. ``softmax_nll`` is the batch-mean
+categorical NLL of softmax logits.
+
+The array functions ``softmax_rows``, ``row_max``, ``row_sum`` and
+``row_argmax`` run off the tape. The three reductions reduce a short last
+axis in whole columns, where NumPy loops over rows, and equal NumPy bit
+for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import special
 
 
 class DomainError(ValueError):
@@ -161,14 +167,6 @@ def matmul(a, b) -> Tensor:
                  lambda g: _sum_stack(_swap(a.data) @ g, nb)))
 
 
-def transpose(a) -> Tensor:
-    """Swap the last two axes of a 2-D tensor or of each slice of a stack."""
-    a = as_tensor(a)
-    if a.data.ndim not in (2, 3):
-        raise ShapeMismatchError(f"transpose: expected 2-D or 3-D, got {a.shape}")
-    return emit(_swap(a.data).copy(), (a,), (_swap,))
-
-
 def _broadcast_operand(name, a, b):
     """b's data laid out to broadcast against a, and the VJP that reduces an
     adjoint of a's shape to b's shape."""
@@ -189,78 +187,15 @@ def add(a, b) -> Tensor:
     return emit(a.data + bd, (a, b), (lambda g: g, reduce))
 
 
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    bd, reduce = _broadcast_operand("sub", a, b)
-    return emit(a.data - bd, (a, b), (lambda g: g, lambda g: -reduce(g)))
-
-
-def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"elementwise-mul: {a.shape} * {b.shape}")
-    out = a.data * b.data
-    return emit(out, (a, b), (lambda g, b=b: g * b.data, lambda g, a=a: g * a.data))
-
-
-def scale(c: float, a) -> Tensor:
-    a = as_tensor(a)
-    c = float(c)
-    return emit(c * a.data, (a,), (lambda g: c * g,))
-
-
-def relu(a) -> Tensor:
-    a = as_tensor(a)
-    return emit(np.maximum(a.data, 0.0), (a,), (lambda g: g * (a.data > 0.0),))
-
-
 def tanh(a) -> Tensor:
     a = as_tensor(a)
     out = np.tanh(a.data)
     return emit(out, (a,), (lambda g: g * (1.0 - out * out),))
 
 
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.exp(a.data)
-    return emit(out, (a,), (lambda g: g * out,))
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    if np.any(a.data <= 0.0):
-        raise DomainError("log: non-positive input")
-    return emit(np.log(a.data), (a,), (lambda g: g / a.data,))
-
-
-def reciprocal(a) -> Tensor:
-    a = as_tensor(a)
-    out = 1.0 / a.data
-    return emit(out, (a,), (lambda g: -g * out * out,))
-
-
-def clip_upper(a, hi: float) -> Tensor:
-    """min(a, hi) elementwise; gradient blocked where clipped."""
-    a = as_tensor(a)
-    return emit(np.minimum(a.data, hi), (a,), (lambda g: g * (a.data < hi),))
-
-
-def softmax_rows(a) -> Tensor:
-    """Softmax over the last axis of a 2-D tensor or of each slice of a stack."""
-    a = as_tensor(a)
-    if a.data.ndim not in (2, 3):
-        raise ShapeMismatchError(f"softmax-rows: expected 2-D or 3-D, got {a.shape}")
-    out = _softmax(a.data)
-
-    def vjp(g):
-        dot = (g * out).sum(axis=-1, keepdims=True)
-        return out * (g - dot)
-
-    return emit(out, (a,), (vjp,))
-
-
-def _softmax(x):
-    """Softmax over the last axis: one new buffer for shift, exp and normalisation."""
+def softmax_rows(x):
+    """Softmax over the last axis of an array: one new buffer for shift, exp
+    and normalisation, whose max and sum are NumPy's (``row_max``, ``row_sum``)."""
     out = x - row_max(x)
     np.exp(out, out=out)
     out /= row_sum(out)
@@ -472,7 +407,7 @@ def softmax_nll(logits, labels) -> Tensor:
     """
     logits = as_tensor(logits)
     labels = _check_labels("softmax-nll", logits.shape, labels)
-    probs = _softmax(logits.data)
+    probs = softmax_rows(logits.data)
     if not np.minimum.reduce(probs, axis=None) > 0.0:
         raise DomainError("log: non-positive input")
     n = len(labels)
@@ -486,17 +421,6 @@ def softmax_nll(logits, labels) -> Tensor:
         return probs * (g_probs - np.add.reduce(g_probs * probs, axis=-1, keepdims=True))
 
     return emit(np.add.reduce(nll) / n, (logits,), (vjp,))
-
-
-def tsum(a) -> Tensor:
-    a = as_tensor(a)
-    return emit(np.array(a.data.sum()), (a,), (lambda g: np.full(a.shape, float(g)),))
-
-
-def tmean(a) -> Tensor:
-    a = as_tensor(a)
-    n = a.data.size
-    return emit(np.array(a.data.mean()), (a,), (lambda g: np.full(a.shape, float(g) / n),))
 
 
 def concat(tensors, axis=0) -> Tensor:
@@ -522,58 +446,6 @@ def columns(a, start: int, stop: int) -> Tensor:
         return out
 
     return emit(a.data[:, start:stop], (a,), (vjp,))
-
-
-def sum_rows(a) -> Tensor:
-    """Row sums of an (N, K) tensor, as an (N, 1) column."""
-    a = as_tensor(a)
-    if a.data.ndim != 2:
-        raise ShapeMismatchError(f"sum-rows: expected 2-D, got {a.shape}")
-    k = a.shape[1]
-    return emit(a.data.sum(axis=1, keepdims=True), (a,), (lambda g: np.repeat(g, k, axis=1),))
-
-
-def take_labels(a, labels) -> Tensor:
-    """Entry (i, labels[i]) of each row of an (N, K) tensor, as an (N, 1) column."""
-    a = as_tensor(a)
-    labels = _check_labels("take-labels", a.shape, labels)
-    rows = np.arange(len(labels))
-
-    def vjp(g):
-        out = np.zeros(a.shape)
-        out[rows, labels] = g[:, 0]
-        return out
-
-    return emit(a.data[rows, labels][:, None], (a,), (vjp,))
-
-
-def unstack(a) -> tuple:
-    """The slices a[0], a[1], ... of a stacked tensor, one record each."""
-    a = as_tensor(a)
-
-    def part(i):
-        def vjp(g):
-            out = np.zeros(a.shape)
-            out[i] = g
-            return out
-
-        return emit(a.data[i], (a,), (vjp,))
-
-    return tuple(part(i) for i in range(a.shape[0]))
-
-
-def lgamma(a) -> Tensor:
-    a = as_tensor(a)
-    if np.any(a.data <= 0.0):
-        raise DomainError("lgamma: input must be positive")
-    return emit(special.gammaln(a.data), (a,), (lambda g: g * special.psi(a.data),))
-
-
-def digamma(a) -> Tensor:
-    a = as_tensor(a)
-    if np.any(a.data <= 0.0):
-        raise DomainError("digamma: input must be positive")
-    return emit(special.psi(a.data), (a,), (lambda g: g * special.zeta(2, a.data),))
 
 
 # ---------------------------------------------------------------------------

@@ -108,7 +108,8 @@ def load_iris_pca2() -> LabeledDataset:
 def read_idx(images_path, labels_path, num_classes: int = 10) -> LabeledDataset:
     """Parse a paired big-endian IDX image/label file set.
 
-    Pixel bytes are scaled to [0, 1]; image and label counts must agree.
+    Pixel bytes are scaled to [0, 1]; image and label counts must agree,
+    and the set must hold at least one image of at least one pixel.
     """
     with open(images_path, "rb") as f:
         blob = f.read()
@@ -117,6 +118,9 @@ def read_idx(images_path, labels_path, num_classes: int = 10) -> LabeledDataset:
     magic, n, rows, cols = struct.unpack(">IIII", blob[:16])
     if magic != IDX_IMAGES_MAGIC:
         raise ValueError(f"bad image magic 0x{magic:08x} at byte 0")
+    if n == 0 or rows * cols == 0:
+        raise ValueError(f"IDX image file holds {n} images of {rows}x{cols} pixels, "
+                         f"no data to read")
     expected = 16 + n * rows * cols
     if len(blob) != expected:
         raise ValueError(f"truncated image payload: have {len(blob)} bytes, want {expected}")

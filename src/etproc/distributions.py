@@ -4,14 +4,15 @@ evidential losses, and the reparameterised Gaussian draw.
 Categorical, Dirichlet, and diagonal-Gaussian laws shared by all four
 models. Each Dirichlet law (KL divergence, mean and variance, expected
 log-probability) has one implementation, a kernel that returns the law's
-value and its VJP. The ``_rows`` primitive of a law takes an (N, K)
-concentration matrix, records its kernel as one fused op on the gradient
-tape when its input is tracked, and runs untracked on plain arrays. The
-evidential losses of training, ``edl_loss`` (EDL) and ``evidential_nll``
-(ENP, ETP), chain the same kernels behind the capped exp of the
-log-concentrations in one record each. The oracle tests call the
-primitives and ``edl_terms``, on one row or many, so they check the
-formulas that training uses.
+value and its VJP. The evidential losses of training, ``edl_loss`` (EDL)
+and ``evidential_nll`` (ENP, ETP), chain the kernels behind the capped exp
+of the log-concentrations (``capped_exp``, which prediction runs too) in
+one tape record each. ``dirichlet_moments_rows`` takes the moments of an
+(N, K) concentration array for the variance decomposition. The KL and
+expected log-probability ``_rows`` primitives record their kernel as one
+fused op when their input is tracked, and run untracked on plain arrays.
+The oracle tests call the primitives and ``edl_terms``, on one row or
+many, so they check the formulas that training uses.
 """
 
 from __future__ import annotations
@@ -175,15 +176,11 @@ def dirichlet_kl_rows(alpha_q: Tensor, alpha_p) -> Tensor:
     return ad.emit(kl, (alpha_q,), (vjp,))
 
 
-def dirichlet_moments_rows(alpha: Tensor):
-    """Differentiable row-wise Dirichlet mean and variance for (N, K) alpha.
-
-    One fused record holds both moments stacked, and one record each takes
-    them apart (``_moments_kernel``).
-    """
-    alpha = as_tensor(alpha)
-    mean, var, vjp = _moments_kernel(_check_alpha(alpha.data))
-    return ad.unstack(ad.emit(np.stack([mean, var]), (alpha,), (lambda g: vjp(*g),)))
+def dirichlet_moments_rows(alpha):
+    """Row-wise Dirichlet mean and variance of an (N, K) concentration
+    array, two (N, K) arrays (``_moments_kernel``)."""
+    mean, var, _ = _moments_kernel(_check_alpha(alpha))
+    return mean, var
 
 
 def dirichlet_expected_log_prob_rows(alpha: Tensor, labels) -> Tensor:
@@ -205,7 +202,7 @@ def dirichlet_expected_log_prob_rows(alpha: Tensor, labels) -> Tensor:
 # its terms in that graph's reverse order.
 
 
-def _capped_exp(raw, cap):
+def capped_exp(raw, cap):
     """exp(min(raw, cap)) of an array, and its VJP, which is 0 where capped."""
     alpha = np.exp(np.minimum(raw, cap))
     return alpha, lambda g: g * alpha * (raw < cap)
@@ -219,7 +216,7 @@ def evidential_nll(raw, labels, cap, beta_reg=0.0) -> Tensor:
     terms before the expected log-probability's, as the unfused graph does."""
     raw = as_tensor(raw)
     labels = ad._check_labels("evidential-nll", raw.shape, labels)
-    alpha, exp_vjp = _capped_exp(raw.data, cap)
+    alpha, exp_vjp = capped_exp(raw.data, cap)
     elp, elp_vjp = _expected_log_prob_kernel(_check_alpha(alpha), labels)
     n, k = alpha.shape
     beta_reg = float(beta_reg)
@@ -271,7 +268,7 @@ def edl_loss(raw, labels, lam, cap) -> Tensor:
     record. Like the unfused graph, the VJP evaluates the KL's adjoint at
     lam = 0 too, so an overflowing trigamma there still forms a NaN."""
     raw = as_tensor(raw)
-    alpha, exp_vjp = _capped_exp(raw.data, cap)
+    alpha, exp_vjp = capped_exp(raw.data, cap)
     sq, kl, terms_vjp = edl_terms(alpha, labels)
     lam = float(lam)
     n = len(sq)

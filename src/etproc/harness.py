@@ -210,12 +210,6 @@ def fmnist_mnist_paths(data_dir) -> dict:
     }
 
 
-def build_model(cfg: ExperimentConfig, input_dim: int, num_classes: int, rng: SeededRng):
-    cls = models_mod.MODEL_CLASSES[cfg.model]
-    return cls(input_dim, num_classes, cfg.hidden, rng,
-               **{name: getattr(cfg, name) for name in cls.HYPER})
-
-
 # ---------------------------------------------------------------------------
 # per-seed pipeline
 
@@ -244,8 +238,9 @@ def evaluate_model(cfg: ExperimentConfig, model, test, ood):
 def train_seed(cfg: ExperimentConfig, seed: int, train_ds):
     """(model, loss trace) of one seed: the model is built from the seed's
     stream 2 and trained on ``train_ds`` from its stream 4."""
-    model = build_model(cfg, train_ds.features.shape[1], train_ds.num_classes,
-                        SeededRng(seed=seed, stream=2))
+    hyper = {name: getattr(cfg, name) for name in models_mod.MODEL_CLASSES[cfg.model].HYPER}
+    model = models_mod.make_model(cfg.model, train_ds.features.shape[1], train_ds.num_classes,
+                                  cfg.hidden, SeededRng(seed=seed, stream=2), **hyper)
     return model, models_mod.train(model, train_ds, cfg, SeededRng(seed=seed, stream=4))
 
 

@@ -130,8 +130,7 @@ def decompose_cbm(alphas) -> DecompositionTriple:
     if alphas.ndim != 2 or len(alphas) < 2:
         raise ValueError(f"need an (S, K) stack of at least 2 outer samples, "
                          f"got shape {alphas.shape}")
-    mean_t, var_t = dirichlet_moments_rows(alphas)
-    return _split(mean_t.data, var_t.data)
+    return _split(*dirichlet_moments_rows(alphas))
 
 
 def _split(means, dirvars) -> DecompositionTriple:

@@ -3,7 +3,10 @@
 Each model has one forward path, built from ``autodiff`` ops. A training
 step records it on a tape; prediction, the ETP memory update and the
 variance decomposition run the same code untracked, since an op whose
-operands are on no tape records nothing. Where draws are independent
+operands are on no tape records nothing. Past the networks, where a
+training loss folds the softmax or the capped exp into its one record,
+those paths call the array functions ``autodiff.softmax_rows`` and
+``distributions.capped_exp``. Where draws are independent
 (the ETP memory update, the decomposition) the untracked path stacks
 them on a leading axis instead of looping over them. ETP's memory read
 and ENP's attention aggregation are one ``autodiff.attention`` record,
@@ -54,6 +57,7 @@ from .data import LabeledDataset, batch_iterator
 # perfbench's tracer wraps the three Dirichlet primitives on this module by name
 from .distributions import (
     SeededRng,
+    capped_exp,
     dirichlet_expected_log_prob_rows,
     dirichlet_kl_rows,
     dirichlet_moments_rows,
@@ -204,10 +208,10 @@ class _Model:
         """Count the entries of log-concentrations that the cap clamps."""
         self.clamp_events += int(np.sum(raw.data >= LOG_ALPHA_CAP))
 
-    def _capped_exp(self, raw: Tensor) -> Tensor:
-        """exp(min(raw, LOG_ALPHA_CAP)), counting the entries the cap clamps."""
+    def _capped_exp(self, raw: Tensor):
+        """exp(min(raw, LOG_ALPHA_CAP)) as an array, counting the entries the cap clamps."""
         self._count_clamps(raw)
-        return ad.exp(ad.clip_upper(raw, LOG_ALPHA_CAP))
+        return capped_exp(raw.data, LOG_ALPHA_CAP)[0]
 
     def _evidential_nll(self, raw: Tensor, yb) -> Tensor:
         """Batch-mean expected NLL of the labels under Dir(alpha) at capped
@@ -302,8 +306,8 @@ class BnnModel(_Model):
         self.net = VariationalMlp((input_dim, *self.hidden, num_classes), "net")
         self._pack(self.net.initial_groups(rng))
 
-    def _probs(self, x: Tensor, params, eps) -> Tensor:
-        return ad.softmax_rows(self.net.forward(x, params, eps))
+    def _probs(self, x: Tensor, params, eps):
+        return ad.softmax_rows(self.net.forward(x, params, eps).data)
 
     def loss(self, leaves, xb, yb, rng, n_total):
         """One-draw Monte Carlo estimate of the per-example negative ELBO."""
@@ -317,13 +321,13 @@ class BnnModel(_Model):
 
     def draws(self, x, rng, n_samples, n_samples_z):
         for _ in range(n_samples):
-            yield self._probs(x, self.params, rng.normal(size=self.net.n_weights)).data
+            yield self._probs(x, self.params, rng.normal(size=self.net.n_weights))
 
     def decompose(self, x, rng, n_samples):
         """Two-term variance split at one input x, (1, D), over n_samples
         weight draws, stacked."""
         eps = rng.normal(size=(n_samples, self.net.n_weights))
-        probs = self._probs(as_tensor(x), self.params, eps).data  # (S, 1, K)
+        probs = self._probs(as_tensor(x), self.params, eps)  # (S, 1, K)
         return decompose_pbm(probs[:, 0])
 
 
@@ -359,7 +363,7 @@ class EdlModel(_Model):
 
     def draws(self, x, rng, n_samples, n_samples_z):
         """The Dirichlet mean, once: the network is deterministic."""
-        yield _dirichlet_mean(self._capped_exp(self.net.forward(x, self.params)).data)
+        yield _dirichlet_mean(self._capped_exp(self.net.forward(x, self.params)))
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +408,8 @@ class EtpModel(_Model):
         evidence = self._evidence(read)
         return ad.add(v, evidence) if self.combiner == "residual" else evidence
 
-    def concentration(self, v: Tensor, z, params) -> Tensor:
-        """Dirichlet concentrations for embeddings v under memory draw z."""
+    def concentration(self, v: Tensor, z, params):
+        """Dirichlet concentrations, an array, for embeddings v under memory draw z."""
         return self._capped_exp(self.log_concentration(v, z, params))
 
     def draw_memory(self, rng: SeededRng, n_draws=None):
@@ -426,7 +430,7 @@ class EtpModel(_Model):
         contrib = np.zeros_like(z)
         if len(ctx_y):
             v = self.encoder.forward(as_tensor(np.atleast_2d(ctx_x)), self.params)
-            info = np.eye(self.num_classes)[ctx_y] + ad.softmax_rows(v).data
+            info = np.eye(self.num_classes)[ctx_y] + ad.softmax_rows(v.data)
             _, phi = self.attend(v, z, self.params)                # (S, C, R)
             contrib = np.swapaxes(phi, -1, -2) @ info              # (S, R, K)
         update = self.gamma * self.memory + (1.0 - self.gamma) * contrib
@@ -457,7 +461,7 @@ class EtpModel(_Model):
         for _ in range(n_samples):
             v = self.encoder.forward(x, params, rng.normal(size=self.encoder.n_weights))
             for _ in range(n_samples_z):
-                yield _dirichlet_mean(self.concentration(v, self.draw_memory(rng), params).data)
+                yield _dirichlet_mean(self.concentration(v, self.draw_memory(rng), params))
 
     def decompose(self, x, rng, n_samples):
         """Three-term variance split at one input x, (1, D), over n_samples
@@ -469,8 +473,7 @@ class EtpModel(_Model):
         v = self.encoder.forward(x, self.params, noise[:, :n_w])
         z = self.memory + np.sqrt(self.kappa2) * noise[:, n_w:].reshape(
             n_samples, *self.memory.shape)
-        alpha = self.concentration(v, z, self.params).data
-        return decompose_cbm(alpha[:, 0])
+        return decompose_cbm(self.concentration(v, z, self.params)[:, 0])
 
     def memory_evidence(self, x, rng, n_samples=10):
         """Mean memory-induced evidence per class at the given inputs.
@@ -533,7 +536,7 @@ class EnpModel(_Model):
         for _ in range(n_samples):
             z = 1.0 + np.sqrt(self.kappa2) * rng.normal(size=self.num_classes)
             alpha = self._capped_exp(self._log_alpha(e, np.broadcast_to(z, e.shape), self.params))
-            yield _dirichlet_mean(alpha.data)
+            yield _dirichlet_mean(alpha)
 
 
 MODEL_CLASSES = {cls.kind: cls for cls in (BnnModel, EdlModel, EnpModel, EtpModel)}

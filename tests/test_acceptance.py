@@ -20,7 +20,11 @@ from etproc.distributions import (
     dirichlet_expected_log_prob_rows,
     dirichlet_kl_rows,
     dirichlet_moments_rows,
+    edl_loss,
     edl_terms,
+    evidential_nll,
+    gaussian_kl_diag,
+    gaussian_reparam,
 )
 from etproc.harness import resolve_config, run_experiment
 from etproc.metrics import PredictionSet, auroc, ece, risk_product_check
@@ -32,6 +36,8 @@ from etproc.models import (
     save_checkpoint,
     train,
 )
+
+import unfused as uf
 
 MODEL_KINDS = models.MODEL_KINDS
 
@@ -62,60 +68,94 @@ def etp_b1():
 
 
 # ---------------------------------------------------------------------------
-# criterion 1: autodiff vs central finite differences
+# criterion 1: autodiff vs central finite differences, on every op that a
+# training step records
 
 
-def _random_net_value(params, x, recipe, act, const):
+def _dot(t, w):
+    """sum(t * w): a scalar in which every entry of t has its own weight."""
+    return uf.tsum(uf.mul(t, as_tensor(w)))
+
+
+# recipe -> (the recorded op it checks, the leaves it differentiates, its
+# scalar loss of those leaves ``p`` and of a net's fixed data ``d``); an op
+# that training takes in more than one form has a recipe per form
+CRITERION_01_RECIPES = {
+    "mlp": (ad.mlp, ("theta",),
+            lambda p, d: _dot(ad.mlp(d["x"], d["layout"], p["theta"]), d["w"])),
+    "mlp, variational with stacked noise": (
+        ad.mlp, ("theta", "logvars"),
+        lambda p, d: _dot(ad.mlp(d["x"], d["layout"], p["theta"], p["logvars"], d["eps"]),
+                          d["w_stack"])),
+    "softmax_nll": (ad.softmax_nll, ("a",),
+                    lambda p, d: ad.softmax_nll(p["a"], d["labels"])),
+    "attention": (ad.attention, ("a", "keys", "z"),
+                  lambda p, d: _dot(ad.attention(p["a"], p["keys"], p["z"], 0.7)[0], d["w"])),
+    "edl_loss": (edl_loss, ("a",),
+                 lambda p, d: edl_loss(p["a"], d["labels"], 0.7, models.LOG_ALPHA_CAP)),
+    "evidential_nll": (evidential_nll, ("a",),
+                       lambda p, d: evidential_nll(p["a"], d["labels"], models.LOG_ALPHA_CAP)),
+    "evidential_nll, beta_reg 0.5": (
+        evidential_nll, ("a",),
+        lambda p, d: evidential_nll(p["a"], d["labels"], models.LOG_ALPHA_CAP, 0.5)),
+    "gaussian_kl_diag": (
+        gaussian_kl_diag, ("a", "c"),
+        lambda p, d: gaussian_kl_diag(p["a"], p["c"], d["prior_mean"], d["prior_logvar"], 0.3)),
+    "gaussian_reparam": (gaussian_reparam, ("a", "c"),
+                         lambda p, d: _dot(gaussian_reparam(p["a"], p["c"], d["noise"]), d["w"])),
+    "concat": (ad.concat, ("a", "c"),
+               lambda p, d: _dot(ad.concat([p["a"], p["c"]], axis=1), d["w_wide"])),
+    "columns": (ad.columns, ("a",),
+                lambda p, d: _dot(ad.columns(p["a"], 1, d["k"]), d["w"][:, 1:])),
+    "matmul": (ad.matmul, ("a", "square"),
+               lambda p, d: _dot(ad.matmul(p["a"], p["square"]), d["w"])),
+    "add": (ad.add, ("a", "b"), lambda p, d: _dot(ad.add(p["a"], p["b"]), d["w"])),
+    "tanh": (ad.tanh, ("a",), lambda p, d: _dot(ad.tanh(p["a"]), d["w"])),
+}
+
+
+def _criterion_01_net(rng):
+    """The arrays of the leaves and the fixed data of one random net: a
+    d-h-k ReLU MLP's parameter block, and n-row operands of width k."""
+    d, h, k, n, r = rng.integers(1, 4), rng.integers(2, 5), rng.integers(2, 4), 3, 4
+    size = (d + 1) * h + (h + 1) * k
+    arrays = {"theta": rng.normal(size=size) * 0.7, "logvars": rng.uniform(-3.0, -0.5, size=size),
+              "a": rng.normal(size=(n, k)), "c": rng.normal(size=(n, k)) * 0.5,
+              "b": rng.normal(size=k), "square": rng.normal(size=(k, k)),
+              "keys": rng.normal(size=(r, k)), "z": rng.normal(size=(r, k))}
+    data = {"x": rng.normal(size=(n, d)), "layout": [(0, d, h), ((d + 1) * h, h, k)], "k": k,
+            "eps": rng.normal(size=(2, size)), "noise": rng.normal(size=(n, k)),
+            "labels": rng.integers(0, k, size=n), "prior_mean": rng.normal(size=(n, k)),
+            "prior_logvar": rng.normal(size=(n, k)) * 0.5, "w": rng.normal(size=(n, k)),
+            "w_stack": rng.normal(size=(2, n, k)), "w_wide": rng.normal(size=(n, 2 * k))}
+    return arrays, data
+
+
+def _criterion_01_loss(recipe, arrays, data):
+    _, names, build = CRITERION_01_RECIPES[recipe]
     tape = Tape()
-    leaves = {n: tape.leaf(a) for n, a in params.items()}
-    h = ad.add(ad.matmul(as_tensor(x), leaves["W1"]), leaves["b1"])
-    h = ad.relu(h) if act == "relu" else ad.tanh(h)
-    z = ad.add(ad.matmul(h, leaves["W2"]), leaves["b2"])
-    r = recipe % 6
-    if r == 0:
-        loss = ad.tsum(ad.mul(ad.log(ad.softmax_rows(z)), as_tensor(const)))
-    elif r == 1:
-        loss = ad.tmean(ad.lgamma(ad.exp(ad.clip_upper(z, 2.0))))
-    elif r == 2:
-        a = ad.exp(ad.clip_upper(z, 2.0))
-        loss = ad.tmean(ad.digamma(ad.add(a, as_tensor(np.ones_like(a.data)))))
-    elif r == 3:
-        rec = ad.reciprocal(ad.add(ad.exp(z), as_tensor(np.ones_like(z.data))))
-        loss = ad.tmean(ad.mul(rec, rec))
-    elif r == 4:
-        loss = ad.tmean(ad.matmul(z, ad.transpose(z)))
-    else:
-        both = ad.concat([z, ad.sub(z, ad.scale(0.5, z))], axis=0)
-        loss = ad.tmean(ad.mul(both, both))
-    return loss, leaves
+    leaves = {name: tape.leaf(arrays[name]) for name in names}
+    return build(leaves, data), leaves
 
 
 def test_criterion_01_autodiff_finite_differences():
     t0 = time.perf_counter()
     rng = np.random.default_rng(11)
     step, worst = 1e-5, 0.0
-    for net in range(50):
-        d, h, k, n = rng.integers(1, 4), rng.integers(2, 5), rng.integers(2, 4), 3
-        params = {
-            "W1": rng.normal(size=(d, h)) * 0.7,
-            "b1": rng.normal(size=h) * 0.3,
-            "W2": rng.normal(size=(h, k)) * 0.7,
-            "b2": rng.normal(size=k) * 0.3,
-        }
-        x = rng.normal(size=(n, d))
-        recipe = int(rng.integers(0, 6))
-        act = "relu" if net % 2 else "tanh"
-        const = rng.normal(size=(n, k))
-        loss, leaves = _random_net_value(params, x, recipe, act, const)
+    recipes = list(CRITERION_01_RECIPES)
+    for net in range(3 * len(recipes)):
+        recipe = recipes[net % len(recipes)]
+        arrays, data = _criterion_01_net(rng)
+        loss, leaves = _criterion_01_loss(recipe, arrays, data)
         grads = backward(loss)
-        for name, arr in params.items():
-            analytic = grads[leaves[name].node_id]
+        for name, leaf in leaves.items():
+            arr, analytic = arrays[name], grads[leaf.node_id]
             for idx in np.ndindex(arr.shape):
                 orig = arr[idx]
                 arr[idx] = orig + step
-                up, _ = _random_net_value(params, x, recipe, act, const)
+                up, _ = _criterion_01_loss(recipe, arrays, data)
                 arr[idx] = orig - step
-                dn, _ = _random_net_value(params, x, recipe, act, const)
+                dn, _ = _criterion_01_loss(recipe, arrays, data)
                 arr[idx] = orig
                 numeric = (float(up.data) - float(dn.data)) / (2 * step)
                 denom = max(abs(numeric), abs(analytic[idx]), 1e-6)
@@ -123,6 +163,46 @@ def test_criterion_01_autodiff_finite_differences():
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-4 and elapsed < 10.0
     assert report_line(1, f"autodiff gradients (max rel err {worst:.2e}, {elapsed:.1f}s)", ok)
+
+
+# one training step of each model kind and config variant
+TRAINING_VARIANTS = {
+    "bnn": ("bnn", {}),
+    "edl": ("edl", {}),
+    "enp": ("enp", {}),
+    "enp attention": ("enp", {"aggregation": "attention"}),
+    "enp beta_reg": ("enp", {"beta_reg": 0.5}),
+    "etp": ("etp", {}),
+    "etp direct": ("etp", {"combiner": "direct"}),
+    "etp simplified": ("etp", {"simplified": True}),
+    "etp beta_reg": ("etp", {"beta_reg": 0.5}),
+}
+
+
+def _recording_op(vjp):
+    """The name of the op whose record holds ``vjp``: the function it was
+    made in, where ``add`` makes its second operand's in ``_broadcast_operand``."""
+    maker = vjp.__qualname__.split(".")[0]
+    return "add" if maker == "_broadcast_operand" else maker
+
+
+@pytest.mark.parametrize("variant", TRAINING_VARIANTS)
+def test_criterion_01_recipes_cover_recorded_ops(variant, monkeypatch):
+    """Every op on the tape of a training step has a recipe in criterion 1."""
+    recorded = set()
+
+    def walking_backward(loss):
+        recorded.update(_recording_op(vjp) for _, parents in loss.tape._records
+                        for _, vjp in parents)
+        return backward(loss)
+
+    monkeypatch.setattr(models, "backward", walking_backward)
+    kind, hyper = TRAINING_VARIANTS[variant]
+    model = make_model(kind, 1, 2, (8,), SeededRng(seed=0, stream=2), **hyper)
+    train(model, gen_two_gaussians(20, SeededRng(seed=0, stream=1)),
+          TrainConfig(epochs=1, batch_size=40), SeededRng(seed=0, stream=4))
+    checked = {op.__name__ for op, _, _ in CRITERION_01_RECIPES.values()}
+    assert recorded and recorded <= checked, sorted(recorded - checked)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +219,7 @@ def test_criterion_02_dirichlet_monte_carlo():
         beta = np.exp(rng.uniform(-0.7, 1.5, size=k))
         samples = rng.dirichlet(alpha, size=n_mc)
 
-        mean, var = (m.data[0] for m in dirichlet_moments_rows(np.atleast_2d(alpha)))
+        mean, var = (m[0] for m in dirichlet_moments_rows(np.atleast_2d(alpha)))
         mc_mean = samples.mean(axis=0)
         se_mean = samples.std(axis=0) / np.sqrt(n_mc)
         ok &= bool(np.all(np.abs(mean - mc_mean) <= 3 * se_mean + 1e-12))
@@ -282,10 +362,9 @@ def test_criterion_07_iris_training_accuracy():
     ok, details = True, []
     for kind in MODEL_KINDS:
         for seed in (0, 1, 2):
-            model = harness.build_model(
+            model, _ = harness.train_seed(
                 resolve_config(None, {"task": "iris2d", "model": kind, "epochs": 400}),
-                2, 3, SeededRng(seed=seed, stream=2))
-            train(model, train_ds, cfg, SeededRng(seed=seed, stream=4))
+                seed, train_ds)
             probs = predict(model, train_ds.features, SeededRng(seed=seed, stream=3),
                             n_samples=8, n_samples_z=2)
             hits = probs.argmax(axis=1) == train_ds.labels

@@ -150,8 +150,13 @@ class TestIdx:
 
     def test_empty_payload(self, tmp_path):
         img, lbl = make_idx_pair(tmp_path, [], [], 3, 3)
-        ds = read_idx(img, lbl)
-        assert len(ds) == 0
+        with pytest.raises(ValueError, match="0 images of 3x3 pixels"):
+            read_idx(img, lbl)
+
+    def test_no_pixels(self, tmp_path):
+        img, lbl = make_idx_pair(tmp_path, [], [1, 2], 0, 0)
+        with pytest.raises(ValueError, match="2 images of 0x0 pixels"):
+            read_idx(img, lbl)
 
     def test_label_out_of_class_range(self, tmp_path):
         img, lbl = make_idx_pair(tmp_path, [0], [255], 1, 1)

@@ -28,6 +28,8 @@ from etproc.distributions import (
 )
 from etproc.models import LOG_ALPHA_CAP
 
+import unfused as uf
+
 alphas = st.lists(st.floats(0.1, 20.0), min_size=2, max_size=6)
 
 
@@ -127,7 +129,7 @@ class TestDirichletKl:
         def loss_fn(arr):
             t = Tape()
             leaf = t.leaf(arr)
-            return t, leaf, ad.tsum(dirichlet_kl_rows(leaf, p))
+            return t, leaf, uf.tsum(dirichlet_kl_rows(leaf, p))
 
         tape, leaf, loss = loss_fn(a0)
         analytic = backward(loss)[leaf.node_id]
@@ -150,22 +152,22 @@ class TestDirichletKl:
 class TestDirichletMoments:
     def test_uniform(self):
         mean, var = dirichlet_moments_rows(np.atleast_2d([1.0, 1.0]))
-        np.testing.assert_allclose(mean.data[0], [0.5, 0.5])
-        np.testing.assert_allclose(var.data[0], [1.0 / 12.0] * 2)
+        np.testing.assert_allclose(mean[0], [0.5, 0.5])
+        np.testing.assert_allclose(var[0], [1.0 / 12.0] * 2)
 
     def test_symmetric_three(self):
         mean, _ = dirichlet_moments_rows(np.atleast_2d([10.0, 10.0, 10.0]))
-        np.testing.assert_allclose(mean.data[0], [1.0 / 3.0] * 3, atol=1e-12)
+        np.testing.assert_allclose(mean[0], [1.0 / 3.0] * 3, atol=1e-12)
 
     def test_asymmetric(self):
         mean, _ = dirichlet_moments_rows(np.atleast_2d([2.0, 3.0]))
-        np.testing.assert_allclose(mean.data[0], [0.4, 0.6], atol=1e-12)
+        np.testing.assert_allclose(mean[0], [0.4, 0.6], atol=1e-12)
 
     def test_monte_carlo_oracle(self):
         a = np.array([2.0, 3.0])
         n = 10**6
         draws = mc_dirichlet(a, n, seed=1)
-        mean, var = (m.data[0] for m in dirichlet_moments_rows(np.atleast_2d(a)))
+        mean, var = (m[0] for m in dirichlet_moments_rows(np.atleast_2d(a)))
         se_mean = draws.std(axis=0, ddof=1) / np.sqrt(n)
         np.testing.assert_array_less(np.abs(mean - draws.mean(axis=0)), 3.0 * se_mean)
         mc_var = draws.var(axis=0, ddof=1)
@@ -175,18 +177,18 @@ class TestDirichletMoments:
     @settings(max_examples=40, deadline=None)
     @given(alphas)
     def test_mean_sums_to_one(self, a):
-        mean, var = (m.data[0] for m in dirichlet_moments_rows(np.atleast_2d(a)))
+        mean, var = (m[0] for m in dirichlet_moments_rows(np.atleast_2d(a)))
         assert abs(mean.sum() - 1.0) <= 1e-12
         assert np.all(var >= 0.0)
 
     def test_rows_variant_matches_scalar(self):
         rng = np.random.default_rng(4)
         a = rng.uniform(0.3, 9.0, size=(6, 3))
-        mean_t, var_t = dirichlet_moments_rows(Tensor(a))
+        mean_rows, var_rows = dirichlet_moments_rows(a)
         for i in range(6):
             mean, var = moments_reference(a[i])
-            np.testing.assert_allclose(mean_t.data[i], mean, atol=1e-12)
-            np.testing.assert_allclose(var_t.data[i], var, atol=1e-12)
+            np.testing.assert_allclose(mean_rows[i], mean, atol=1e-12)
+            np.testing.assert_allclose(var_rows[i], var, atol=1e-12)
 
 
 class TestExpectedLogProb:
@@ -236,7 +238,7 @@ class TestExpectedLogProb:
         mean, _ = dirichlet_moments_rows(np.atleast_2d(a))
         for k in range(len(a)):
             assert dirichlet_expected_log_prob_rows(np.atleast_2d(a), [k]).data.item() \
-                <= np.log(mean.data[0, k]) + 1e-12
+                <= np.log(mean[0, k]) + 1e-12
 
 
 def reparam_draw(mean, logvar, rng):
@@ -262,7 +264,7 @@ class TestGaussianReparam:
         tape = Tape()
         mean = tape.leaf(np.array([0.3, -0.7]))
         out = reparam_draw(mean, Tensor(np.zeros(2)), SeededRng(seed=4))
-        g = backward(ad.tsum(out))[mean.node_id]
+        g = backward(uf.tsum(out))[mean.node_id]
         np.testing.assert_allclose(g, [1.0, 1.0])
 
     def test_gradient_wrt_logvar_finite_differences(self):
@@ -273,7 +275,7 @@ class TestGaussianReparam:
             t = Tape()
             leaf = t.leaf(lv)
             out = reparam_draw(Tensor(mean), leaf, SeededRng(seed=11))
-            return t, leaf, ad.tsum(out)
+            return t, leaf, uf.tsum(out)
 
         tape, leaf, loss = sample_sum(lv0)
         analytic = backward(loss)[leaf.node_id]
@@ -364,44 +366,44 @@ class TestCategoricalNll:
 
 def unfused_gaussian_kl(mq, lq, mp, lp):
     inv_var_p = as_tensor(1.0 / np.exp(lp))
-    diff = ad.sub(mq, as_tensor(mp))
-    quad = ad.mul(ad.add(ad.exp(lq), ad.mul(diff, diff)), inv_var_p)
-    inner = ad.sub(ad.add(quad, as_tensor(lp)), lq)
-    total = ad.add(ad.tsum(inner), as_tensor(np.array(-float(mq.data.size))))
-    return ad.scale(0.5, total)
+    diff = uf.sub(mq, as_tensor(mp))
+    quad = uf.mul(ad.add(uf.exp(lq), uf.mul(diff, diff)), inv_var_p)
+    inner = uf.sub(ad.add(quad, as_tensor(lp)), lq)
+    total = ad.add(uf.tsum(inner), as_tensor(np.array(-float(mq.data.size))))
+    return uf.scale(0.5, total)
 
 
 def unfused_reparam(mean, logvar, eps):
-    return ad.add(mean, ad.mul(ad.exp(ad.scale(0.5, logvar)), as_tensor(eps)))
+    return ad.add(mean, uf.mul(uf.exp(uf.scale(0.5, logvar)), as_tensor(eps)))
 
 
 def unfused_expected_log_prob_rows(alpha, labels):
     n, k = alpha.shape
     ones = np.ones((k, 1))
-    psi_sel = ad.matmul(ad.mul(ad.digamma(alpha), np.eye(k)[labels]), ones)
-    return ad.sub(psi_sel, ad.digamma(ad.matmul(alpha, ones)))
+    psi_sel = ad.matmul(uf.mul(uf.digamma(alpha), np.eye(k)[labels]), ones)
+    return uf.sub(psi_sel, uf.digamma(ad.matmul(alpha, ones)))
 
 
 def unfused_kl_rows(alpha_q, p):
     n, k = alpha_q.shape
     ones = np.ones((k, 1))
     a0 = ad.matmul(alpha_q, ones)
-    lg_a0 = ad.lgamma(a0)
-    sum_lg_a = ad.matmul(ad.lgamma(alpha_q), ones)
-    psi_a = ad.digamma(alpha_q)
-    psi_a0_full = ad.matmul(ad.digamma(a0), np.ones((1, k)))
-    cross = ad.matmul(ad.mul(ad.sub(alpha_q, p), ad.sub(psi_a, psi_a0_full)), ones)
+    lg_a0 = uf.lgamma(a0)
+    sum_lg_a = ad.matmul(uf.lgamma(alpha_q), ones)
+    psi_a = uf.digamma(alpha_q)
+    psi_a0_full = ad.matmul(uf.digamma(a0), np.ones((1, k)))
+    cross = ad.matmul(uf.mul(uf.sub(alpha_q, p), uf.sub(psi_a, psi_a0_full)), ones)
     const = float(np.sum(special.gammaln(p)) - special.gammaln(p.sum()))
-    return ad.add(ad.add(ad.sub(lg_a0, sum_lg_a), cross), np.full((n, 1), const))
+    return ad.add(ad.add(uf.sub(lg_a0, sum_lg_a), cross), np.full((n, 1), const))
 
 
 def unfused_moments_rows(alpha):
     n, k = alpha.shape
     a0 = ad.matmul(ad.matmul(alpha, np.ones((k, 1))), np.ones((1, k)))
-    inv_a0 = ad.reciprocal(a0)
-    mean = ad.mul(alpha, inv_a0)
-    inv_a0p1 = ad.reciprocal(ad.add(a0, np.ones((n, k))))
-    var = ad.mul(ad.mul(ad.mul(mean, ad.sub(a0, alpha)), inv_a0), inv_a0p1)
+    inv_a0 = uf.reciprocal(a0)
+    mean = uf.mul(alpha, inv_a0)
+    inv_a0p1 = uf.reciprocal(ad.add(a0, np.ones((n, k))))
+    var = uf.mul(uf.mul(uf.mul(mean, uf.sub(a0, alpha)), inv_a0), inv_a0p1)
     return mean, var
 
 
@@ -425,7 +427,7 @@ def finite_diff_grad(build_loss, x0, step=1e-6):
 
 def dot(t, w):
     """Scalar sum of t * w, so every entry of t gets its own weight."""
-    return ad.tsum(ad.mul(t, Tensor(w)))
+    return uf.tsum(uf.mul(t, Tensor(w)))
 
 
 class TestFusedPrimitives:
@@ -450,8 +452,8 @@ class TestFusedPrimitives:
     def gaussian_builds(kl, prior):
         # rows of the leaf: posterior means, posterior log-variances
         def build(x):
-            m, lv = ad.unstack(x)
-            return ad.scale(0.3, kl(m, lv, *prior))
+            m, lv = uf.unstack(x)
+            return uf.scale(0.3, kl(m, lv, *prior))
         return build
 
     @pytest.mark.parametrize("prior", ["arrays", "scalars"])
@@ -477,7 +479,7 @@ class TestFusedPrimitives:
         weighted = self.gaussian_builds(
             lambda m, lv, *p: gaussian_kl_diag(m, lv, *p, 1.0 / 37), prior)
         scaled = self.gaussian_builds(
-            lambda m, lv, *p: ad.scale(1.0 / 37, gaussian_kl_diag(m, lv, *p)), prior)
+            lambda m, lv, *p: uf.scale(1.0 / 37, gaussian_kl_diag(m, lv, *p)), prior)
         (v1, g1), (v2, g2) = value_and_grad(weighted, x0), value_and_grad(scaled, x0)
         assert v1 == v2 and np.array_equal(g1, g2)
 
@@ -488,7 +490,7 @@ class TestFusedPrimitives:
 
         def build(reparam):
             def loss(x):
-                m, lv = ad.unstack(x)
+                m, lv = uf.unstack(x)
                 return dot(ad.tanh(reparam(m, lv, eps)), w)
             return loss
 
@@ -506,7 +508,7 @@ class TestFusedPrimitives:
             assert np.array_equal(stacked[s], gaussian_reparam(x0[0], x0[1], eps[s]).data)
 
         def build(x):
-            m, lv = ad.unstack(x)
+            m, lv = uf.unstack(x)
             return dot(ad.tanh(gaussian_reparam(m, lv, eps)), w)
 
         self.assert_finite_differences(build, x0)
@@ -557,9 +559,9 @@ class TestFusedPrimitives:
                 return ad.add(ad.add(dot(mean, w1), dot(var, w2)), dot(ad.tanh(x), w3))
             return loss
 
-        self.assert_matches_unfused(build(dirichlet_moments_rows),
+        self.assert_matches_unfused(build(uf.dirichlet_moments_rows),
                                     build(unfused_moments_rows), x0, exact=k == 2)
-        self.assert_finite_differences(build(dirichlet_moments_rows), x0)
+        self.assert_finite_differences(build(uf.dirichlet_moments_rows), x0)
 
 
 # ---------------------------------------------------------------------------
@@ -569,11 +571,11 @@ class TestFusedPrimitives:
 def unfused_evidential_nll(raw, labels, cap, beta_reg=0.0):
     """clip_upper, exp, the expected log-probability and KL primitives, tmean,
     scale and add: the graph ``evidential_nll`` folds into one record."""
-    alpha = ad.exp(ad.clip_upper(raw, cap))
-    enll = ad.scale(-1.0, ad.tmean(dirichlet_expected_log_prob_rows(alpha, labels)))
+    alpha = uf.exp(uf.clip_upper(raw, cap))
+    enll = uf.scale(-1.0, uf.tmean(dirichlet_expected_log_prob_rows(alpha, labels)))
     if beta_reg > 0.0:
-        reg = ad.tmean(dirichlet_kl_rows(alpha, np.ones(alpha.shape[1])))
-        enll = ad.add(enll, ad.scale(beta_reg, reg))
+        reg = uf.tmean(dirichlet_kl_rows(alpha, np.ones(alpha.shape[1])))
+        enll = ad.add(enll, uf.scale(beta_reg, reg))
     return enll
 
 
@@ -581,15 +583,15 @@ def unfused_edl_loss(raw, labels, lam, cap):
     """The graph ``edl_loss`` folds into one record: the moments primitive and
     the squared error, the KL primitive on the misleading evidence, lam and
     the batch mean."""
-    alpha = ad.exp(ad.clip_upper(raw, cap))
+    alpha = uf.exp(uf.clip_upper(raw, cap))
     k = alpha.shape[1]
     onehot = np.eye(k)[labels]
-    mean, var = dirichlet_moments_rows(alpha)
-    diff = ad.sub(as_tensor(onehot), mean)
-    sq = ad.sum_rows(ad.add(ad.mul(diff, diff), var))
-    misleading = ad.add(onehot, ad.mul(alpha, 1.0 - onehot))
+    mean, var = uf.dirichlet_moments_rows(alpha)
+    diff = uf.sub(as_tensor(onehot), mean)
+    sq = uf.sum_rows(ad.add(uf.mul(diff, diff), var))
+    misleading = ad.add(onehot, uf.mul(alpha, 1.0 - onehot))
     kl = dirichlet_kl_rows(misleading, np.ones(k))
-    return ad.tmean(ad.add(sq, ad.scale(lam, kl)))
+    return uf.tmean(ad.add(sq, uf.scale(lam, kl)))
 
 
 def raw_batch(n, k, seed):
@@ -606,7 +608,7 @@ def loss_and_grad(loss, raw):
     outside the evidential loss, as a network's output bias sees one adjoint."""
     tape = Tape()
     leaf = tape.leaf(raw)
-    total = ad.add(loss(leaf), ad.scale(0.3, ad.tsum(ad.tanh(leaf))))
+    total = ad.add(loss(leaf), uf.scale(0.3, uf.tsum(ad.tanh(leaf))))
     return total.data, backward(total)[leaf.node_id]
 
 

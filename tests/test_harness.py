@@ -519,6 +519,22 @@ decomposition_samples = 64
                          "--out", str(tmp_path / "r.json")]) == 2
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n, side, message", [(0, 4, "0 images of 4x4 pixels"),
+                                                  (3, 0, "3 images of 0x0 pixels")])
+    def test_idx_files_without_data_exit_code(self, tmp_path, capsys, n, side, message):
+        """IDX files written by ``write_idx`` that hold no images, or images of
+        no pixels, end in a data error, not in a traceback."""
+        paths = harness.fmnist_mnist_paths(str(tmp_path))
+        (tmp_path / "fmnist").mkdir()
+        (tmp_path / "mnist").mkdir()
+        ds = LabeledDataset(np.zeros((n, side * side)), np.zeros(n, dtype=int), 10)
+        for split in ("fmnist_train", "fmnist_test", "mnist_test"):
+            write_idx(ds, paths[f"{split}_images"], paths[f"{split}_labels"], rows=side, cols=side)
+        assert cli.main(["run", "--config", self.fast_config(tmp_path), "--task", "fmnist-vs-mnist",
+                         "--data-dir", str(tmp_path), "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and message in err
+
     @pytest.mark.parametrize("command", ["eval", "decompose"])
     @pytest.mark.parametrize("case, edit", [
         ("missing", lambda a: a.pop("net.W1")),

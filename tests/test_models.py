@@ -340,7 +340,7 @@ class TestEtpConcentration:
         model = EtpModel(1, 2, (4,), SeededRng(seed=0, stream=2))
         x = np.array([[0.5], [-1.0]])
         v = model.encoder.forward(as_tensor(x), model.params)
-        alpha = model.concentration(v, np.zeros((16, 2)), model.params).data
+        alpha = model.concentration(v, np.zeros((16, 2)), model.params)
         np.testing.assert_allclose(alpha, np.exp(v.data), atol=1e-12)
 
     def test_direct_single_cell(self):
@@ -348,14 +348,14 @@ class TestEtpConcentration:
                          memory_cells=1, combiner="direct")
         z = np.array([[0.3, -0.7]])
         v = model.encoder.forward(as_tensor(np.array([[1.0]])), model.params)
-        alpha = model.concentration(v, z, model.params).data
+        alpha = model.concentration(v, z, model.params)
         np.testing.assert_allclose(alpha, np.exp(z), atol=1e-12)
 
     def test_always_positive(self):
         rng = np.random.default_rng(7)
         model = EtpModel(2, 3, (4,), SeededRng(seed=2, stream=2))
         v = rng.normal(size=(20, 3)) * 5.0
-        alpha = model.concentration(as_tensor(v), rng.normal(size=(16, 3)), model.params).data
+        alpha = model.concentration(as_tensor(v), rng.normal(size=(16, 3)), model.params)
         assert np.all(alpha > 0.0)
 
     def test_overflow_clamped_and_counted(self):
@@ -364,7 +364,7 @@ class TestEtpConcentration:
         v = as_tensor(np.array([[50.0, 0.0]]))
         before = model.clamp_events
         alpha = model.concentration(v, np.zeros((16, 2)), model.params)
-        assert alpha.data.max() <= 1e6
+        assert alpha.max() <= 1e6
         assert model.clamp_events > before
 
     def test_invalid_hyperparameters(self):
@@ -891,9 +891,9 @@ class TestDecompose:
         for _ in range(n):
             out = net.forward(as_tensor(x), params, rng.normal(size=net.n_weights))
             if kind == "bnn":
-                draws.append(ad.softmax_rows(out).data[0])
+                draws.append(ad.softmax_rows(out.data)[0])
             else:
-                draws.append(model.concentration(out, model.draw_memory(rng), params).data[0])
+                draws.append(model.concentration(out, model.draw_memory(rng), params)[0])
         split = decompose_pbm if kind == "bnn" else decompose_cbm
         want = split(np.array(draws))
         for term in ("reducible", "irreducible", "data", "total"):
