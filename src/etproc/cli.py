@@ -3,12 +3,14 @@
 Subcommands: train / eval / run / decompose / report.
 Exit codes: 0 success, 1 config or usage error, 2 data error (an unreadable
 data, checkpoint or report file), 3 training diverged (on every seed, for ``run``).
+The parser is built once per process and reused by every ``main`` call.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -57,6 +59,7 @@ def add_options(parser, *names, **settings):
                             **{**OPTIONS[name], **settings.get(name, {})})
 
 
+@functools.cache  # one parser per process: parsing leaves no state in it
 def build_parser():
     parser = ArgumentParser(prog="etproc")
     sub = parser.add_subparsers(dest="command", required=True)

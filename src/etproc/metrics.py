@@ -3,6 +3,10 @@
 NLL / ECE / AUROC over prediction sets, one law-of-total-variance split
 for both decompositions (global-weight models take it with zero Dirichlet
 variance), and the exact Bayes-risk oracle for Gaussian-mixture tasks.
+
+Neither sort here sets a result: AUROC ranks with NumPy's default sort, since
+tied scores share one midrank, and ECE stable-sorts its bin indices in the
+smallest unsigned dtype that holds them, which NumPy radix-sorts up to 16 bits.
 """
 
 from __future__ import annotations
@@ -68,7 +72,8 @@ def ece(preds: PredictionSet, n_bins: int = 10) -> float:
     # right-closed binning: bin m covers ((m-1)/M, m/M]
     idx = np.ceil(conf * n_bins).astype(int) - 1
     idx = np.clip(idx, 0, n_bins - 1)
-    order = np.argsort(idx, kind="stable")  # each bin one slice, its rows in order
+    # stable: each bin one slice, its rows in order; a radix sort on keys of <= 16 bits
+    order = np.argsort(idx.astype(np.min_scalar_type(n_bins - 1)), kind="stable")
     conf, correct = conf[order], correct[order]
     total, lo = 0.0, 0
     for hi in np.cumsum(np.bincount(idx, minlength=n_bins)).tolist():
@@ -79,13 +84,16 @@ def ece(preds: PredictionSet, n_bins: int = 10) -> float:
 
 
 def auroc(scores_in, scores_out) -> float:
-    """Exact Mann-Whitney rank statistic P(out > in) + 0.5 P(out == in)."""
+    """Exact Mann-Whitney rank statistic P(out > in) + 0.5 P(out == in); a NaN score raises."""
     a = np.asarray(scores_in, dtype=np.float64)
     b = np.asarray(scores_out, dtype=np.float64)
     if len(a) == 0 or len(b) == 0:
         raise ValueError("both score lists must be non-empty")
-    order = np.argsort(np.concatenate([a, b]), kind="mergesort")
-    combined = np.concatenate([a, b])[order]
+    combined = np.concatenate([a, b])
+    if np.isnan(combined).any():  # NaN != NaN: each would take a rank of its own
+        raise ValueError("scores must not be NaN")
+    order = np.argsort(combined)  # any order within a tie: its scores share one midrank
+    combined = combined[order]
     is_out = np.concatenate([np.zeros(len(a), bool), np.ones(len(b), bool)])[order]
     # midranks: a run of ties over sorted positions i..j gets (i + j) / 2 + 1
     first = np.flatnonzero(np.concatenate([[True], combined[1:] != combined[:-1]]))

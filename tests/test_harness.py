@@ -708,6 +708,34 @@ decomposition_samples = 64
         assert err.startswith("usage: etproc") and "error: " in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_calls_share_the_parser_but_no_state(self, tmp_path, capsys):
+        """One parser serves every call of a process: a flag's value, or a usage
+        error, in one call leaves the next call's defaults as they were."""
+        assert cli.build_parser() is cli.build_parser()
+        cfg = self.fast_config(tmp_path)
+        ckpt = str(tmp_path / "m.npz")
+        assert cli.main(["train", "--config", cfg, "--out", ckpt]) == 0
+        evaluate = ["eval", "--config", cfg, "--checkpoint", ckpt, "--out"]
+        assert cli.main([*evaluate, str(tmp_path / "r.csv"), "--format", "csv"]) == 0
+        assert cli.main([*evaluate, str(tmp_path / "first.json")]) == 0
+        first = (tmp_path / "first.json").read_text()
+        assert json.loads(first)["per_seed"][0]["seed"] == 7
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*evaluate, str(tmp_path / "bad.json"), "--format", "xml"])
+        assert exc.value.code == 1 and capsys.readouterr().err.startswith("usage: etproc")
+        assert cli.main([*evaluate, str(tmp_path / "second.json")]) == 0
+        assert (tmp_path / "second.json").read_text() == first
+        assert not (tmp_path / "bad.json").exists()
+
+    def test_help_text_of_a_fresh_parser(self, capsys):
+        """`etproc --help` prints, on every call, the text of a newly built parser."""
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["--help"])
+            assert exc.value.code == 0
+            assert capsys.readouterr().out == cli.build_parser.__wrapped__().format_help()
+
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_empty_hidden_runs_a_linear_net(self, tmp_path, kind):
         cfg = write_config(tmp_path / "linear.cfg",

@@ -113,7 +113,10 @@ class TestEce:
         so every bin mean, and the sum, round as the per-bin masks do. With
         K = 2 every bin below 1/2 is empty."""
         rng = np.random.default_rng(60 + k)
-        for n, bins in ((1, 10), (37, 10), (500, 20), (10000, 10), (10000, 15)):
+        # 255 to 257 bins cross the 8-bit to 16-bit edge of the sorted index dtype,
+        # 70000 the 16-bit to 32-bit one
+        for n, bins in ((1, 10), (37, 10), (500, 20), (10000, 10), (10000, 15),
+                        (10000, 255), (10000, 256), (10000, 257), (2000, 70000)):
             preds = random_prediction_set(rng, n, k)
             conf, hits = preds.probs.max(axis=1), preds.probs.argmax(axis=1) == preds.labels
             idx = np.clip(np.ceil(conf * bins).astype(int) - 1, 0, bins - 1)
@@ -180,6 +183,17 @@ class TestAuroc:
             a = rng.integers(0, 5, size=rng.integers(1, 300)).astype(float)
             b = rng.normal(size=rng.integers(1, 300)).round(1)
             assert auroc(a, b) == loop_auroc(a, b)
+        # evaluation size with long runs of ties, some of them runs of -0.0 and 0.0
+        signs = rng.choice([-1.0, 1.0], size=11000)
+        for scores in (rng.normal(size=11000).round(1), rng.normal(size=11000).round(0) * signs,
+                       rng.integers(-1, 2, size=11000) * signs):
+            a, b = scores[:10000], scores[10000:]
+            assert auroc(a, b) == loop_auroc(a, b)
+
+    def test_nan_rejected(self):
+        """NaN equals no score, not even NaN, so it has no rank."""
+        with pytest.raises(ValueError, match="NaN"):
+            auroc([0.1, np.nan], [0.5])
 
 
 class TestEntropy:
