@@ -20,13 +20,10 @@ from .distributions import SeededRng
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
-# severity-indexed parameter tables (index 0 = identity)
+# the noise sd by severity (index 0 = identity)
 GAUSSIAN_NOISE_SD = (0.0, 0.25, 0.5, 1.0, 1.5, 2.5)
-IMPULSE_FRACTION = (0.0, 0.02, 0.05, 0.10, 0.20, 0.35)
-BLUR_KERNEL_WIDTH = (1, 3, 3, 5, 5, 7)
-CONTRAST_FACTOR = (1.0, 0.8, 0.6, 0.45, 0.3, 0.2)
 
-CORRUPTION_KINDS = ("gaussian-noise", "impulse-noise", "box-blur", "contrast")
+CORRUPTION_KINDS = ("gaussian-noise",)
 
 
 @dataclass(frozen=True)
@@ -179,54 +176,11 @@ def zscore(train: LabeledDataset, others=()):
 
 
 def corrupt(ds: LabeledDataset, spec: CorruptionSpec, rng: SeededRng) -> LabeledDataset:
-    """Apply one corruption kind at the given severity; labels untouched."""
-    s = spec.severity
-    x = ds.features
-    if s == 0:
-        out = x.copy()
-    elif spec.kind == "gaussian-noise":
-        out = x + GAUSSIAN_NOISE_SD[s] * rng.normal(size=x.shape)
-    elif spec.kind == "impulse-noise":
-        frac = IMPULSE_FRACTION[s]
-        mask = rng.uniform(size=x.shape) < frac
-        lo, hi = x.min(), x.max()
-        extremes = np.where(rng.uniform(size=x.shape) < 0.5, lo, hi)
-        out = np.where(mask, extremes, x)
-    elif spec.kind == "box-blur":
-        w = BLUR_KERNEL_WIDTH[s]
-        side = int(round(np.sqrt(x.shape[1])))
-        if side * side == x.shape[1] and side >= w:
-            imgs = x.reshape(len(x), side, side)
-            out = np.stack([_box_blur_2d(img, w) for img in imgs]).reshape(x.shape)
-        else:
-            out = np.stack([_moving_average(row, w) for row in x])
-    elif spec.kind == "contrast":
-        c = CONTRAST_FACTOR[s]
-        mean = x.mean(axis=1, keepdims=True)
-        out = mean + c * (x - mean)
-    else:  # pragma: no cover - guarded by CorruptionSpec
-        raise ValueError(spec.kind)
+    """Add Gaussian feature noise of the severity's sd (``GAUSSIAN_NOISE_SD``);
+    severity 0 draws nothing and copies. Labels untouched."""
+    x, s = ds.features, spec.severity
+    out = x + GAUSSIAN_NOISE_SD[s] * rng.normal(size=x.shape) if s else x.copy()
     return LabeledDataset(out, ds.labels.copy(), ds.num_classes)
-
-
-def _moving_average(row, w):
-    if w <= 1:
-        return row.copy()
-    padded = np.pad(row, w // 2, mode="edge")
-    kernel = np.ones(w) / w
-    return np.convolve(padded, kernel, mode="valid")
-
-
-def _box_blur_2d(img, w):
-    if w <= 1:
-        return img.copy()
-    pad = w // 2
-    padded = np.pad(img, pad, mode="edge")
-    out = np.zeros_like(img)
-    for di in range(w):
-        for dj in range(w):
-            out += padded[di : di + img.shape[0], dj : dj + img.shape[1]]
-    return out / (w * w)
 
 
 def batch_iterator(ds: LabeledDataset, batch_size: int, rng: SeededRng, epoch: int):

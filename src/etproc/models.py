@@ -206,7 +206,7 @@ class _Model:
 
     def _count_clamps(self, raw: Tensor):
         """Count the entries of log-concentrations that the cap clamps."""
-        self.clamp_events += int(np.sum(raw.data >= LOG_ALPHA_CAP))
+        self.clamp_events += np.count_nonzero(raw.data >= LOG_ALPHA_CAP)
 
     def _capped_exp(self, raw: Tensor):
         """exp(min(raw, LOG_ALPHA_CAP)) as an array, counting the entries the cap clamps."""
@@ -283,7 +283,7 @@ class VariationalMlp(_Mlp):
 
 
 def _dirichlet_mean(alpha):
-    return alpha / ad.row_sum(alpha)
+    return ad.row_broadcast(np.divide, alpha, ad.row_sum(alpha), np.empty(alpha.shape))
 
 
 def _choose_context(xb, yb, fraction, rng):

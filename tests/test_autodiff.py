@@ -23,6 +23,7 @@ from etproc.autodiff import (
     backward,
 )
 from etproc.distributions import gaussian_reparam
+from etproc.models import _dirichlet_mean
 
 import unfused as uf
 
@@ -495,6 +496,57 @@ class TestRowReductions:
         assert ad.row_argmax(x).tolist() == [0, 1, 0, 1]
 
 
+class TestRowBroadcast:
+    """The row broadcasts that run in whole columns on short rows, many rows
+    of at most 4, equal NumPy's broadcast expressions bit for bit: the
+    softmax's shift and normalisation, the Dirichlet mean's division and a
+    bias added to every row."""
+
+    @staticmethod
+    def same(got, want):
+        return (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    @pytest.mark.parametrize("n", [1, 7, 40, 10000])
+    def test_softmax_rows(self, n, lead):
+        rng = np.random.default_rng(56)
+        for k in range(1, 13):
+            x = rng.normal(size=(*lead, n, k)) * 5.0
+            want = x - ad.row_max(x)
+            np.exp(want, out=want)
+            want /= ad.row_sum(want)
+            assert self.same(ad.softmax_rows(x), want), k
+
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    @pytest.mark.parametrize("n", [1, 7, 40, 10000])
+    def test_dirichlet_mean(self, n, lead):
+        rng = np.random.default_rng(57)
+        for k in range(1, 13):
+            alpha = np.exp(rng.normal(size=(*lead, n, k)) * 3.0)
+            assert self.same(_dirichlet_mean(alpha), alpha / ad.row_sum(alpha)), k
+
+    @pytest.mark.parametrize("n", [1, 7, 40, 10000])
+    def test_bias_rows(self, n):
+        """A bias row, (K,), and one bias row per slice, (S, 1, K), with
+        signed zeros on both sides."""
+        rng = np.random.default_rng(58)
+        for k in range(1, 13):
+            x = rng.normal(size=(3, n, k))
+            x[:, ::3] = -0.0
+            for b in (rng.normal(size=k), rng.normal(size=(3, 1, k))):
+                b[..., ::2] = -0.0
+                want = x + b
+                assert self.same(ad.row_broadcast(np.add, x, b, x.copy()), want), k
+                if b.ndim == 1:
+                    assert self.same(ad.row_broadcast(np.add, x[0], b, x[0].copy()), want[0])
+
+    def test_rule(self):
+        """Columns from 512 rows per column on rows of at most 4."""
+        assert [ad._short_rows(np.empty((n, 2))) for n in (1023, 1024)] == [False, True]
+        assert [ad._short_rows(np.empty((n, 4))) for n in (2047, 2048)] == [False, True]
+        assert ad._short_rows(np.empty((4, 512, 2))) and not ad._short_rows(np.empty((10**5, 5)))
+
+
 def attention_unfused(v, keys, z, scale):
     """The graph that ``ad.attention`` fuses, with its weights as an array."""
     phi = uf.softmax_rows(uf.scale(scale, ad.matmul(v, uf.transpose(keys))))
@@ -758,6 +810,70 @@ class TestMlp:
         extra = [] if logvars is None else [Tensor(np.zeros(logvars)), np.zeros(noise)]
         with pytest.raises(ShapeMismatchError, match="mlp"):
             ad.mlp(Tensor(np.ones(x_shape)), layout, Tensor(np.zeros(block)), *extra)
+
+
+class TestMlpOneInput:
+    """A one-input network, whose first layer forms its products through
+    einsum above 2048 of them and adds a short output bias in whole columns,
+    equals the unfused matmul/add/relu graph bit for bit, forward and
+    backward, zero signs included."""
+
+    @staticmethod
+    def bits(a):
+        return a.shape, np.ascontiguousarray(a).tobytes()
+
+    def run(self, fused, dims, n, noise):
+        """Output, flat gradient and, fused, the untracked output, with +0 and
+        -0 planted in the input, W0, the output bias and the noise."""
+        rng = np.random.default_rng(64)
+        _, leaves, layout, size = TestMlp.leaves(dims, noise is not None, seed=64)
+        means = leaves["means"].data  # a view of the tape's flat vector, as every leaf is
+        zeros = np.arange(dims[1]) % 3  # W0 is the block's first dims[1] entries
+        means[:dims[1]][zeros == 0] = -0.0
+        means[:dims[1]][zeros == 1] = 0.0
+        means[size - dims[-1]::2] = -0.0  # the output bias
+        eps, extra = None, ()
+        if noise is not None:
+            eps = rng.normal(size=(3, size) if noise == "stacked" else size)
+            eps[..., :dims[1]][..., zeros < 2] = -0.0  # keeps a -0 weight at -0
+            eps[..., size - dims[-1]::2] = -0.0
+            extra = (leaves["logvars"], eps)
+        x = Tensor(rng.normal(size=(n, 1)))
+        x.data[::4], x.data[1::4] = 0.0, -0.0
+        out = (ad.mlp(x, layout, leaves["means"], *extra) if fused
+               else mlp_unfused(x, layout, leaves, eps))
+        loss = uf.tsum(uf.mul(ad.tanh(out), Tensor(rng.normal(size=out.shape))))
+        untracked = None
+        if fused:
+            off_tape = () if noise is None else (Tensor(extra[0].data), eps)
+            untracked = ad.mlp(x, layout, Tensor(means), *off_tape).data
+        return out.data, backward(loss)[leaves["all"].node_id], untracked
+
+    @pytest.mark.parametrize("noise", [None, "one", "stacked"])
+    @pytest.mark.parametrize("n", [1, 10, 40, 64, 65, 1000, 10000])
+    @pytest.mark.parametrize("dims", [(1, 32, 2), (1, 3)])
+    def test_matches_unfused_graph_bit_for_bit(self, dims, n, noise):
+        out, flat, untracked = self.run(True, dims, n, noise)
+        want_out, want_flat, _ = self.run(False, dims, n, noise)
+        assert self.bits(out) == self.bits(want_out)
+        assert self.bits(untracked) == self.bits(want_out)
+        assert self.bits(flat) == self.bits(want_flat)
+
+    def test_signed_zero_products(self):
+        """-0 products meet -0 biases: matmul and einsum both give +0."""
+        h = np.array([[-0.0], [0.0], [1.0], [-1.0]] * 600)
+        w = np.array([[1.0, -1.0, 0.0, -0.0] * 8])
+        got = ad._layer_product(h, w)
+        assert got.size > 2048 and self.bits(got) == self.bits(h @ w)
+        got += -0.0
+        assert not np.signbit(got[np.equal(got, 0.0)]).any()
+
+    def test_stacked_weights_of_one_input(self):
+        """One input against 256 stacked weight draws, as a decomposition runs."""
+        rng = np.random.default_rng(65)
+        h, w = rng.normal(size=(1, 1)), rng.normal(size=(256, 1, 32))
+        w[:, :, ::5] = -0.0
+        assert self.bits(ad._layer_product(h, w)) == self.bits(h @ w)
 
 
 def softmax_nll_unfused(logits, labels):
