@@ -27,10 +27,12 @@ categorical NLL of softmax logits.
 The array functions ``softmax_rows``, ``row_max``, ``row_sum``,
 ``row_argmax`` and ``row_broadcast`` run off the tape and equal NumPy bit
 for bit. NumPy loops over rows, so they work in whole columns where that
-pays: the reductions always, the argmax and the broadcasts on many short
-rows only (``_short_rows``). ``matmul`` takes its non-BLAS loop for a
-column times a row, so a one-input layer of ``mlp`` with many rows goes
-through ``np.einsum``, with the same bits (``_layer_product``).
+pays: the reductions from 128 rows (``_few_rows``), the argmax and the
+broadcasts on many short rows (``_short_rows``). A bias row met by many
+longer rows is added in long rows of about ``LONG_ROW`` entries instead
+(``_long_rows``). ``matmul`` takes its non-BLAS loop for a column times a
+row, so a one-input layer of ``mlp`` with many rows goes through
+``np.einsum``, with the same bits (``_layer_product``).
 """
 
 from __future__ import annotations
@@ -251,17 +253,31 @@ def _pairwise_sum_lead(x):
     return _pairwise_sum_lead(x[:half]) + _pairwise_sum_lead(x[half:])
 
 
+def _few_rows(x):
+    """Whether NumPy's own reduction over x's last axis is the faster: a
+    C-contiguous x of fewer than 128 rows. The column max and sum took 5.5
+    and 6.1 us against 1.4 and 1.2 at (7, 10), but 4.8 and 3.5 against
+    14.1 and 7.1 at (256, 2) (``timeit`` min, 2-core host)."""
+    return x.size < 128 * x.shape[-1] and x.flags.c_contiguous
+
+
 def row_sum(x):
-    """``x.sum(axis=-1, keepdims=True)`` bit for bit: see ``_pairwise_sum``."""
+    """``x.sum(axis=-1, keepdims=True)`` bit for bit: NumPy's own on few
+    rows (``_few_rows``), else in whole columns (``_pairwise_sum``)."""
+    if _few_rows(x):
+        return x.sum(axis=-1, keepdims=True)
     return _pairwise_sum(x, -1)
 
 
 def row_max(x):
-    """``x.max(axis=-1, keepdims=True)`` from elementwise maxima of column
-    halves (a view of x when the axis has length 1). A max is exact in any
-    order; only the sign of a zero maximum may differ, and no caller sees it:
-    a softmax subtracts the maximum before ``exp``, where both zeros give 1,
-    and a probability row's maximum is at least 1/K."""
+    """``x.max(axis=-1, keepdims=True)``: NumPy's own on few rows
+    (``_few_rows``), else from elementwise maxima of column halves (a view
+    of x when the axis has length 1). A max is exact in any order; only the
+    sign of a zero maximum may differ, and no caller sees it: a softmax
+    subtracts the maximum before ``exp``, where both zeros give 1, and a
+    probability row's maximum is at least 1/K."""
+    if _few_rows(x):
+        return x.max(axis=-1, keepdims=True)
     m = np.swapaxes(x, -1, 0)
     while len(m) > 1:
         h = (len(m) + 1) // 2
@@ -278,14 +294,37 @@ def _short_rows(x):
     return k <= 4 and x.size >= 512 * k * k
 
 
+LONG_ROW = 8000  # entries per long row of a bias row's broadcast (``_long_rows``)
+
+
+def _long_rows(x, y, out):
+    """Whether a bias row y, (K,), is faster added to x, (N, K), and out,
+    both C-contiguous, as long rows of about ``LONG_ROW`` entries against a
+    tiled bias: from 1500 rows on. The add took 214 -> 128 us at (10000, 32)
+    and 27 -> 19 at (1500, 32), but 14 -> 18 at (1000, 16) (``timeit`` min,
+    2-core host)."""
+    return (x.ndim == 2 and len(x) >= 1500 and y.shape == x.shape[1:]
+            and x.flags.c_contiguous and out.flags.c_contiguous)
+
+
 def row_broadcast(op, x, y, out):
     """``op(x, y, out=out)`` of rows x, (..., K), and y, which broadcasts
     against x as a column, (..., 1), or as rows of K; in whole columns when
-    the rows are short (``_short_rows``)."""
-    if not _short_rows(x):
+    the rows are short (``_short_rows``), in long rows when many rows meet
+    one bias row (``_long_rows``). Only elementwise ops are laid out anew,
+    so each entry keeps the bits of NumPy's broadcast."""
+    if _short_rows(x):
+        for j in range(x.shape[-1]):
+            op(x[..., j], y[..., 0 if y.shape[-1] == 1 else j], out=out[..., j])
+        return out
+    if not _long_rows(x, y, out):
         return op(x, y, out=out)
-    for j in range(x.shape[-1]):
-        op(x[..., j], y[..., 0 if y.shape[-1] == 1 else j], out=out[..., j])
+    n, k = x.shape
+    m = max(1, (n * k + LONG_ROW // 2) // LONG_ROW)  # long rows
+    r = n // m  # rows per long row; the n - m * r < m rows left take the broadcast
+    top = m * r
+    op(x[:top].reshape(m, r * k), np.tile(y, r), out=out[:top].reshape(m, r * k))
+    op(x[top:], y, out=out[top:])
     return out
 
 

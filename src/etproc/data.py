@@ -137,7 +137,7 @@ def read_idx(images_path, labels_path, num_classes: int = 10) -> LabeledDataset:
         raise ValueError(f"image/label count mismatch: {n} vs {ln}")
     if len(labels) and labels.max() >= num_classes:
         raise ValueError(f"label {labels.max()} outside [0, {num_classes})")
-    return LabeledDataset(pixels.astype(np.float64) / 255.0, labels, num_classes)
+    return LabeledDataset(np.divide(pixels, 255.0, dtype=np.float64), labels, num_classes)
 
 
 def write_idx(ds: LabeledDataset, images_path, labels_path, rows: int, cols: int):
@@ -160,18 +160,26 @@ def write_idx(ds: LabeledDataset, images_path, labels_path, rows: int, cols: int
 
 def zscore(train: LabeledDataset, others=()):
     """Normalize with train statistics only; zero-variance features get sd 1.
-    Returns the normalized datasets, train first, and the zero-variance count."""
+    Returns the normalized datasets, train first, and the zero-variance count.
+
+    The sd is ``np.std``'s arithmetic on the centred train copy, which is
+    then divided in place into the train output; each other split takes one
+    new array. Outputs equal ``(x - mean) / sd`` bit for bit."""
     if len(train) == 0:
         raise ValueError("empty training set")
     mean = train.features.mean(axis=0)
-    sd = train.features.std(axis=0)
+    centred = train.features - mean
+    sd = np.sqrt(np.add.reduce(np.square(centred), axis=0) / len(train))
     degenerate = int(np.sum(sd == 0.0))
-    sd = np.where(sd == 0.0, 1.0, sd)
+    sd[sd == 0.0] = 1.0
 
     def apply(ds):
-        return replace(ds, features=(ds.features - mean) / sd)
+        out = ds.features - mean
+        out /= sd
+        return replace(ds, features=out)
 
-    normed = [apply(train)] + [apply(ds) for ds in others]
+    centred /= sd
+    normed = [replace(train, features=centred)] + [apply(ds) for ds in others]
     return normed, degenerate
 
 

@@ -8,7 +8,9 @@ training loss folds the softmax or the capped exp into its one record,
 those paths call the array functions ``autodiff.softmax_rows`` and
 ``distributions.capped_exp``. Where draws are independent
 (the ETP memory update, the decomposition) the untracked path stacks
-them on a leading axis instead of looping over them. ETP's memory read
+them on a leading axis instead of looping over them. ENP's prediction
+fills its head input [e, z] once and refills only z per draw, where its
+training step concatenates the two on the tape. ETP's memory read
 and ENP's attention aggregation are one ``autodiff.attention`` record,
 whose softmax reduces over the memory (context) axis; the Dirichlet mean
 that prediction takes sums in NumPy's order too (``autodiff.row_sum``).
@@ -531,11 +533,15 @@ class EnpModel(_Model):
         return self.loss(leaves, xb, yb, cx, cy, rng, n_total)
 
     def draws(self, x, rng, n_samples, n_samples_z):
-        """Prediction-time path: Dirichlet means under Z ~ N(1, kappa^2 I), no context set."""
-        e = self.embed.forward(x, self.params)
+        """Prediction-time path: Dirichlet means under Z ~ N(1, kappa^2 I), no
+        context set. The head's input [e, z], (N, 2K), is one buffer: the
+        embedding fills its first K columns once, each draw's z the rest."""
+        k = self.num_classes
+        head_in = np.empty((x.shape[0], 2 * k))
+        head_in[:, :k] = self.embed.forward(x, self.params).data
         for _ in range(n_samples):
-            z = 1.0 + np.sqrt(self.kappa2) * rng.normal(size=self.num_classes)
-            alpha = self._capped_exp(self._log_alpha(e, np.broadcast_to(z, e.shape), self.params))
+            head_in[:, k:] = 1.0 + np.sqrt(self.kappa2) * rng.normal(size=k)
+            alpha = self._capped_exp(self.head.forward(head_in, self.params))
             yield _dirichlet_mean(alpha)
 
 

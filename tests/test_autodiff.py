@@ -474,14 +474,15 @@ class TestPairwiseSum:
 class TestRowReductions:
     """``row_max``, ``row_sum`` and ``row_argmax`` equal NumPy's ``max``,
     ``sum`` and ``argmax`` over the last axis bit for bit, on 2-D and
-    stacked inputs, with ties drawn from few integer values."""
+    stacked inputs on both sides of the 128-row rule, with ties drawn from
+    few integer values."""
 
     @staticmethod
     def same(got, want):
         return (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
 
     @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
-    @pytest.mark.parametrize("n", [1, 7, 10000])
+    @pytest.mark.parametrize("n", [1, 7, 42, 43, 127, 128, 10000])
     def test_match_numpy(self, n, lead):
         rng = np.random.default_rng(55)
         for k in range(1, 13):
@@ -494,6 +495,16 @@ class TestRowReductions:
     def test_first_index_wins_ties(self):
         x = np.array([[1.0, 1.0, 0.0], [0.0, 2.0, 2.0], [3.0, 3.0, 3.0], [-1.0, -0.0, 0.0]])
         assert ad.row_argmax(x).tolist() == [0, 1, 0, 1]
+
+    def test_few_rows_rule(self):
+        """NumPy's own reduction below 128 rows of a C-contiguous array; a
+        view whose rows are not contiguous stays in columns."""
+        assert [ad._few_rows(np.empty((n, 10))) for n in (127, 128)] == [True, False]
+        assert [ad._few_rows(np.empty((2, n, 3))) for n in (63, 64)] == [True, False]
+        t = np.random.default_rng(59).normal(size=(10, 40)).T
+        assert not ad._few_rows(t)
+        assert self.same(ad.row_sum(t), ad._pairwise_sum(t, -1))
+        assert self.same(ad.row_max(t), t.max(axis=-1, keepdims=True))
 
 
 class TestRowBroadcast:
@@ -540,11 +551,40 @@ class TestRowBroadcast:
                 if b.ndim == 1:
                     assert self.same(ad.row_broadcast(np.add, x[0], b, x[0].copy()), want[0])
 
+    @pytest.mark.parametrize("op", [np.add, np.subtract])
+    @pytest.mark.parametrize("k", [5, 10, 32])
+    @pytest.mark.parametrize("n", [1499, 1500, 1501, 10000, 10007])
+    def test_bias_long_rows(self, n, k, op):
+        """A bias row, (K,), over many rows of more than 4, on both sides of
+        the 1500-row rule and with rows left over after the long rows, with
+        signed zeros in x and the bias; in place and into a separate out."""
+        rng = np.random.default_rng(60)
+        x = rng.normal(size=(n, k))
+        x[::3, ::2] = -0.0
+        x[1::3, ::2] = 0.0
+        b = rng.normal(size=k)
+        b[::3] = -0.0
+        b[1::3] = 0.0
+        want = op(x, b)
+        out = np.full(x.shape, np.nan)
+        assert ad.row_broadcast(op, x, b, out) is out and self.same(out, want)
+        got = x.copy()
+        assert ad.row_broadcast(op, got, b, got) is got and self.same(got, want)
+
     def test_rule(self):
-        """Columns from 512 rows per column on rows of at most 4."""
+        """Columns from 512 rows per column on rows of at most 4; long rows
+        from 1500 rows for a (K,) bias on C-contiguous x and out."""
         assert [ad._short_rows(np.empty((n, 2))) for n in (1023, 1024)] == [False, True]
         assert [ad._short_rows(np.empty((n, 4))) for n in (2047, 2048)] == [False, True]
         assert ad._short_rows(np.empty((4, 512, 2))) and not ad._short_rows(np.empty((10**5, 5)))
+        b = np.empty(32)
+        x = np.empty((1500, 32))
+        assert [ad._long_rows(np.empty((n, 32)), b, np.empty((n, 32))) for n in (1499, 1500)] \
+            == [False, True]
+        assert not ad._long_rows(x, np.empty((1500, 1)), x)  # a column
+        assert not ad._long_rows(np.empty((2, 1500, 32)), np.empty((2, 1, 32)), x)  # stacked
+        t = np.empty((32, 1500)).T
+        assert not ad._long_rows(t, b, x) and not ad._long_rows(x, b, t)
 
 
 def attention_unfused(v, keys, z, scale):

@@ -146,6 +146,11 @@ class TestIdx:
         np.testing.assert_allclose(ds.features[1], (255 - np.arange(9)) / 255.0)
         np.testing.assert_array_equal(ds.labels, [3, 7])
 
+    def test_every_pixel_value_scales_as_float_division(self, tmp_path):
+        img, lbl = make_idx_pair(tmp_path, list(range(256)), [0, 1], 16, 8)
+        want = np.arange(256, dtype=np.uint8).astype(np.float64).reshape(2, 128) / 255.0
+        assert read_idx(img, lbl).features.tobytes() == want.tobytes()
+
     def test_empty_payload(self, tmp_path):
         img, lbl = make_idx_pair(tmp_path, [], [], 3, 3)
         with pytest.raises(ValueError, match="0 images of 3x3 pixels"):
@@ -229,6 +234,29 @@ class TestZscore:
         empty = LabeledDataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 2)
         with pytest.raises(ValueError):
             zscore(empty)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 1500])
+    def test_matches_numpy_expression(self, n):
+        """Every output equals ``(x - mean) / where(sd == 0, 1, std)`` of the
+        train statistics byte for byte, with constant, all-zero and signed-zero
+        columns among the features; the inputs are left as they were."""
+        rng = np.random.default_rng(3)
+        feats = rng.normal(2.0, 3.0, size=(n, 12))
+        feats[:, 0] = 5.0
+        feats[:, 1] = 0.0
+        feats[:, 2] = -0.0
+        feats[::2, 3] = -0.0
+        train = LabeledDataset(feats, np.zeros(n, dtype=int), 2)
+        others = [LabeledDataset(rng.normal(size=(m, 12)), np.zeros(m, dtype=int), 2)
+                  for m in (1, 5)]
+        before = [ds.features.copy() for ds in (train, *others)]
+        normed, degenerate = zscore(train, others)
+        mean, sd = feats.mean(axis=0), feats.std(axis=0)
+        assert degenerate == int(np.sum(sd == 0.0))
+        sd = np.where(sd == 0.0, 1.0, sd)
+        for ds, out, orig in zip((train, *others), normed, before):
+            assert out.features.tobytes() == ((orig - mean) / sd).tobytes()
+            assert ds.features.tobytes() == orig.tobytes()
 
 
 class TestCorrupt:

@@ -566,6 +566,28 @@ class TestEnp:
         np.testing.assert_allclose(probs, alpha / alpha.sum(axis=1, keepdims=True),
                                    atol=1e-9)
 
+    @pytest.mark.parametrize("k", [2, 3, 10])
+    @pytest.mark.parametrize("n", [1, 7, 40, 10000])
+    def test_draws_match_concatenated_head_input(self, n, k):
+        """The draws' one head-input buffer gives the Dirichlet means and
+        clamp count of the head run per draw on ``concat([e, z])``
+        (``_log_alpha``), byte for byte; one bias drives some entries past
+        the cap."""
+        model = EnpModel(2, k, (32,), SeededRng(seed=4, stream=2), kappa2=0.5)
+        model.params["head.b1"][0] = LOG_ALPHA_CAP
+        x = np.random.default_rng(27).normal(size=(n, 2)) * 3.0
+        x[::5] = -0.0
+        got = list(model.draws(as_tensor(x), SeededRng(seed=28), 4, 1))
+        rng, want, clamps = SeededRng(seed=28), [], 0
+        e = model.embed.forward(as_tensor(x), model.params)
+        for _ in range(4):
+            z = 1.0 + np.sqrt(model.kappa2) * rng.normal(size=k)
+            raw = model._log_alpha(e, np.broadcast_to(z, e.shape), model.params).data
+            clamps += np.count_nonzero(raw >= LOG_ALPHA_CAP)
+            want.append(models_mod._dirichlet_mean(np.exp(np.minimum(raw, LOG_ALPHA_CAP))))
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert model.clamp_events == clamps
+
     @pytest.mark.parametrize("beta_reg", [0.0, 0.5])
     @pytest.mark.parametrize("aggregation", ["mean", "attention"])
     def test_loss_matches_numpy_oracle(self, aggregation, beta_reg, monkeypatch):
