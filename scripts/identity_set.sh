@@ -1,5 +1,5 @@
 #!/bin/bash
-# build_set.sh TREE OUT: writes the identity set of the etproc tree TREE under OUT
+# identity_set.sh TREE OUT: writes the identity set of the etproc tree TREE under OUT
 set -u
 tree=$(realpath "$1"); out=$2; rm -rf "$out"; mkdir -p "$out"; out=$(realpath "$out")
 export OPENBLAS_NUM_THREADS=2 PYTHONPATH="$tree/src"

@@ -10,17 +10,18 @@ flat vector with one span. The leaves of one vector share one flat
 gradient, so an optimizer step needs no gathering of per-array gradients.
 
 The module holds the ops that a training step records, besides the laws
-of ``distributions``: ``matmul``, ``add``, ``tanh``, ``concat`` and
-``columns``, and three fused ops that each make one tape record. A fused
-op equals the unfused graph of elementary ops bit for bit, forward and
-backward: its VJPs evaluate that graph's own expressions. The elementary
-ops of those graphs live with the tests (``tests/unfused.py``).
-``attention`` forms its scores memory-major and reduces its softmax over
-that leading axis, adding in NumPy's own summation order
-(``_pairwise_sum``, pinned by a test); at some prediction sizes its
-scores round apart from the unfused graph's in the last bit (see its
-docstring). ``mlp`` runs a ReLU network from its whole parameter block,
-with the reparameterised draw of a variational network folded in, and
+of ``distributions``: ``matmul``, ``add``, ``tanh`` and ``concat``, and
+three fused ops that each make one tape record. A fused op equals the
+unfused graph of elementary ops bit for bit, forward and backward: its
+VJPs evaluate that graph's own expressions. The elementary ops of those
+graphs live with the tests (``tests/unfused.py``). ``attention`` forms
+its scores memory-major and reduces its softmax over that leading axis,
+adding in NumPy's own summation order (``_pairwise_sum``, pinned by a
+test); at some prediction sizes its scores round apart from the unfused
+graph's in the last bit (see its docstring). ``mlp`` runs a ReLU network
+from its whole parameter block, with the reparameterised draw of a
+variational network's block, packed as [means | log-variances], folded in
+(``gaussian_draw``, which ``distributions.gaussian_reparam`` shares), and
 returns one flat block gradient. ``softmax_nll`` is the batch-mean
 categorical NLL of softmax logits.
 
@@ -348,6 +349,9 @@ def attention(v, keys, z, scale: float):
     """Attention of queries v, (N, K), over R cells with keys (R, K) and
     values z, (R, Kz): ``read = softmax_rows(scale * v @ keys.T) @ z``, as
     one tape record. Any operand may lead with a stack axis of S slices.
+    ``keys`` None keys the cells by the values' first K columns, z[..., :K];
+    z's VJP then adds their adjoint after its own, zero-padded to Kz
+    columns, as a separate column-slice record would have.
 
     Returns ``read`` and the attention weights ``phi``, (N, R), as an
     untracked array. The scores are formed memory-major, (R, N), so the
@@ -360,16 +364,19 @@ def attention(v, keys, z, scale: float):
     R >= 16 they differ in the last bit for some N between 257 and 1999
     (wide-idx's N = 1500 prediction among them), by about 1e-15 on the read.
     """
-    v, keys, z = as_tensor(v), as_tensor(keys), as_tensor(z)
-    stacks = {t.shape[0] for t in (v, keys, z) if t.data.ndim == 3}
-    if (any(t.data.ndim not in (2, 3) for t in (v, keys, z)) or len(stacks) > 1
-            or v.shape[-1] != keys.shape[-1] or keys.shape[-2] != z.shape[-2]):
-        raise ShapeMismatchError(f"attention: {v.shape} over {keys.shape}, {z.shape}")
+    operands = (as_tensor(z), as_tensor(v)) + (() if keys is None else (as_tensor(keys),))
+    z, v = operands[:2]
+    kd = z.data[..., :v.shape[-1]] if keys is None else operands[2].data
+    stacks = {t.shape[0] for t in operands if t.data.ndim == 3}
+    if (any(t.data.ndim not in (2, 3) for t in operands) or len(stacks) > 1
+            or v.shape[-1] != kd.shape[-1] or kd.shape[-2] != z.shape[-2]):
+        raise ShapeMismatchError(f"attention: {v.shape} over {kd.shape}, {z.shape}")
     scale = float(scale)
-    kT = _swap(keys.data).copy()
+    vd, zd, pad = v.data, z.data, keys is None  # the VJPs keep no Tensor: no cycle holds the tape
+    kT = _swap(kd).copy()
     # the scores, C-ordered (..., R, N); one query keeps v @ keys.T, since
     # NumPy takes its vector path for keys @ v.T there
-    weights = keys.data @ _swap(v.data) if v.shape[-2] > 1 else _swap(v.data @ kT).copy()
+    weights = kd @ _swap(vd) if v.shape[-2] > 1 else _swap(vd @ kT).copy()
     weights *= scale
     weights -= weights.max(axis=-2, keepdims=True)
     np.exp(weights, out=weights)
@@ -380,15 +387,24 @@ def attention(v, keys, z, scale: float):
     def scores_adjoint(g):
         """The softmax_rows VJP of phi's adjoint, times ``scale``; once per g."""
         if memo.get("g") is not g:
-            g_phi = g @ _swap(z.data)
+            g_phi = g @ _swap(zd)
             dot = (g_phi * phi).sum(axis=-1, keepdims=True)
             memo.update(g=g, g_s=scale * (phi * (g_phi - dot)))
         return memo["g_s"]
 
-    read = emit(phi @ z.data, (z, v, keys),
-                (lambda g: _sum_stack(_swap(phi) @ g, z.data.ndim),
-                 lambda g: _sum_stack(scores_adjoint(g) @ _swap(kT), v.data.ndim),
-                 lambda g: _swap(_sum_stack(_swap(v.data) @ scores_adjoint(g), kT.ndim))))
+    def keys_vjp(g):
+        return _swap(_sum_stack(_swap(vd) @ scores_adjoint(g), kT.ndim))
+
+    def z_vjp(g):
+        term = _sum_stack(_swap(phi) @ g, zd.ndim)
+        if not pad:
+            return term
+        padded = np.zeros(zd.shape)
+        padded[..., :kd.shape[-1]] = keys_vjp(g)
+        return term, padded
+
+    read = emit(phi @ zd, operands,
+                (z_vjp, lambda g: _sum_stack(scores_adjoint(g) @ _swap(kT), vd.ndim), keys_vjp))
     return read, phi
 
 
@@ -402,17 +418,34 @@ def _layer_product(h, w):
     return h @ w
 
 
-def mlp(x, layout, weights, logvars=None, eps=None) -> Tensor:
+def gaussian_draw(q, eps):
+    """The draw ``mean + exp(0.5 * logvar) * eps`` of a diagonal Gaussian q
+    packed as [mean | logvar] on its last axis, for standard-normal noise
+    eps that may lead with a stack axis, and its VJP. The VJP maps the
+    draw's adjoint g to q's, packed as ``[g | 0.5 * (g * eps * sd)]``, each
+    half summed over the stack (Kingma & Welling 2014, arXiv 1312.6114)."""
+    p = q.shape[-1] // 2
+    sd = np.exp(0.5 * q[..., p:])
+
+    def vjp(g):
+        out = np.empty(q.shape)
+        out[..., :p] = _sum_stack(g, q.ndim)
+        out[..., p:] = _sum_stack(0.5 * (g * eps * sd), q.ndim)
+        return out
+
+    return q[..., :p] + sd * eps, vjp
+
+
+def mlp(x, layout, weights, eps=None) -> Tensor:
     """A ReLU MLP on input x, (N, D) or (S, N, D), as one tape record.
 
     ``weights`` is the network's whole parameter block, a (P,) tensor;
     ``layout`` holds each layer's (offset, fan_in, fan_out) in it: W,
     (fan_in, fan_out), starts at the offset and b, (fan_out,), follows. A
-    variational network also passes its log-variance block and
-    standard-normal noise, (P,) or (S, P) for S stacked draws, and runs
-    under the weights ``weights + exp(0.5 * logvars) * eps``, formed in one
-    pass over the block with ``gaussian_reparam``'s arithmetic per element.
-    Each stacked draw meets only its own slice, as bias ``add`` lays it out.
+    variational network passes its block packed as [means | log-variances],
+    (2P,), with standard-normal noise, (P,) or (S, P) for S stacked draws,
+    and runs under the weights ``gaussian_draw`` forms from them. Each
+    stacked draw meets only its own slice, as bias ``add`` lays it out.
 
     Forward and VJPs equal the unfused matmul/add/relu graph bit for bit:
     the VJPs evaluate that graph's own expressions, once per adjoint, and
@@ -421,19 +454,17 @@ def mlp(x, layout, weights, logvars=None, eps=None) -> Tensor:
     """
     x, weights = as_tensor(x), as_tensor(weights)
     off, fan_in, fan_out = layout[-1]
-    if (weights.shape != (off + fan_in * fan_out + fan_out,) or x.data.ndim not in (2, 3)
-            or x.shape[-1] != layout[0][1]):
-        raise ShapeMismatchError(f"mlp: input {x.shape}, block {weights.shape}, layout {layout}")
-    block, parents = weights.data, (x, weights)
-    if logvars is not None:
-        logvars, eps = as_tensor(logvars), np.asarray(eps, dtype=np.float64)
-        if logvars.shape != weights.shape or eps.ndim > 2 or eps.shape[-1:] != weights.shape:
-            raise ShapeMismatchError(f"mlp: block {weights.shape}, log-variances "
-                                     f"{logvars.shape}, noise {eps.shape}")
-        sd = np.exp(0.5 * logvars.data)
-        block, parents = block + sd * eps, (x, weights, logvars)
+    size = off + fan_in * fan_out + fan_out
+    noise = None if eps is None else np.shape(eps)
+    if (weights.shape != (size if noise is None else 2 * size,) or x.data.ndim not in (2, 3)
+            or x.shape[-1] != layout[0][1]
+            or noise is not None and (len(noise) not in (1, 2) or noise[-1] != size)):
+        raise ShapeMismatchError(f"mlp: input {x.shape}, block {weights.shape}, noise {noise}, "
+                                 f"layout {layout}")
+    block, block_vjp = ((weights.data, lambda flat: flat) if eps is None
+                        else gaussian_draw(weights.data, np.asarray(eps, dtype=np.float64)))
     stack, last = block.shape[:-1], len(layout) - 1
-    tracked = _tape_of(*parents) is not None
+    tracked = _tape_of(x, weights) is not None
     h, layers = x.data, []  # per layer, on a tape only: its input, W and where W and b sit
     for i, (off, fan_in, fan_out) in enumerate(layout):
         mid = off + fan_in * fan_out
@@ -449,7 +480,7 @@ def mlp(x, layout, weights, logvars=None, eps=None) -> Tensor:
     memo = {}
 
     def backprop(g):
-        """The block's gradient, per draw when stacked, and x's adjoint; once per g."""
+        """The drawn block's gradient, per draw when stacked, and x's adjoint; once per g."""
         if memo.get("g") is not g:
             memo["g"], flat = g, np.empty(block.shape)
             for i in range(last, -1, -1):
@@ -464,10 +495,8 @@ def mlp(x, layout, weights, logvars=None, eps=None) -> Tensor:
             memo.update(flat=flat, x=g)
         return memo
 
-    vjps = [lambda g: backprop(g)["x"], lambda g: _sum_stack(backprop(g)["flat"], 1)]
-    if logvars is not None:
-        vjps.append(lambda g: _sum_stack(0.5 * (backprop(g)["flat"] * eps * sd), 1))
-    return emit(h, parents, vjps)
+    return emit(h, (x, weights), (lambda g: backprop(g)["x"],
+                                  lambda g: block_vjp(backprop(g)["flat"])))
 
 
 def softmax_nll(logits, labels) -> Tensor:
@@ -507,20 +536,6 @@ def concat(tensors, axis=0) -> Tensor:
     vjps = tuple(lambda g, part=lead + (slice(lo, hi),): g[part]
                  for lo, hi in zip(offsets[:-1], offsets[1:]))
     return emit(out, tuple(tensors), vjps)
-
-
-def columns(a, start: int, stop: int) -> Tensor:
-    """Columns start:stop of a 2-D tensor."""
-    a = as_tensor(a)
-    if a.data.ndim != 2 or not 0 <= start < stop <= a.shape[1]:
-        raise ShapeMismatchError(f"columns: {start}:{stop} of {a.shape}")
-
-    def vjp(g):
-        out = np.zeros(a.shape)
-        out[:, start:stop] = g
-        return out
-
-    return emit(a.data[:, start:stop], (a,), (vjp,))
 
 
 # ---------------------------------------------------------------------------

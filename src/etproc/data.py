@@ -160,7 +160,7 @@ def write_idx(ds: LabeledDataset, images_path, labels_path, rows: int, cols: int
 
 def zscore(train: LabeledDataset, others=()):
     """Normalize with train statistics only; zero-variance features get sd 1.
-    Returns the normalized datasets, train first, and the zero-variance count.
+    Returns the normalized datasets, train first.
 
     The sd is ``np.std``'s arithmetic on the centred train copy, which is
     then divided in place into the train output; each other split takes one
@@ -170,7 +170,6 @@ def zscore(train: LabeledDataset, others=()):
     mean = train.features.mean(axis=0)
     centred = train.features - mean
     sd = np.sqrt(np.add.reduce(np.square(centred), axis=0) / len(train))
-    degenerate = int(np.sum(sd == 0.0))
     sd[sd == 0.0] = 1.0
 
     def apply(ds):
@@ -179,8 +178,7 @@ def zscore(train: LabeledDataset, others=()):
         return replace(ds, features=out)
 
     centred /= sd
-    normed = [replace(train, features=centred)] + [apply(ds) for ds in others]
-    return normed, degenerate
+    return [replace(train, features=centred)] + [apply(ds) for ds in others]
 
 
 def corrupt(ds: LabeledDataset, spec: CorruptionSpec, rng: SeededRng) -> LabeledDataset:

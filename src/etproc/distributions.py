@@ -12,7 +12,10 @@ one tape record each. ``dirichlet_moments_rows`` takes the moments of an
 expected log-probability ``_rows`` primitives record their kernel as one
 fused op when their input is tracked, and run untracked on plain arrays.
 The oracle tests call the primitives and ``edl_terms``, on one row or
-many, so they check the formulas that training uses.
+many, so they check the formulas that training uses. A diagonal Gaussian
+is one tensor packed as [mean | logvar] on its last axis, whose draw
+(``autodiff.gaussian_draw``, which ``autodiff.mlp`` folds in too) and KL
+to a fixed prior are one record each.
 """
 
 from __future__ import annotations
@@ -285,55 +288,48 @@ def edl_loss(raw, labels, lam, cap) -> Tensor:
 # diagonal Gaussian
 
 
-def gaussian_reparam(mean, logvar, eps) -> Tensor:
-    """mean + exp(logvar/2) * eps for given standard-normal noise; one record.
-
-    The noise may lead with a stack axis, (S, *mean.shape), for S draws at
-    once; the VJPs then sum over it.
-    """
-    mean, logvar = as_tensor(mean), as_tensor(logvar)
-    eps = np.asarray(eps, dtype=np.float64)
-    if mean.shape != logvar.shape or eps.shape[eps.ndim - mean.data.ndim:] != mean.shape:
-        raise ValueError(f"reparam: {mean.shape} vs {logvar.shape} vs noise {eps.shape}")
-    sd = np.exp(0.5 * logvar.data)
-    stack = tuple(range(eps.ndim - mean.data.ndim))
-    unstack = (lambda t: t.sum(axis=stack)) if stack else (lambda t: t)
-    return ad.emit(mean.data + sd * eps, (mean, logvar),
-                   (unstack, lambda g: unstack(0.5 * (g * eps * sd))))
+def gaussian_reparam(q, eps) -> Tensor:
+    """mean + exp(logvar/2) * eps of the diagonal Gaussian q packed as
+    [mean | logvar] on its last axis, for standard-normal noise of the
+    mean's shape, or (S, *mean.shape) for S draws at once, over which the
+    VJP sums; one record (``autodiff.gaussian_draw``)."""
+    q, eps = as_tensor(q), np.asarray(eps, dtype=np.float64)
+    if (q.shape[-1] % 2 or eps.ndim - q.data.ndim not in (0, 1)
+            or eps.shape[-q.data.ndim:] != (*q.shape[:-1], q.shape[-1] // 2)):
+        raise ValueError(f"reparam: packed {q.shape} vs noise {eps.shape}")
+    draw, vjp = ad.gaussian_draw(q.data, eps)
+    return ad.emit(draw, (q,), (vjp,))
 
 
-def gaussian_kl_diag(mean_q, logvar_q, mean_p, logvar_p, weight=1.0):
+def gaussian_kl_diag(q, mean_p, logvar_p, weight=1.0):
     """``weight`` times KL(N(mq, diag exp lq) || N(mp, diag exp lp)), summed
-    over all entries.
-
-    One tape record with an analytic VJP; returns a scalar Tensor. The prior
-    arguments are arrays of the posterior's shape, or scalars. The weight (an
+    over all entries, of q packed as [mq | lq] on its last axis: one record,
+    a scalar. The prior is arrays of mq's shape, or scalars. The weight (an
     ELBO's 1 / n_total) rounds as a ``scale`` record after the KL: the value
-    is ``weight * kl`` and the VJPs read ``weight * g``.
-    """
-    mq, lq = as_tensor(mean_q), as_tensor(logvar_q)
+    is ``weight * kl`` and the VJP reads ``weight * g``."""
+    q = as_tensor(q)
+    shape, p = q.shape, q.shape[-1] // 2  # the VJP keeps no Tensor: no cycle holds the tape
+    mq, lq = q.data[..., :p], q.data[..., p:]
     mp, lp = np.asarray(mean_p, dtype=np.float64), np.asarray(logvar_p, dtype=np.float64)
-    if (mq.shape != lq.shape or mp.ndim and mp.shape != mq.shape
-            or lp.ndim and lp.shape != mq.shape):
+    if q.shape[-1] % 2 or mp.ndim and mp.shape != mq.shape or lp.ndim and lp.shape != mq.shape:
         raise ValueError("gaussian_kl_diag: length mismatch")
     # a scalar prior as a Python float: the same IEEE arithmetic, without 0-d arrays
     mp, lp = mp if mp.ndim else float(mp), lp if lp.ndim else float(lp)
     inv_var_p = 1.0 / np.exp(lp)
-    var_q = np.exp(lq.data)
-    diff = mq.data - mp
-    inner = (var_q + diff * diff) * inv_var_p + lp - lq.data
+    var_q = np.exp(lq)
+    diff = mq - mp
+    inner = (var_q + diff * diff) * inv_var_p + lp - lq
     weight = float(weight)
 
-    def vjp_mean(g):
-        t = 0.5 * (weight * float(g)) * inv_var_p * diff
-        return t + t
-
-    def vjp_logvar(g):
+    def vjp(g):
         half = 0.5 * (weight * float(g))
-        return half * inv_var_p * var_q - half
+        t = half * inv_var_p * diff
+        out = np.empty(shape)
+        out[..., :p] = t + t
+        out[..., p:] = half * inv_var_p * var_q - half
+        return out
 
-    return ad.emit(weight * (0.5 * (np.add.reduce(inner, axis=None) - mq.data.size)), (mq, lq),
-                   (vjp_mean, vjp_logvar))
+    return ad.emit(weight * (0.5 * (np.add.reduce(inner, axis=None) - mq.size)), (q,), (vjp,))
 
 
 # ---------------------------------------------------------------------------

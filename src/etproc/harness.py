@@ -195,7 +195,7 @@ def build_task_data(cfg: ExperimentConfig, seed: int):
     train = data_mod.LabeledDataset(fm_train.features[:n], fm_train.labels[:n], 10)
     test = data_mod.LabeledDataset(fm_test.features[:n], fm_test.labels[:n], 10)
     ood = data_mod.LabeledDataset(mn_test.features[:n], mn_test.labels[:n], 10)
-    (train, test, ood), _ = data_mod.zscore(train, [test, ood])
+    train, test, ood = data_mod.zscore(train, [test, ood])
     return train, test, ood
 
 

@@ -33,11 +33,12 @@ into ``theta`` per span, and ``train`` puts the blocks and the whole
 vector (``blocks``) on each step's tape (``Tape.flat_leaves``): the
 gradient arrives as one flat vector and Adam updates ``theta`` in one
 call. The networks are layouts, and every forward pass takes its weights:
-the tape leaves in training, ``params`` elsewhere. A variational network
-keeps its means under the plain weight names, so under ``params`` it is
-the posterior-mean network; its means and log-variances are one block
-each, so its weight KL is one tape record, and each network, its weight
-draw included, is one ``autodiff.mlp`` record over its blocks too. BNN's
+the tape leaves in training, ``params`` elsewhere. Every diagonal Gaussian
+is one tensor packed as [mean | logvar] on its last axis: a variational
+network's block holds its means, under the plain weight names, then their
+log-variances, so its weight KL is one tape record, and each network, its
+weight draw included, is one ``autodiff.mlp`` record over its block. ENP's
+latent read is packed the same way, and its draw and KL take it whole. BNN's
 NLL is one ``autodiff.softmax_nll`` record. The evidential losses start
 from the raw log-concentrations, capped at ``LOG_ALPHA_CAP`` inside them:
 EDL's is one ``distributions.edl_loss`` record, and ENP's and ETP's
@@ -173,10 +174,11 @@ class _Model:
         self.num_classes = num_classes
         vars(self).update({name: getattr(config, name) for name in ("hidden", *self.HYPER)})
 
-    def _pack(self, groups):
-        """Copy the arrays of ``groups``, block -> name -> array, into ``theta``
-        in order; ``params`` views it per array, per block and whole, and
-        ``blocks`` holds the spans of the blocks and the whole vector."""
+    def _pack(self, rng, *nets):
+        """Copy the networks' initial weights into ``theta``, a block per
+        network in order; ``params`` views it per array, per block and whole,
+        and ``blocks`` holds the spans of the blocks and the whole vector."""
+        groups = {net.prefix: net.initial_weights(rng) for net in nets}
         self._arrays = [name for arrays in groups.values() for name in arrays]
         self.theta = np.concatenate([a.ravel() for arrays in groups.values()
                                      for a in arrays.values()])
@@ -188,8 +190,7 @@ class _Model:
                 self.spans[name] = (start, start + a.size, a.shape)
                 start += a.size
             self.spans[group] = (group_start, start, (start - group_start,))
-        self.blocks = {name: span for name, span in self.spans.items()
-                       if name not in self._arrays}
+        self.blocks = {name: self.spans[name] for name in (FLAT, *groups)}
         self.params = {name: self.theta[start:stop].reshape(shape)
                        for name, (start, stop, shape) in self.spans.items()}
 
@@ -256,32 +257,27 @@ class _Mlp:
 
 
 class VariationalMlp(_Mlp):
-    """Mean-field Gaussian posterior over MLP weights.
+    """Mean-field Gaussian posterior over MLP weights, one block packed as
+    [means | log-variances]. Means are fan-in-scaled uniform; log-variances
+    start at -6 so the network is near-deterministic early in training."""
 
-    Means are fan-in-scaled uniform; log-variances start at -6 so the
-    network is near-deterministic early in training.
-    """
-
-    def initial_groups(self, rng: SeededRng):
-        """The initial means and log-variances, as two blocks of ``theta``."""
-        means = self.initial_weights(rng)
-        logvars = {f"{name}.logvar": np.full_like(m, LOGVAR_INIT) for name, m in means.items()}
-        return {f"{self.prefix}.means": means, f"{self.prefix}.logvars": logvars}
+    def initial_weights(self, rng: SeededRng):
+        """The means under the weight names, then their log-variances under
+        f"{name}.logvar"."""
+        means = super().initial_weights(rng)
+        return {**means, **{f"{name}.logvar": np.full_like(m, LOGVAR_INIT)
+                            for name, m in means.items()}}
 
     def forward(self, x, params, eps=None) -> Tensor:
-        """Forward pass under the weights means + exp(logvars/2) * eps, one
-        record; ``eps`` is the noise of one draw, (n_weights,), or of S
-        stacked draws, (S, n_weights). Without it, under the means."""
-        means = params[f"{self.prefix}.means"]
-        if eps is None:
-            return ad.mlp(x, self.layout, means)
-        return ad.mlp(x, self.layout, means, params[f"{self.prefix}.logvars"], eps)
+        """Forward pass under a weight draw, one record; ``eps`` is the noise
+        of one draw, (n_weights,), or of S stacked draws, (S, n_weights).
+        Without it, under the means of untracked ``params``."""
+        block = params[self.prefix]
+        return ad.mlp(x, self.layout, block if eps is not None else block[:self.n_weights], eps)
 
     def kl_to_prior(self, params, beta: float, weight=1.0) -> Tensor:
         """``weight`` times the KL of the whole posterior to the N(0, 1/beta I) prior."""
-        return gaussian_kl_diag(params[f"{self.prefix}.means"],
-                                params[f"{self.prefix}.logvars"],
-                                0.0, float(np.log(1.0 / beta)), weight)
+        return gaussian_kl_diag(params[self.prefix], 0.0, float(np.log(1.0 / beta)), weight)
 
 
 def _dirichlet_mean(alpha):
@@ -306,7 +302,7 @@ class BnnModel(_Model):
     def __init__(self, input_dim, num_classes, hidden, rng, **keys):
         super().__init__(input_dim, num_classes, hidden, **keys)
         self.net = VariationalMlp((input_dim, *self.hidden, num_classes), "net")
-        self._pack(self.net.initial_groups(rng))
+        self._pack(rng, self.net)
 
     def _probs(self, x: Tensor, params, eps):
         return ad.softmax_rows(self.net.forward(x, params, eps).data)
@@ -343,7 +339,7 @@ class EdlModel(_Model):
     def __init__(self, input_dim, num_classes, hidden, rng):
         super().__init__(input_dim, num_classes, hidden)
         self.net = _Mlp((input_dim, *self.hidden, num_classes), "net")
-        self._pack({"net": self.net.initial_weights(rng)})
+        self._pack(rng, self.net)
 
     def loss(self, leaves, xb, yb, lam):
         """Analytic expected squared error plus annealed KL to Dir(1,...,1),
@@ -379,13 +375,9 @@ class EtpModel(_Model):
     def __init__(self, input_dim, num_classes, hidden, rng, **keys):
         super().__init__(input_dim, num_classes, hidden, **keys)
         self.encoder = VariationalMlp((input_dim, *self.hidden, num_classes), "enc")
-        groups = self.encoder.initial_groups(rng)
-        self.keynet = None
-        if not self.simplified:
-            self.keynet = _Mlp((num_classes, num_classes), "key")
-            groups["key"] = self.keynet.initial_weights(rng)
+        self.keynet = None if self.simplified else _Mlp((num_classes, num_classes), "key")
         self.memory = np.zeros((self.memory_cells, num_classes))
-        self._pack(groups)
+        self._pack(rng, *(net for net in (self.encoder, self.keynet) if net))
 
     def checkpoint_arrays(self):
         return {**self.trainable(), "__memory__": self.memory}
@@ -396,9 +388,8 @@ class EtpModel(_Model):
         """The read, a Tensor, and the untracked weights phi, (N, R), of the
         attention of embeddings v, (N, K), over a memory draw z, (R, K).
         Either may lead with a stack axis of S draws."""
-        zc = as_tensor(z)
-        keys = zc if self.keynet is None else self.keynet.forward(zc, params)
-        return ad.attention(v, keys, zc, 1.0 / np.sqrt(self.num_classes))
+        keys = None if self.keynet is None else self.keynet.forward(as_tensor(z), params)
+        return ad.attention(v, keys, z, 1.0 / np.sqrt(self.num_classes))
 
     def _evidence(self, read: Tensor) -> Tensor:
         """The memory's share of the log-concentration."""
@@ -502,16 +493,16 @@ class EnpModel(_Model):
         self.embed = _Mlp((input_dim, *self.hidden, k), "emb")
         self.encoder = _Mlp((input_dim + k, *self.hidden, 2 * k), "ctx")
         self.head = _Mlp((2 * k, *self.hidden, k), "head")
-        self._pack({net.prefix: net.initial_weights(rng)
-                    for net in (self.embed, self.encoder, self.head)})
+        self._pack(rng, self.embed, self.encoder, self.head)
 
     def _log_alpha(self, e: Tensor, z, params) -> Tensor:
         return self.head.forward(ad.concat([e, z], axis=1), params)
 
     def loss(self, leaves, xb, yb, ctx_x, ctx_y, rng, n_total):
         """Expected Dirichlet NLL plus KL(N(mu, e^lv) || N(1, kappa2 I)) / n_total;
-        each target row reads (mu, lv) from the context encodings through
-        weights phi, uniform 1/C for mean aggregation."""
+        each target row reads [mu | lv] from the context encodings through
+        weights phi, uniform 1/C for mean aggregation, or attention keyed by
+        the encodings' mu columns."""
         if len(ctx_y) == 0:
             raise ValueError("ENP training requires a non-empty context set")
         n, k, c = len(yb), self.num_classes, len(ctx_y)
@@ -521,12 +512,10 @@ class EnpModel(_Model):
         if self.aggregation == "mean":
             read = ad.matmul(np.broadcast_to(1.0 / c, (n, c)), h)  # (N, 2K)
         else:
-            read, _ = ad.attention(e, ad.columns(h, 0, k), h, 1.0 / np.sqrt(k))
-        mu, lv = ad.columns(read, 0, k), ad.columns(read, k, 2 * k)
-        z = gaussian_reparam(mu, lv, rng.normal(size=(n, k)))
+            read, _ = ad.attention(e, None, h, 1.0 / np.sqrt(k))
+        z = gaussian_reparam(read, rng.normal(size=(n, k)))
         enll = self._evidential_nll(self._log_alpha(e, z, leaves), yb)
-        kl = gaussian_kl_diag(mu, lv, 1.0, float(np.log(self.kappa2)), 1.0 / n_total)
-        return ad.add(enll, kl)
+        return ad.add(enll, gaussian_kl_diag(read, 1.0, float(np.log(self.kappa2)), 1.0 / n_total))
 
     def step_loss(self, leaves, xb, yb, rng, cfg, epoch, n_total):
         cx, cy = _choose_context(xb, yb, cfg.context_fraction, rng)

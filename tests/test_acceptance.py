@@ -84,13 +84,15 @@ CRITERION_01_RECIPES = {
     "mlp": (ad.mlp, ("theta",),
             lambda p, d: _dot(ad.mlp(d["x"], d["layout"], p["theta"]), d["w"])),
     "mlp, variational with stacked noise": (
-        ad.mlp, ("theta", "logvars"),
-        lambda p, d: _dot(ad.mlp(d["x"], d["layout"], p["theta"], p["logvars"], d["eps"]),
-                          d["w_stack"])),
+        ad.mlp, ("packed",),
+        lambda p, d: _dot(ad.mlp(d["x"], d["layout"], p["packed"], d["eps"]), d["w_stack"])),
     "softmax_nll": (ad.softmax_nll, ("a",),
                     lambda p, d: ad.softmax_nll(p["a"], d["labels"])),
     "attention": (ad.attention, ("a", "keys", "z"),
                   lambda p, d: _dot(ad.attention(p["a"], p["keys"], p["z"], 0.7)[0], d["w"])),
+    "attention, keyed by the values' first columns": (
+        ad.attention, ("a", "h"),
+        lambda p, d: _dot(ad.attention(p["a"], None, p["h"], 0.7)[0], d["w_wide"])),
     "edl_loss": (edl_loss, ("a",),
                  lambda p, d: edl_loss(p["a"], d["labels"], 0.7, models.LOG_ALPHA_CAP)),
     "evidential_nll": (evidential_nll, ("a",),
@@ -99,14 +101,12 @@ CRITERION_01_RECIPES = {
         evidential_nll, ("a",),
         lambda p, d: evidential_nll(p["a"], d["labels"], models.LOG_ALPHA_CAP, 0.5)),
     "gaussian_kl_diag": (
-        gaussian_kl_diag, ("a", "c"),
-        lambda p, d: gaussian_kl_diag(p["a"], p["c"], d["prior_mean"], d["prior_logvar"], 0.3)),
-    "gaussian_reparam": (gaussian_reparam, ("a", "c"),
-                         lambda p, d: _dot(gaussian_reparam(p["a"], p["c"], d["noise"]), d["w"])),
+        gaussian_kl_diag, ("ac",),
+        lambda p, d: gaussian_kl_diag(p["ac"], d["prior_mean"], d["prior_logvar"], 0.3)),
+    "gaussian_reparam": (gaussian_reparam, ("ac",),
+                         lambda p, d: _dot(gaussian_reparam(p["ac"], d["noise"]), d["w"])),
     "concat": (ad.concat, ("a", "c"),
                lambda p, d: _dot(ad.concat([p["a"], p["c"]], axis=1), d["w_wide"])),
-    "columns": (ad.columns, ("a",),
-                lambda p, d: _dot(ad.columns(p["a"], 1, d["k"]), d["w"][:, 1:])),
     "matmul": (ad.matmul, ("a", "square"),
                lambda p, d: _dot(ad.matmul(p["a"], p["square"]), d["w"])),
     "add": (ad.add, ("a", "b"), lambda p, d: _dot(ad.add(p["a"], p["b"]), d["w"])),
@@ -116,7 +116,8 @@ CRITERION_01_RECIPES = {
 
 def _criterion_01_net(rng):
     """The arrays of the leaves and the fixed data of one random net: a
-    d-h-k ReLU MLP's parameter block, and n-row operands of width k."""
+    d-h-k ReLU MLP's parameter block, alone and packed with log-variances,
+    n-row operands of width k, a packed [a | c] and r cells of width 2k."""
     d, h, k, n, r = rng.integers(1, 4), rng.integers(2, 5), rng.integers(2, 4), 3, 4
     size = (d + 1) * h + (h + 1) * k
     arrays = {"theta": rng.normal(size=size) * 0.7, "logvars": rng.uniform(-3.0, -0.5, size=size),
@@ -128,6 +129,9 @@ def _criterion_01_net(rng):
             "labels": rng.integers(0, k, size=n), "prior_mean": rng.normal(size=(n, k)),
             "prior_logvar": rng.normal(size=(n, k)) * 0.5, "w": rng.normal(size=(n, k)),
             "w_stack": rng.normal(size=(2, n, k)), "w_wide": rng.normal(size=(n, 2 * k))}
+    arrays.update(packed=np.concatenate([arrays["theta"], arrays["logvars"]]),
+                  ac=np.concatenate([arrays["a"], arrays["c"]], axis=1),
+                  h=rng.normal(size=(r, 2 * k)))
     return arrays, data
 
 
@@ -194,11 +198,16 @@ TRAINING_VARIANTS = {
 }
 
 
+# the functions that make the VJPs of some ops' records, by op
+VJP_MAKERS = {"_broadcast_operand": "add", "gaussian_draw": "gaussian_reparam"}
+
+
 def _recording_op(vjp):
     """The name of the op whose record holds ``vjp``: the function it was
-    made in, where ``add`` makes its second operand's in ``_broadcast_operand``."""
+    made in, where ``add`` makes its second operand's in ``_broadcast_operand``
+    and ``gaussian_reparam`` records the VJP of the draw kernel."""
     maker = vjp.__qualname__.split(".")[0]
-    return "add" if maker == "_broadcast_operand" else maker
+    return VJP_MAKERS.get(maker, maker)
 
 
 @pytest.mark.parametrize("variant", TRAINING_VARIANTS)

@@ -22,7 +22,6 @@ from etproc.autodiff import (
     adam_step,
     backward,
 )
-from etproc.distributions import gaussian_reparam
 from etproc.models import _dirichlet_mean
 
 import unfused as uf
@@ -338,7 +337,7 @@ class TestPrimitiveGradients:
         rng = np.random.default_rng(29)
         w = rng.normal(size=(3, 2))
         assert_grad_matches(
-            lambda x: uf.tsum(uf.mul(ad.tanh(ad.columns(x, 1, 3)), Tensor(w))),
+            lambda x: uf.tsum(uf.mul(ad.tanh(uf.columns(x, 1, 3)), Tensor(w))),
             rng.normal(size=(3, 4)))
 
     def test_unstack(self):
@@ -675,6 +674,43 @@ class TestAttention:
             assert np.array_equal(read.data, want_read), k
             assert np.array_equal(phi, want_phi) and phi.flags.c_contiguous, k
 
+    @pytest.mark.parametrize("width", [3, 6])  # identity keys (ETP), [mu | lv] values (ENP)
+    @pytest.mark.parametrize("stack", ["none", "queries", "memory", "both"])
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    def test_keys_from_values_match_column_graph(self, n, stack, width):
+        """``keys`` None keys the cells by z's first K columns: read, phi and
+        the adjoints of v and z, and of the leaves under them, equal the
+        graph that slices those columns in a ``columns`` record, byte for
+        byte, zero signs included."""
+        rng = np.random.default_rng(57)
+        s_v = (4,) if stack in ("queries", "both") else ()
+        s_m = (4,) if stack in ("memory", "both") else ()
+        arrays = {"v": rng.normal(size=(*s_v, n, self.K)) * 2.0,
+                  "z": rng.normal(size=(*s_m, 5, width))}
+        arrays["v"][..., ::3, 0] = -0.0
+        arrays["z"][..., ::2, 1], arrays["z"][..., 1::2, 0] = -0.0, 0.0
+        w = rng.normal(size=np.broadcast_shapes(s_v, s_m) + (n, width))
+        w[..., ::2, 0], w[..., 1::2, -1] = -0.0, 0.0
+
+        def run(keys_of):
+            tape = Tape()
+            leaves = {name: tape.leaf(a) for name, a in arrays.items()}
+            v, z = (uf.scale(1.0, leaves[name]) for name in ("v", "z"))  # keeps -0
+            read, phi = ad.attention(v, keys_of(z), z, 1.0 / np.sqrt(self.K))
+            grads = backward(uf.tsum(uf.mul(read, Tensor(w))))
+            tensors = (read, v, z, *leaves.values())
+            return [read.data.tobytes(), phi.tobytes(),
+                    *(grads[t.node_id].tobytes() for t in tensors[1:])], tape
+
+        got, tape = run(lambda z: None)
+        want, want_tape = run(lambda z: uf.columns(z, 0, self.K))
+        assert got == want
+        assert len(tape._records) == len(want_tape._records) - 1  # no columns record
+
+    def test_keys_from_values_shape_mismatch(self):
+        with pytest.raises(ShapeMismatchError, match="attention"):
+            ad.attention(Tensor(np.ones((2, 4))), None, Tensor(np.ones((5, 3))), 1.0)
+
     def test_one_tape_record(self):
         tape = Tape()
         v, keys, z = (tape.leaf(a) for a in self.operands(4, 5, "none").values())
@@ -728,8 +764,7 @@ def mlp_unfused(x, layout, arrays, eps=None):
             w = arrays[name]
             if eps is not None:
                 noise = eps[..., start:start + w.data.size]
-                w = gaussian_reparam(w, arrays[f"{name}.lv"],
-                                     noise.reshape(*eps.shape[:-1], *shape))
+                w = uf.reparam(w, arrays[f"{name}.lv"], noise.reshape(*eps.shape[:-1], *shape))
             layer.append(w)
         h = ad.add(ad.matmul(h, layer[0]), layer[1])
         if i < len(layout) - 1:
@@ -744,15 +779,14 @@ class TestMlp:
 
     @staticmethod
     def leaves(dims, variational, seed=60):
-        """A tape with one flat vector, means then log-variances, spanned as
-        whole blocks ("means", "logvars"), per array and whole ("all")."""
+        """A tape with one flat vector, the means then, when variational, the
+        log-variances, spanned whole ("block") and per array."""
         layout, size = mlp_layout(dims)
         rng = np.random.default_rng(seed)
         vector = rng.normal(size=size) * 0.8
-        spans = {"all": (0, size, (size,)), "means": (0, size, (size,))}
         if variational:
             vector = np.concatenate([vector, rng.uniform(-3.0, -0.5, size=size)])
-            spans.update(all=(0, 2 * size, (2 * size,)), logvars=(size, 2 * size, (size,)))
+        spans = {"block": (0, vector.size, vector.shape)}
         for i, (off, fan_in, fan_out) in enumerate(layout):
             for name, start, shape in ((f"W{i}", off, (fan_in, fan_out)),
                                        (f"b{i}", off + fan_in * fan_out, (fan_out,))):
@@ -774,18 +808,16 @@ class TestMlp:
         eps = None
         if noise is not None:
             eps = rng.normal(size=(4, size) if noise == "stacked" else size)
-        if not fused:
-            out = mlp_unfused(x, layout, leaves, eps)
-        elif noise is None:
-            out = ad.mlp(x, layout, leaves["means"])
+        if fused:
+            out = ad.mlp(x, layout, leaves["block"], eps)
         else:
-            out = ad.mlp(x, layout, leaves["means"], leaves["logvars"], eps)
+            out = mlp_unfused(x, layout, leaves, eps)
         loss = uf.tsum(uf.mul(ad.tanh(out), Tensor(rng.normal(size=out.shape))))
         if inputs == "tracked":
             loss = ad.add(loss, uf.tsum(ad.tanh(x)))
         grads = backward(loss)
         g_x = grads[x.node_id] if inputs == "tracked" else None
-        return out.data, grads[leaves["all"].node_id], g_x
+        return out.data, grads[leaves["block"].node_id], g_x
 
     @pytest.mark.parametrize("noise", [None, "one", "stacked"])
     @pytest.mark.parametrize("inputs", ["plain", "stacked", "tracked"])
@@ -805,16 +837,15 @@ class TestMlp:
         rng = np.random.default_rng(62)
         x = Tensor(rng.normal(size=(7, dims[0])))
         eps = None if noise is None else rng.normal(size=(4, size) if noise == "stacked" else size)
-        extra = () if noise is None else (arrays["logvars"], eps)
-        out = ad.mlp(x, layout, arrays["means"], *extra)
+        out = ad.mlp(x, layout, arrays["block"], eps)
         assert out.tape is None
         assert np.array_equal(out.data, mlp_unfused(x, layout, arrays, eps).data)
 
     def test_one_tape_record(self):
         tape, leaves, layout, size = self.leaves((3, 5, 2), True)
         x = tape.leaf(np.ones((2, 3)))
-        ad.mlp(x, layout, leaves["means"], leaves["logvars"], np.zeros(size))
-        ad.mlp(x, layout, leaves["means"])
+        ad.mlp(x, layout, leaves["block"], np.zeros(size))
+        ad.mlp(x, layout, np.zeros(size))
         assert len(tape._records) == 2
 
     @pytest.mark.parametrize("operand, noise", [
@@ -831,8 +862,10 @@ class TestMlp:
 
         def build(t):
             args = {**{k: Tensor(a) for k, a in arrays.items()}, operand: t}
-            extra = () if noise is None else (args["logvars"], eps)
-            out = ad.mlp(args["x"], layout, args["weights"], *extra)
+            block = args["weights"]
+            if noise is not None:  # the packed block [weights | logvars]
+                block = ad.concat([block, args["logvars"]])
+            out = ad.mlp(args["x"], layout, block, None if noise is None else eps)
             return uf.tsum(uf.mul(ad.tanh(out), Tensor(w)))
 
         assert_grad_matches(build, arrays[operand])
@@ -846,10 +879,12 @@ class TestMlp:
         ((2, 3), 21, 21, (2, 2, 21)),  # two stack axes of noise
     ])
     def test_shape_mismatch(self, x_shape, block, logvars, noise):
+        """``block`` means, and ``logvars`` log-variances packed after them."""
         layout, _ = mlp_layout((3, 4, 1))  # a block of 21
-        extra = [] if logvars is None else [Tensor(np.zeros(logvars)), np.zeros(noise)]
+        packed = block + (logvars or 0)
+        eps = None if noise is None else np.zeros(noise)
         with pytest.raises(ShapeMismatchError, match="mlp"):
-            ad.mlp(Tensor(np.ones(x_shape)), layout, Tensor(np.zeros(block)), *extra)
+            ad.mlp(Tensor(np.ones(x_shape)), layout, Tensor(np.zeros(packed)), eps)
 
 
 class TestMlpOneInput:
@@ -867,27 +902,25 @@ class TestMlpOneInput:
         -0 planted in the input, W0, the output bias and the noise."""
         rng = np.random.default_rng(64)
         _, leaves, layout, size = TestMlp.leaves(dims, noise is not None, seed=64)
-        means = leaves["means"].data  # a view of the tape's flat vector, as every leaf is
+        block = leaves["block"].data  # a view of the tape's flat vector, as every leaf is
         zeros = np.arange(dims[1]) % 3  # W0 is the block's first dims[1] entries
-        means[:dims[1]][zeros == 0] = -0.0
-        means[:dims[1]][zeros == 1] = 0.0
-        means[size - dims[-1]::2] = -0.0  # the output bias
-        eps, extra = None, ()
+        block[:dims[1]][zeros == 0] = -0.0
+        block[:dims[1]][zeros == 1] = 0.0
+        block[size - dims[-1]:size:2] = -0.0  # the output bias
+        eps = None
         if noise is not None:
             eps = rng.normal(size=(3, size) if noise == "stacked" else size)
             eps[..., :dims[1]][..., zeros < 2] = -0.0  # keeps a -0 weight at -0
             eps[..., size - dims[-1]::2] = -0.0
-            extra = (leaves["logvars"], eps)
         x = Tensor(rng.normal(size=(n, 1)))
         x.data[::4], x.data[1::4] = 0.0, -0.0
-        out = (ad.mlp(x, layout, leaves["means"], *extra) if fused
+        out = (ad.mlp(x, layout, leaves["block"], eps) if fused
                else mlp_unfused(x, layout, leaves, eps))
         loss = uf.tsum(uf.mul(ad.tanh(out), Tensor(rng.normal(size=out.shape))))
         untracked = None
         if fused:
-            off_tape = () if noise is None else (Tensor(extra[0].data), eps)
-            untracked = ad.mlp(x, layout, Tensor(means), *off_tape).data
-        return out.data, backward(loss)[leaves["all"].node_id], untracked
+            untracked = ad.mlp(x, layout, Tensor(block), eps).data
+        return out.data, backward(loss)[leaves["block"].node_id], untracked
 
     @pytest.mark.parametrize("noise", [None, "one", "stacked"])
     @pytest.mark.parametrize("n", [1, 10, 40, 64, 65, 1000, 10000])

@@ -242,8 +242,10 @@ class TestExpectedLogProb:
 
 
 def reparam_draw(mean, logvar, rng):
-    """mean + exp(logvar/2) * eps with fresh standard-normal noise eps."""
-    return gaussian_reparam(mean, logvar, rng.normal(size=np.shape(as_tensor(mean).data)))
+    """mean + exp(logvar/2) * eps with fresh standard-normal noise eps, drawn
+    from the packed [mean | logvar]."""
+    eps = rng.normal(size=np.shape(as_tensor(mean).data))
+    return gaussian_reparam(ad.concat([mean, logvar], axis=-1), eps)
 
 
 class TestGaussianReparam:
@@ -292,11 +294,12 @@ class TestGaussianKl:
     def test_self_zero(self):
         m = np.array([1.0, -2.0])
         lv = np.array([0.3, -0.7])
-        assert float(gaussian_kl_diag(m, lv, m, lv).data) == pytest.approx(0.0, abs=1e-12)
+        assert float(gaussian_kl_diag(np.concatenate([m, lv]), m, lv).data) \
+            == pytest.approx(0.0, abs=1e-12)
 
     def test_known_value(self):
         # KL(N(1,1) || N(0,1)) = 1/2
-        assert float(gaussian_kl_diag([1.0], [0.0], [0.0], [0.0]).data) == pytest.approx(0.5)
+        assert float(gaussian_kl_diag([1.0, 0.0], [0.0], [0.0]).data) == pytest.approx(0.5)
 
     def test_quadrature_oracle(self):
         rng = np.random.default_rng(5)
@@ -311,27 +314,28 @@ class TestGaussianKl:
                 return np.exp(logq) * (logq - logp)
 
             want, _ = integrate.quad(integrand, mq - 12 * sq, mq + 12 * sq, limit=200)
-            got = float(gaussian_kl_diag([mq], [lq], [mp], [lp]).data)
+            got = float(gaussian_kl_diag([mq, lq], [mp], [lp]).data)
             assert got == pytest.approx(want, abs=1e-8)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(6)
         for _ in range(50):
-            got = float(gaussian_kl_diag(rng.normal(size=3), rng.normal(size=3),
-                                         rng.normal(size=3), rng.normal(size=3)).data)
+            got = float(gaussian_kl_diag(rng.normal(size=6), rng.normal(size=3),
+                                         rng.normal(size=3)).data)
             assert got >= 0.0
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            gaussian_kl_diag([0.0], [0.0], [0.0, 0.0], [0.0, 0.0])
+            gaussian_kl_diag([0.0, 0.0], [0.0, 0.0], [0.0, 0.0])
+        with pytest.raises(ValueError, match="mismatch"):  # no mean without its log-variance
+            gaussian_kl_diag([0.0, 0.0, 0.0], 0.0, 0.0)
 
     def test_differentiable(self):
         tape = Tape()
-        m = tape.leaf(np.array([1.0, 0.5]))
-        lv = tape.leaf(np.array([0.0, 0.0]))
-        kl = gaussian_kl_diag(m, lv, np.zeros(2), np.zeros(2))
-        g = backward(kl)[m.node_id]
-        np.testing.assert_allclose(g, [1.0, 0.5])  # d/dm of m^2/2
+        q = tape.leaf(np.array([1.0, 0.5, 0.0, 0.0]))  # means, then log-variances
+        kl = gaussian_kl_diag(q, np.zeros(2), np.zeros(2))
+        g = backward(kl)[q.node_id]
+        np.testing.assert_allclose(g, [1.0, 0.5, 0.0, 0.0])  # d/dm of m^2/2, d/dlv at lv = 0
 
 
 def one_nll(probs, label):
@@ -364,13 +368,11 @@ class TestCategoricalNll:
 # fused tape primitives against the graphs of elementary ops they replaced
 
 
-def unfused_gaussian_kl(mq, lq, mp, lp):
-    inv_var_p = as_tensor(1.0 / np.exp(lp))
-    diff = uf.sub(mq, as_tensor(mp))
-    quad = uf.mul(ad.add(uf.exp(lq), uf.mul(diff, diff)), inv_var_p)
-    inner = uf.sub(ad.add(quad, as_tensor(lp)), lq)
-    total = ad.add(uf.tsum(inner), as_tensor(np.array(-float(mq.data.size))))
-    return uf.scale(0.5, total)
+def halves(q):
+    """The mean and log-variance halves of a packed tensor's last axis, one
+    ``columns`` record each."""
+    p = q.shape[-1] // 2
+    return uf.columns(q, 0, p), uf.columns(q, p, 2 * p)
 
 
 def unfused_reparam(mean, logvar, eps):
@@ -450,21 +452,21 @@ class TestFusedPrimitives:
 
     @staticmethod
     def gaussian_builds(kl, prior):
-        # rows of the leaf: posterior means, posterior log-variances
+        # the leaf packs [posterior means | posterior log-variances]
         def build(x):
-            m, lv = uf.unstack(x)
-            return uf.scale(0.3, kl(m, lv, *prior))
+            return uf.scale(0.3, kl(x, *prior))
         return build
 
     @pytest.mark.parametrize("prior", ["arrays", "scalars"])
     def test_gaussian_kl(self, prior):
         rng = np.random.default_rng(40)
-        x0 = np.stack([rng.normal(size=5), rng.uniform(-2.0, 1.0, size=5)])
+        x0 = np.concatenate([rng.normal(size=5), rng.uniform(-2.0, 1.0, size=5)])
         mp, lp = ((rng.normal(size=5), rng.normal(size=5)) if prior == "arrays"
                   else (0.0, float(np.log(0.5))))
         fused = self.gaussian_builds(gaussian_kl_diag, (mp, lp))
         unfused = self.gaussian_builds(
-            unfused_gaussian_kl, (np.broadcast_to(mp, 5), np.broadcast_to(lp, 5)))
+            lambda q, *p: uf.gaussian_kl(*halves(q), *p),
+            (np.broadcast_to(mp, 5), np.broadcast_to(lp, 5)))
         self.assert_matches_unfused(fused, unfused, x0, exact=True)
         self.assert_finite_differences(fused, x0)
 
@@ -473,49 +475,58 @@ class TestFusedPrimitives:
         """The weight inside the KL record (an ELBO's 1 / n_total) gives the
         value and gradient of a ``scale`` record after the KL, bit for bit."""
         rng = np.random.default_rng(42)
-        x0 = np.stack([rng.normal(size=5), rng.uniform(-2.0, 1.0, size=5)])
+        x0 = np.concatenate([rng.normal(size=5), rng.uniform(-2.0, 1.0, size=5)])
         prior = ((rng.normal(size=5), rng.normal(size=5)) if prior == "arrays"
                  else (1.0, float(np.log(0.1))))
         weighted = self.gaussian_builds(
-            lambda m, lv, *p: gaussian_kl_diag(m, lv, *p, 1.0 / 37), prior)
+            lambda q, *p: gaussian_kl_diag(q, *p, 1.0 / 37), prior)
         scaled = self.gaussian_builds(
-            lambda m, lv, *p: uf.scale(1.0 / 37, gaussian_kl_diag(m, lv, *p)), prior)
+            lambda q, *p: uf.scale(1.0 / 37, gaussian_kl_diag(q, *p)), prior)
         (v1, g1), (v2, g2) = value_and_grad(weighted, x0), value_and_grad(scaled, x0)
         assert v1 == v2 and np.array_equal(g1, g2)
 
     def test_gaussian_reparam(self):
+        """The packed draw and the two-operand ``uf.reparam`` both equal the
+        elementary graph, with the leaf's halves sliced off by ``columns``."""
         rng = np.random.default_rng(41)
-        x0 = np.stack([rng.normal(size=(2, 3)), rng.uniform(-2.0, 1.0, size=(2, 3))])
+        x0 = np.concatenate([rng.normal(size=(2, 3)), rng.uniform(-2.0, 1.0, size=(2, 3))],
+                            axis=1)
         eps, w = rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
 
         def build(reparam):
-            def loss(x):
-                m, lv = uf.unstack(x)
-                return dot(ad.tanh(reparam(m, lv, eps)), w)
-            return loss
+            return lambda x: dot(ad.tanh(reparam(x)), w)
 
-        self.assert_matches_unfused(build(gaussian_reparam), build(unfused_reparam), x0,
-                                    exact=True)
-        self.assert_finite_differences(build(gaussian_reparam), x0)
+        fused = build(lambda q: gaussian_reparam(q, eps))
+        unfused = build(lambda q: unfused_reparam(*halves(q), eps))
+        self.assert_matches_unfused(fused, unfused, x0, exact=True)
+        self.assert_matches_unfused(build(lambda q: uf.reparam(*halves(q), eps)), unfused,
+                                    x0, exact=True)
+        self.assert_finite_differences(fused, x0)
 
     def test_gaussian_reparam_stacked_noise(self):
-        # S stacked draws equal S single draws; the VJPs sum over the stack
+        # S stacked draws equal S single draws; the VJP sums over the stack
+        # as the two-operand draw's VJPs do, bit for bit
         rng = np.random.default_rng(42)
-        x0 = np.stack([rng.normal(size=(2, 3)), rng.uniform(-2.0, 1.0, size=(2, 3))])
+        x0 = np.concatenate([rng.normal(size=(2, 3)), rng.uniform(-2.0, 1.0, size=(2, 3))],
+                            axis=1)
         eps, w = rng.normal(size=(4, 2, 3)), rng.normal(size=(4, 2, 3))
-        stacked = gaussian_reparam(x0[0], x0[1], eps).data
+        stacked = gaussian_reparam(x0, eps).data
         for s in range(4):
-            assert np.array_equal(stacked[s], gaussian_reparam(x0[0], x0[1], eps[s]).data)
+            assert np.array_equal(stacked[s], gaussian_reparam(x0, eps[s]).data)
 
         def build(x):
-            m, lv = uf.unstack(x)
-            return dot(ad.tanh(gaussian_reparam(m, lv, eps)), w)
+            return dot(ad.tanh(gaussian_reparam(x, eps)), w)
 
+        (v1, g1), (v2, g2) = (value_and_grad(build, x0), value_and_grad(
+            lambda x: dot(ad.tanh(uf.reparam(*halves(x), eps)), w), x0))
+        assert v1 == v2 and np.array_equal(g1, g2)
         self.assert_finite_differences(build, x0)
 
     def test_gaussian_reparam_shape_mismatch(self):
         with pytest.raises(ValueError, match="reparam"):
-            gaussian_reparam(np.zeros(2), np.zeros(2), np.zeros(3))
+            gaussian_reparam(np.zeros(4), np.zeros(3))
+        with pytest.raises(ValueError, match="reparam"):
+            gaussian_reparam(np.zeros(3), np.zeros(1))
 
     @pytest.mark.parametrize("k", [2, 4])
     def test_expected_log_prob_rows(self, k):

@@ -305,7 +305,7 @@ class TestDecomposition:
     def test_bnn_deterministic_weights_no_reducible(self):
         cfg = resolve_config(None, dict(FAST, model="bnn"))
         model = make_model("bnn", 1, 2, (8,), SeededRng(seed=0, stream=2))
-        model.params["net.logvars"][...] = -60.0
+        model.params["net"][model.net.n_weights:] = -60.0  # the log-variances
         rows = run_decomposition(cfg, model, self.probes())
         for row in rows:
             assert np.max(np.abs(row["reducible"])) <= 1e-12

@@ -24,6 +24,7 @@ from etproc.distributions import (
     dirichlet_expected_log_prob_rows,
     dirichlet_kl_rows,
     edl_terms,
+    evidential_nll,
     gaussian_kl_diag,
 )
 from etproc.harness import ExperimentConfig
@@ -45,6 +46,8 @@ from etproc.models import (
     save_checkpoint,
     train,
 )
+
+import unfused as uf
 
 
 def softmax_np(z):
@@ -105,6 +108,17 @@ def small_batch(seed=0, n=6, d=2, k=2):
     return rng.normal(size=(n, d)), rng.integers(0, k, size=n)
 
 
+def logvars(model, net):
+    """The view of ``theta`` that holds a variational network's
+    log-variances, the second half of its packed block."""
+    return model.params[net.prefix][net.n_weights:]
+
+
+def weight_kl(m, lv):
+    """KL(N(m, diag exp lv) || N(0, I)) of one weight array."""
+    return float(gaussian_kl_diag(np.concatenate([m, lv], axis=-1), 0.0, 0.0).data)
+
+
 def leaves_of(model):
     """Tape leaves of every span of the model's parameter vector; ``models.train``
     makes those of ``model.blocks``, and the others view the same flat gradient."""
@@ -115,22 +129,19 @@ class TestBnn:
     def test_deterministic_limit_matches_plain_nll(self):
         xb, yb = small_batch()
         model = BnnModel(2, 2, (8,), SeededRng(seed=0, stream=2))
-        model.params["net.logvars"][...] = -60.0
+        logvars(model, model.net)[...] = -60.0
         loss = model.loss(leaves_of(model), xb, yb, SeededRng(seed=1), n_total=6)
         probs = softmax_np(mlp_np(xb, model.params, "net", model.net.n_layers))
         want_nll = np.mean([-np.log(probs[i, yb[i]]) for i in range(len(yb))])
-        kl = sum(
-            float(gaussian_kl_diag(m, model.params[f"{name}.logvar"],
-                                   np.zeros_like(m), np.zeros_like(m)).data)
-            for name, m in model.trainable().items() if name in model.net.shapes)
+        kl = sum(weight_kl(m, model.params[f"{name}.logvar"])
+                 for name, m in model.trainable().items() if name in model.net.shapes)
         assert float(loss.data) == pytest.approx(want_nll + kl / 6.0, rel=1e-9)
 
     def test_prior_posterior_reduces_to_expected_nll(self):
         xb, yb = small_batch()
         model = BnnModel(2, 2, (4,), SeededRng(seed=0, stream=2), beta=1.0)
         # q = prior: zero means, unit variances
-        model.params["net.means"][...] = 0.0
-        model.params["net.logvars"][...] = 0.0
+        model.params["net"][...] = 0.0
         loss = model.loss(leaves_of(model), xb, yb, SeededRng(seed=7), n_total=6)
         # numpy replica of the single weight draw (same rng sequence)
         rng = SeededRng(seed=7)
@@ -149,16 +160,14 @@ class TestBnn:
     def test_tiny_network_elbo_hand_value(self):
         # one linear layer, one data point: loss = NLL(softmax(xW+b)) + KL/N
         model = BnnModel(1, 2, (), SeededRng(seed=3, stream=2))
-        model.params["net.logvars"][...] = -60.0
+        logvars(model, model.net)[...] = -60.0
         x = np.array([[2.0]])
         y = np.array([1])
         loss = model.loss(leaves_of(model), x, y, SeededRng(seed=0), n_total=1)
         logits = x @ model.params["net.W0"] + model.params["net.b0"]
         want_nll = -np.log(softmax_np(logits)[0, y[0]])
-        kl = sum(
-            float(gaussian_kl_diag(m, np.full_like(m, -60.0),
-                                   np.zeros_like(m), np.zeros_like(m)).data)
-            for m in (model.params[name] for name in model.net.shapes))
+        kl = sum(weight_kl(m, np.full_like(m, -60.0))
+                 for m in (model.params[name] for name in model.net.shapes))
         assert float(loss.data) == pytest.approx(want_nll + kl, rel=1e-9)
 
     def test_predict_is_simplex(self):
@@ -463,15 +472,13 @@ class TestFreeEnergy:
         xb, yb = small_batch(seed=12, d=1)
         model = EtpModel(1, 2, (4,), SeededRng(seed=11, stream=2),
                          memory_cells=3, kappa2=1e-20)
-        model.params["enc.logvars"][...] = -60.0
+        logvars(model, model.encoder)[...] = -60.0
         model.memory = np.random.default_rng(13).normal(size=(3, 2)) * 0.3
         loss = model.free_energy(leaves_of(model), xb, yb, SeededRng(seed=12), n_total=6)
         alpha = etp_alpha_np(model, xb, model.memory)
         want_nll = -np.mean(dirichlet_expected_log_prob_rows(alpha, yb).data)
-        kl = sum(
-            float(gaussian_kl_diag(m, np.full_like(m, -60.0),
-                                   np.zeros_like(m), np.zeros_like(m)).data)
-            for m in (model.params[name] for name in model.encoder.shapes))
+        kl = sum(weight_kl(m, np.full_like(m, -60.0))
+                 for m in (model.params[name] for name in model.encoder.shapes))
         assert float(loss.data) == pytest.approx(want_nll + kl / 6.0, rel=1e-7)
 
     def test_pi_kl_term_zero_by_default(self):
@@ -512,7 +519,7 @@ class TestFreeEnergy:
 
     def test_predict_degenerate_limit(self):
         model = EtpModel(1, 2, (4,), SeededRng(seed=17, stream=2), kappa2=1e-20)
-        model.params["enc.logvars"][...] = -60.0
+        logvars(model, model.encoder)[...] = -60.0
         x = np.array([[0.3], [-0.8]])
         probs = models_mod.predict(model, x, SeededRng(seed=18), n_samples=2, n_samples_z=2)
         alpha = etp_alpha_np(model, x, model.memory)
@@ -631,6 +638,44 @@ class TestEnp:
             model.theta[i] = orig
             numeric[i] = (up - dn) / (2 * step)
         np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-7)
+
+    @staticmethod
+    def loss_of_halves(model, leaves, xb, yb, cx, cy, rng, n_total):
+        """ENP's loss as the graph that slices the read into mu and lv, and
+        the attention keys off the encodings, with ``columns`` records, and
+        draws and takes the weighted KL on the two halves."""
+        n, k, c = len(yb), model.num_classes, len(cy)
+        e = model.embed.forward(as_tensor(xb), leaves)
+        h = model.encoder.forward(as_tensor(np.concatenate([cx, np.eye(k)[cy]], axis=1)), leaves)
+        if model.aggregation == "mean":
+            read = ad.matmul(np.broadcast_to(1.0 / c, (n, c)), h)
+        else:
+            read, _ = ad.attention(e, uf.columns(h, 0, k), h, 1.0 / np.sqrt(k))
+        mu, lv = uf.columns(read, 0, k), uf.columns(read, k, 2 * k)
+        z = uf.reparam(mu, lv, rng.normal(size=(n, k)))
+        enll = evidential_nll(model._log_alpha(e, z, leaves), yb, LOG_ALPHA_CAP, model.beta_reg)
+        prior = np.ones((n, k)), np.full((n, k), np.log(model.kappa2))
+        return ad.add(enll, uf.scale(1.0 / n_total, uf.gaussian_kl(mu, lv, *prior)))
+
+    @pytest.mark.parametrize("hyper", [{}, {"aggregation": "attention"}, {"beta_reg": 0.5}],
+                             ids=["mean", "attention", "beta_reg"])
+    @pytest.mark.parametrize("n", [1, 7, 40])
+    def test_loss_and_gradient_match_graph_of_halves(self, n, hyper):
+        """The packed read's draw and KL, and attention keyed by the values'
+        first K columns, give the loss and flat gradient of the graph of
+        halves (``loss_of_halves``) byte for byte, in 9 records."""
+        model = EnpModel(2, 3, (8,), SeededRng(seed=9, stream=2), kappa2=0.3, **hyper)
+        rng = np.random.default_rng(44)
+        xb, yb = rng.normal(size=(n, 2)) * 2.0, rng.integers(0, 3, size=n)
+        cx, cy = xb[:max(1, n // 4)], yb[:max(1, n // 4)]
+        results = []
+        for build in (model.loss, lambda *args: self.loss_of_halves(model, *args)):
+            leaves = leaves_of(model)
+            loss = build(leaves, xb, yb, cx, cy, SeededRng(seed=45), 50)
+            flat = backward(loss)[leaves[FLAT].node_id]
+            results.append((loss.data.tobytes(), flat.tobytes(), len(loss.tape._records)))
+        (got, got_flat, records), (want, want_flat, _) = results
+        assert got == want and got_flat == want_flat and records == 9
 
     def test_unknown_aggregation_rejected(self):
         with pytest.raises(ValueError, match="aggregation"):
@@ -832,7 +877,7 @@ class TestFlatParameters:
         for name, (start, stop, shape) in model.spans.items():
             np.testing.assert_array_equal(model.params[name].ravel(), np.arange(start, stop))
 
-    @pytest.mark.parametrize("kind, count", [("bnn", 4), ("edl", 2), ("enp", 11),
+    @pytest.mark.parametrize("kind, count", [("bnn", 4), ("edl", 2), ("enp", 9),
                                              ("etp", 8)])
     def test_tape_records_and_adam_updates_per_step(self, kind, count, monkeypatch):
         records, updates = [], []
@@ -904,7 +949,7 @@ class TestDecompose:
         if kind == "etp":
             model.memory = np.random.default_rng(34).normal(size=model.memory.shape) * 0.3
         net = model.net if kind == "bnn" else model.encoder
-        model.params[f"{net.prefix}.logvars"][...] = -2.0
+        logvars(model, net)[...] = -2.0
         x, n = np.array([[0.4]]), 16
         got = model.decompose(x, SeededRng(seed=7), n)
         # replica: one weight draw, then (ETP) one memory draw, per sample

@@ -4,9 +4,13 @@ The fused ops of ``etproc.autodiff`` and ``etproc.distributions`` equal
 graphs of elementary ops bit for bit, and the tests build those reference
 graphs from the ops here. Each op records one tape entry through
 ``autodiff.emit``, as the library's own ops do, and has its own gradient
-tests in ``test_autodiff``. ``exp``, ``clip_upper``, ``softmax_rows`` and
-``dirichlet_moments_rows`` are the tape forms of array functions that the
-library runs untracked.
+tests in ``test_autodiff`` or ``test_distributions``. ``exp``,
+``clip_upper``, ``softmax_rows`` and ``dirichlet_moments_rows`` are the
+tape forms of array functions that the library runs untracked.
+``columns`` slices a packed diagonal Gaussian into its mean and
+log-variance, and ``reparam`` and ``gaussian_kl`` take those as two
+operands, where the library takes one packed tensor: the reference graphs
+of the packed ops are built from these.
 """
 
 import numpy as np
@@ -67,6 +71,45 @@ def reciprocal(a) -> Tensor:
     a = as_tensor(a)
     out = 1.0 / a.data
     return emit(out, (a,), (lambda g: -g * out * out,))
+
+
+def columns(a, start: int, stop: int) -> Tensor:
+    """Entries start:stop of a tensor's last axis: columns of a 2-D tensor
+    or of each slice of a stack. The VJP writes the adjoint into zeros."""
+    a = as_tensor(a)
+    if a.data.ndim not in (1, 2, 3) or not 0 <= start < stop <= a.shape[-1]:
+        raise ShapeMismatchError(f"columns: {start}:{stop} of {a.shape}")
+
+    def vjp(g):
+        out = np.zeros(a.shape)
+        out[..., start:stop] = g
+        return out
+
+    return emit(a.data[..., start:stop], (a,), (vjp,))
+
+
+def reparam(mean, logvar, eps) -> Tensor:
+    """mean + exp(0.5 * logvar) * eps of two operands in one record, with
+    the expressions of the graph add(mean, mul(exp(scale(0.5, logvar)),
+    eps)). The noise may lead with stack axes; each VJP then sums over them."""
+    mean, logvar = as_tensor(mean), as_tensor(logvar)
+    eps = np.asarray(eps, dtype=np.float64)
+    sd = np.exp(0.5 * logvar.data)
+    stack = tuple(range(eps.ndim - mean.data.ndim))
+    unstack = (lambda t: t.sum(axis=stack)) if stack else (lambda t: t)
+    return emit(mean.data + sd * eps, (mean, logvar),
+                (unstack, lambda g: unstack(0.5 * (g * eps * sd))))
+
+
+def gaussian_kl(mq, lq, mp, lp) -> Tensor:
+    """KL(N(mq, diag exp lq) || N(mp, diag exp lp)) summed over all entries,
+    as a graph of elementary ops; the prior is two arrays of mq's shape."""
+    inv_var_p = as_tensor(1.0 / np.exp(lp))
+    diff = sub(mq, as_tensor(mp))
+    quad = mul(ad.add(exp(lq), mul(diff, diff)), inv_var_p)
+    inner = sub(ad.add(quad, as_tensor(lp)), lq)
+    total = ad.add(tsum(inner), as_tensor(np.array(-float(as_tensor(mq).data.size))))
+    return scale(0.5, total)
 
 
 def clip_upper(a, hi: float) -> Tensor:
