@@ -1,8 +1,9 @@
 #!/bin/bash
-# identity_set.sh TREE OUT: writes the identity set of the etproc tree TREE under OUT
+# identity_set.sh TREE OUT [THREADS]: writes the identity set of the etproc tree TREE under OUT,
+# run with THREADS BLAS threads (default 2); output bits depend on the thread count
 set -u
 tree=$(realpath "$1"); out=$2; rm -rf "$out"; mkdir -p "$out"; out=$(realpath "$out")
-export OPENBLAS_NUM_THREADS=2 PYTHONPATH="$tree/src"
+export OPENBLAS_NUM_THREADS=${3:-2} PYTHONPATH="$tree/src"
 etproc() { python3 -m etproc.cli "$@"; }
 data="$out/idx"
 python3 - "$tree" "$data" <<'PY'

@@ -7,8 +7,12 @@ operands are on no tape records nothing. Past the networks, where a
 training loss folds the softmax or the capped exp into its one record,
 those paths call the array functions ``autodiff.softmax_rows`` and
 ``distributions.capped_exp``. Where draws are independent
-(the ETP memory update, the decomposition) the untracked path stacks
-them on a leading axis instead of looping over them. ENP's prediction
+(the ETP memory update, the decomposition, and the weight draws of
+prediction on wide inputs) the untracked path stacks them on a leading
+axis instead of looping over them. Prediction stacks its weight draws in
+chunks no larger than the input allows (``VariationalMlp.chunks``), so
+their first layer is one GEMM over the input (``autodiff.mlp``); a chunk
+of one draw runs unstacked. ENP's prediction
 fills its head input [e, z] once and refills only z per draw, where its
 training step concatenates the two on the tape. ETP's memory read
 and ENP's attention aggregation are one ``autodiff.attention`` record,
@@ -275,6 +279,15 @@ class VariationalMlp(_Mlp):
         block = params[self.prefix]
         return ad.mlp(x, self.layout, block if eps is not None else block[:self.n_weights], eps)
 
+    def chunks(self, n_draws):
+        """The sizes of the chunks in which prediction stacks n_draws weight
+        draws: c = max(1, D // H) each, for input width D and first-layer
+        width H, and the rest last. A chunk's stacked first-layer output,
+        (N, c * H), is then never larger than its input, (N, D)."""
+        _, fan_in, fan_out = self.layout[0]
+        c = max(1, fan_in // fan_out)
+        return [min(c, n_draws - start) for start in range(0, n_draws, c)]
+
     def kl_to_prior(self, params, beta: float, weight=1.0) -> Tensor:
         """``weight`` times the KL of the whole posterior to the N(0, 1/beta I) prior."""
         return gaussian_kl_diag(params[self.prefix], 0.0, float(np.log(1.0 / beta)), weight)
@@ -318,8 +331,13 @@ class BnnModel(_Model):
         return self.loss(leaves, xb, yb, rng, n_total)
 
     def draws(self, x, rng, n_samples, n_samples_z):
-        for _ in range(n_samples):
-            yield self._probs(x, self.params, rng.normal(size=self.net.n_weights))
+        """Class probabilities under n_samples weight draws, stacked in
+        chunks (``VariationalMlp.chunks``), each chunk's noise one block of
+        the stream; a chunk of one draw runs unstacked."""
+        for c in self.net.chunks(n_samples):
+            eps = rng.normal(size=(c, self.net.n_weights))
+            probs = self._probs(x, self.params, eps if c > 1 else eps[0])
+            yield from probs if c > 1 else probs[None]
 
     def decompose(self, x, rng, n_samples):
         """Two-term variance split at one input x, (1, D), over n_samples
@@ -411,6 +429,16 @@ class EtpModel(_Model):
         shape = self.memory.shape if n_draws is None else (n_draws, *self.memory.shape)
         return self.memory + np.sqrt(self.kappa2) * rng.normal(size=shape)
 
+    def _draw_noise(self, rng: SeededRng, n_draws, n_z):
+        """The noise of n_draws weight draws, (S, n_weights), and their n_z
+        memory draws each, (S, n_z, R, K), from one block of the stream. Each
+        row keeps a draw's serial stream order: its weights, then its memory
+        draws in turn."""
+        n_w = self.encoder.n_weights
+        noise = rng.normal(size=(n_draws, n_w + n_z * self.memory.size))
+        return noise[:, :n_w], self.memory + np.sqrt(self.kappa2) * noise[:, n_w:].reshape(
+            n_draws, n_z, *self.memory.shape)
+
     # -- memory update (gradient-detached) ----------------------------------
 
     def memory_update(self, ctx_x, ctx_y, rng: SeededRng, n_samples=8):
@@ -449,24 +477,26 @@ class EtpModel(_Model):
 
     def draws(self, x, rng, n_samples, n_samples_z):
         """Dirichlet means under n_samples weight draws, each with
-        n_samples_z memory draws; one draw at a time bounds the memory."""
+        n_samples_z memory draws. The weight draws run stacked in chunks
+        (``VariationalMlp.chunks``), a chunk of one unstacked, and each
+        chunk's noise is one block (``_draw_noise``). The attention runs
+        one memory draw at a time, which bounds its (N, R) weights."""
         params = self.params
-        for _ in range(n_samples):
-            v = self.encoder.forward(x, params, rng.normal(size=self.encoder.n_weights))
-            for _ in range(n_samples_z):
-                yield _dirichlet_mean(self.concentration(v, self.draw_memory(rng), params))
+        for c in self.encoder.chunks(n_samples):
+            eps, z = self._draw_noise(rng, c, n_samples_z)
+            v = self.encoder.forward(x, params, eps if c > 1 else eps[0]).data
+            for v_s, z_s in zip(v if c > 1 else v[None], z):
+                v_s = Tensor(v_s)
+                for z_j in z_s:
+                    yield _dirichlet_mean(self.concentration(v_s, z_j, params))
 
     def decompose(self, x, rng, n_samples):
         """Three-term variance split at one input x, (1, D), over n_samples
-        stacked draws of the weights and the memory. One block of noise
-        holds them all; its rows keep each draw's stream order, weights
-        first, then memory."""
-        n_w = self.encoder.n_weights
-        noise = rng.normal(size=(n_samples, n_w + self.memory.size))
-        v = self.encoder.forward(x, self.params, noise[:, :n_w])
-        z = self.memory + np.sqrt(self.kappa2) * noise[:, n_w:].reshape(
-            n_samples, *self.memory.shape)
-        return decompose_cbm(self.concentration(v, z, self.params)[:, 0])
+        stacked draws of the weights and the memory, from one block of
+        noise (``_draw_noise``)."""
+        eps, z = self._draw_noise(rng, n_samples, 1)
+        v = self.encoder.forward(x, self.params, eps)
+        return decompose_cbm(self.concentration(v, z[:, 0], self.params)[:, 0])
 
     def memory_evidence(self, x, rng, n_samples=10):
         """Mean memory-induced evidence per class at the given inputs.
@@ -524,12 +554,21 @@ class EnpModel(_Model):
     def draws(self, x, rng, n_samples, n_samples_z):
         """Prediction-time path: Dirichlet means under Z ~ N(1, kappa^2 I), no
         context set. The head's input [e, z], (N, 2K), is one buffer: the
-        embedding fills its first K columns once, each draw's z the rest."""
+        embedding fills its first K columns once, each draw's z the rest, a
+        column at a time on many short rows, which NumPy fills one row at a
+        time (``autodiff._short_rows``)."""
         k = self.num_classes
         head_in = np.empty((x.shape[0], 2 * k))
         head_in[:, :k] = self.embed.forward(x, self.params).data
+        z_in = head_in[:, k:]
+        by_column = ad._short_rows(z_in)
         for _ in range(n_samples):
-            head_in[:, k:] = 1.0 + np.sqrt(self.kappa2) * rng.normal(size=k)
+            z = 1.0 + np.sqrt(self.kappa2) * rng.normal(size=k)
+            if by_column:
+                for j in range(k):
+                    z_in[:, j] = z[j]
+            else:
+                z_in[...] = z
             alpha = self._capped_exp(self.head.forward(head_in, self.params))
             yield _dirichlet_mean(alpha)
 

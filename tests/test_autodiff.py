@@ -949,6 +949,31 @@ class TestMlpOneInput:
         assert self.bits(ad._layer_product(h, w)) == self.bits(h @ w)
 
 
+class TestStackedLayerProduct:
+    """An input shared by S stacked weights (S, D, H) with D >= S * H is one
+    GEMM, whose (S, N, H) view equals ``h @ w[s]`` slice by slice, byte for
+    byte; a narrower input keeps NumPy's stacked matmul."""
+
+    @pytest.mark.parametrize("n, d, s, h", [
+        (1500, 784, 16, 32),  # wide-idx's test split under 16 weight draws
+        (300, 100, 3, 32),    # a chunk of an uneven split
+        (1, 784, 24, 32),     # one row, S * H just under D
+        (40, 96, 3, 32)])     # D = S * H
+    def test_one_gemm_matches_per_slice_products(self, n, d, s, h):
+        rng = np.random.default_rng(66)
+        x, w = rng.normal(size=(n, d)), rng.normal(size=(s, d, h))
+        x[::3, ::5], w[:, ::7, ::3] = -0.0, -0.0
+        got = ad._layer_product(x, w)
+        assert got.shape == (s, n, h)
+        for i in range(s):
+            assert TestMlpOneInput.bits(got[i]) == TestMlpOneInput.bits(x @ w[i])
+
+    def test_narrow_input_keeps_stacked_matmul(self):
+        x, w = np.ones((5, 10)), np.ones((3, 10, 4))  # D = 10 < S * H = 12
+        got = ad._layer_product(x, w)  # the one GEMM would give a transposed view
+        assert got.flags.c_contiguous and TestMlpOneInput.bits(got) == TestMlpOneInput.bits(x @ w)
+
+
 def softmax_nll_unfused(logits, labels):
     """The graph that ``ad.softmax_nll`` fuses."""
     log_p = uf.log(uf.softmax_rows(logits))

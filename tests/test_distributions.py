@@ -70,6 +70,16 @@ class TestSeededRng:
         b = SeededRng(seed=42, stream=1).normal(size=10)
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("c, m", [(16, 25450), (3, 3363), (2, 1)])
+    def test_block_matches_consecutive_draws(self, c, m):
+        """One (c, m) block of noise equals c consecutive draws of m, and the
+        stream goes on alike: prediction draws a chunk of draws as one block."""
+        block_rng, rng = SeededRng(seed=42, stream=3), SeededRng(seed=42, stream=3)
+        block = block_rng.normal(size=(c, m))
+        rows = [rng.normal(size=m) for _ in range(c)]
+        assert block.tobytes() == np.concatenate(rows).tobytes()
+        assert block_rng.normal(size=5).tobytes() == rng.normal(size=5).tobytes()
+
 
 class TestDirichletKl:
     def test_identical_laws_zero(self):

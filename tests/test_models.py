@@ -6,9 +6,11 @@ The NumPy oracles below (``mlp_np``, ``attend_np``, ``etp_alpha_np``,
 ``enp_loss_np``) reimplement the forward passes independently of the
 tensor code."""
 
+import gc
 import inspect
 import json
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -573,13 +575,14 @@ class TestEnp:
         np.testing.assert_allclose(probs, alpha / alpha.sum(axis=1, keepdims=True),
                                    atol=1e-9)
 
-    @pytest.mark.parametrize("k", [2, 3, 10])
-    @pytest.mark.parametrize("n", [1, 7, 40, 10000])
+    @pytest.mark.parametrize("k", [2, 3, 4, 10])
+    @pytest.mark.parametrize("n", [1, 7, 40, 1023, 1024, 10000])
     def test_draws_match_concatenated_head_input(self, n, k):
         """The draws' one head-input buffer gives the Dirichlet means and
         clamp count of the head run per draw on ``concat([e, z])``
         (``_log_alpha``), byte for byte; one bias drives some entries past
-        the cap."""
+        the cap. z fills whole rows, or one column at a time on many short
+        rows: at K = 2 from 1024 rows, at K = 3 and 4 at 10000."""
         model = EnpModel(2, k, (32,), SeededRng(seed=4, stream=2), kappa2=0.5)
         model.params["head.b1"][0] = LOG_ALPHA_CAP
         x = np.random.default_rng(27).normal(size=(n, 2)) * 3.0
@@ -680,6 +683,68 @@ class TestEnp:
     def test_unknown_aggregation_rejected(self):
         with pytest.raises(ValueError, match="aggregation"):
             EnpModel(2, 2, (4,), SeededRng(seed=0, stream=2), aggregation="max")
+
+
+class TestStackedPrediction:
+    """BNN's and ETP's prediction stacks its weight draws in chunks of
+    max(1, D // H0) and equals a replica that runs one draw at a time, byte
+    for byte."""
+
+    @staticmethod
+    def replica(model, net, x, rng, n_samples, n_samples_z):
+        """The draws one weight draw at a time: its noise and network, then
+        (ETP) each of its memory draws in turn."""
+        for _ in range(n_samples):
+            out = net.forward(x, model.params, rng.normal(size=net.n_weights))
+            if model.kind == "bnn":
+                yield ad.softmax_rows(out.data)
+                continue
+            for _ in range(n_samples_z):
+                z = model.draw_memory(rng)
+                yield models_mod._dirichlet_mean(model.concentration(out, z, model.params))
+
+    @pytest.mark.parametrize("d, k, hidden, n, chunks", [
+        (784, 10, (32,), 1500, [16]),             # wide: every draw in one chunk
+        (784, 10, (), 200, [16]),                 # a linear net: c = 784 // 10
+        (100, 3, (32,), 300, [3, 3, 3, 3, 3, 1]),  # an uneven split
+        (1, 2, (32,), 500, [1] * 16)],            # one input: c = 1, unstacked
+        ids=["wide", "linear", "uneven", "one-input"])
+    @pytest.mark.parametrize("kind, hyper", [
+        ("bnn", {}), ("etp", {}), ("etp", {"combiner": "direct"}), ("etp", {"simplified": True})],
+        ids=["bnn", "etp", "etp-direct", "etp-simplified"])
+    def test_stacked_draws_match_single_draws(self, kind, hyper, d, k, hidden, n, chunks):
+        model = make_model(kind, d, k, hidden, SeededRng(seed=6, stream=2), **hyper)
+        if kind == "etp":
+            model.memory = np.random.default_rng(35).normal(size=model.memory.shape) * 0.3
+        net = model.net if kind == "bnn" else model.encoder
+        logvars(model, net)[...] = -2.0
+        x = as_tensor(np.random.default_rng(36).normal(size=(n, d)))
+        x.data[::7] = -0.0
+        assert net.chunks(16) == chunks
+        got = list(model.draws(x, SeededRng(seed=7), 16, 3))
+        want = list(self.replica(model, net, x, SeededRng(seed=7), 16, 3))
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+class TestTapeLifetime:
+    @pytest.mark.parametrize("kind", models_mod.MODEL_KINDS)
+    def test_step_tape_freed_by_reference_counting(self, kind):
+        """A step's tape dies with its loss and gradients, without the cycle
+        collector: no VJP holds a tracked Tensor, whose tape holds the VJP."""
+        model = make_model(kind, 2, 3, (8,), SeededRng(seed=0, stream=2))
+        xb, yb = small_batch(seed=50, n=10, k=3)
+        gc.collect()
+        gc.disable()
+        try:
+            tape = Tape()
+            alive = weakref.ref(tape)
+            leaves = tape.flat_leaves(model.theta, model.blocks)
+            loss = model.step_loss(leaves, xb, yb, SeededRng(seed=51), TrainConfig(), 0, 10)
+            grads = backward(loss)
+            del tape, leaves, loss, grads
+            assert alive() is None
+        finally:
+            gc.enable()
 
 
 class TestPredictDispatch:
