@@ -13,7 +13,7 @@ import idxgen
 from etproc import data, harness
 idxgen.write_idx_set(sys.argv[2], 0, 300, data, harness.fmnist_mnist_paths(sys.argv[2]))
 PY
-variants="bnn:model=bnn edl:model=edl enp:model=enp etp:model=etp etp-simplified:model=etp,simplified=true etp-direct:model=etp,combiner=direct enp-attention:model=enp,aggregation=attention enp-reg:model=enp,beta_reg=0.5 etp-reg:model=etp,beta_reg=0.5"
+variants="bnn:model=bnn edl:model=edl enp:model=enp etp:model=etp etp-simplified:model=etp,simplified=true enp-attention:model=enp,aggregation=attention enp-reg:model=enp,beta_reg=0.5 etp-reg:model=etp,beta_reg=0.5"
 for task in two-gaussians iris2d fmnist-vs-mnist; do
   case $task in
     two-gaussians) epochs=60; run_seeds=0,7; seed=7; extra="";;

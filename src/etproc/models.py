@@ -109,7 +109,6 @@ class ModelConfig:
     kappa2: float = 0.1
     beta: float = 1.0
     beta_reg: float = 0.0
-    combiner: str = "residual"
     aggregation: str = "mean"
     simplified: bool = False  # ETP: identity attention keys, no tanh in the memory write
 
@@ -122,8 +121,6 @@ class ModelConfig:
                 ("kappa2", self.kappa2 > 0, "must be > 0"),
                 ("beta", self.beta > 0, "prior precision must be > 0"),
                 ("beta_reg", self.beta_reg >= 0, "must be >= 0"),
-                ("combiner", self.combiner in ("residual", "direct"),
-                 "must be 'residual' or 'direct'"),
                 ("aggregation", self.aggregation in ("mean", "attention"),
                  "must be 'mean' or 'attention'"),
                 ("simplified", isinstance(self.simplified, bool), "must be true or false")):
@@ -388,7 +385,7 @@ class EdlModel(_Model):
 
 class EtpModel(_Model):
     kind = "etp"
-    HYPER = ("memory_cells", "gamma", "kappa2", "beta", "beta_reg", "combiner", "simplified")
+    HYPER = ("memory_cells", "gamma", "kappa2", "beta", "beta_reg", "simplified")
 
     def __init__(self, input_dim, num_classes, hidden, rng, **keys):
         super().__init__(input_dim, num_classes, hidden, **keys)
@@ -409,15 +406,11 @@ class EtpModel(_Model):
         keys = None if self.keynet is None else self.keynet.forward(as_tensor(z), params)
         return ad.attention(v, keys, z, 1.0 / np.sqrt(self.num_classes))
 
-    def _evidence(self, read: Tensor) -> Tensor:
-        """The memory's share of the log-concentration."""
-        return ad.tanh(read) if self.combiner == "residual" else read
-
     def log_concentration(self, v: Tensor, z, params) -> Tensor:
-        """Uncapped log-concentrations for embeddings v under memory draw z."""
+        """Uncapped log-concentrations v + tanh(read) for embeddings v under
+        memory draw z."""
         read, _ = self.attend(v, z, params)
-        evidence = self._evidence(read)
-        return ad.add(v, evidence) if self.combiner == "residual" else evidence
+        return ad.add(v, ad.tanh(read))
 
     def concentration(self, v: Tensor, z, params):
         """Dirichlet concentrations, an array, for embeddings v under memory draw z."""
@@ -499,14 +492,12 @@ class EtpModel(_Model):
         return decompose_cbm(self.concentration(v, z[:, 0], self.params)[:, 0])
 
     def memory_evidence(self, x, rng, n_samples=10):
-        """Mean memory-induced evidence per class at the given inputs.
-
-        For the residual combiner this is the additive tanh(read) term;
-        for the direct combiner it is the raw attention read.
-        """
+        """Mean memory-induced evidence per class at the given inputs: the
+        tanh(read) term of the log-concentration, averaged over n_samples
+        memory draws."""
         v = self.encoder.forward(as_tensor(np.atleast_2d(x)), self.params)
         read, _ = self.attend(v, self.draw_memory(rng, n_samples), self.params)
-        return self._evidence(read).data.sum(axis=0) / n_samples
+        return np.tanh(read.data).sum(axis=0) / n_samples
 
 
 # ---------------------------------------------------------------------------

@@ -192,7 +192,6 @@ TRAINING_VARIANTS = {
     "enp attention": ("enp", {"aggregation": "attention"}),
     "enp beta_reg": ("enp", {"beta_reg": 0.5}),
     "etp": ("etp", {}),
-    "etp direct": ("etp", {"combiner": "direct"}),
     "etp simplified": ("etp", {"simplified": True}),
     "etp beta_reg": ("etp", {"beta_reg": 0.5}),
 }
@@ -414,6 +413,30 @@ def test_criterion_08_memory_evidence_direction(etp_b1):
             good += 1
     ok = good >= 8
     assert report_line(8, f"memory evidence directionality ({good}/10 seeds)", ok)
+
+
+# ---------------------------------------------------------------------------
+# ETP's memory and OOD score, made visible: a printed line that does not gate
+
+
+def test_default_etp_memory_and_ood_visible():
+    """The default ETP on two-gaussians, seed 0: the spread of its memory
+    cells per class (sd over the rows over |mean|), the range of tanh(read)
+    at the mean memory over x in [-8, 8], and the OOD-AUROC against chance.
+    Only finiteness is asserted: the line keeps the values in sight."""
+    report, kept = run_experiment(resolve_config(None, {"model": "etp", "seeds": (0,)}),
+                                  keep_models=True)
+    model = kept[0]
+    spread = 100.0 * model.memory.std(axis=0) / np.abs(model.memory.mean(axis=0))
+    v = model.encoder.forward(as_tensor(np.linspace(-8.0, 8.0, 161)[:, None]), model.params)
+    evidence = np.tanh(model.attend(v, model.memory, model.params)[0].data)
+    moved = evidence.max(axis=0) - evidence.min(axis=0)
+    auroc_pct = report["per_seed"][0]["auroc_ood_pct"]
+    print(f"\nDIAGNOSTIC default etp, two-gaussians seed 0: memory cell spread "
+          f"{', '.join(f'{s:.2f}' for s in spread)} % per class; tanh(read) range over "
+          f"x in [-8, 8] {', '.join(f'{m:.1e}' for m in moved)} per class; "
+          f"OOD-AUROC {auroc_pct:.2f} (chance 50)")
+    assert np.all(np.isfinite([*spread, *moved, auroc_pct]))
 
 
 # ---------------------------------------------------------------------------

@@ -615,7 +615,7 @@ class TestAttention:
     @staticmethod
     def run(attend, arrays, shared_keys):
         """read, phi and each operand's gradient of a loss that also reaches v
-        and z outside the attention, as ETP's residual combiner reaches v.
+        and z outside the attention, as ETP's v + tanh(read) reaches v.
         The keys pass through a linear map, as through ETP's key net; with
         ``shared_keys`` z is its own keys, as with ETP's identity keys, and
         gets three adjoint terms, so the order of the terms counts."""

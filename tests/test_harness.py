@@ -64,7 +64,7 @@ REJECTED = [
     ("ece_bins", 0, "ece_bins"),
     ("ood_score", "energy", "ood_score"),
     ("seeds", (), "seeds"),
-    ("combiner", "mlp", "combiner"),
+    ("aggregation", "max", "aggregation"),
     ("workers", 0, "workers"),
     ("seeds", (-1,), "seeds"),
 ]
@@ -860,6 +860,33 @@ decomposition_samples = 64
         err = capsys.readouterr().err
         assert err.startswith("config error: unknown configuration key") and key in err
         assert "Traceback" not in err and not out.exists()
+
+    def test_removed_combiner_key_exits_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "old.cfg", "model = etp\ncombiner = residual\n")
+        out = tmp_path / "r.json"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: unknown configuration key: 'combiner'\n"
+        assert not out.exists()
+
+    def test_report_with_combiner_not_merged_with_one_without(self, tmp_path, capsys):
+        """A report written while `combiner` was a model key has another
+        config than one written since, and the merge names the key."""
+        new = tmp_path / "new.json"
+        assert cli.main(["run", "--config", self.fast_config(tmp_path),
+                         "--out", str(new)]) == 0
+        report = json.loads(new.read_text())
+        report["config"]["combiner"] = "residual"
+        report["config"]["seeds"] = [8]
+        report["per_seed"][0]["seed"] = 8
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(report))
+        out = tmp_path / "merged.json"
+        capsys.readouterr()
+        assert cli.main(["report", "--inputs", f"{new},{old}", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "['combiner']" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("kind", ["bnn", "edl", "enp", "etp"])
     def test_divergence_exit_code(self, tmp_path, capsys, kind):

@@ -78,8 +78,7 @@ def etp_alpha_np(model, x, z):
     v = mlp_np(x, model.params, "enc", model.encoder.n_layers)
     keys = z if model.keynet is None else mlp_np(z, model.params, "key", 1)
     _, read = attend_np(v, keys, z)
-    expo = v + np.tanh(read) if model.combiner == "residual" else read
-    return np.exp(np.minimum(expo, LOG_ALPHA_CAP))
+    return np.exp(np.minimum(v + np.tanh(read), LOG_ALPHA_CAP))
 
 
 def enp_loss_np(model, xb, yb, cx, cy, eps, n_total):
@@ -354,14 +353,6 @@ class TestEtpConcentration:
         alpha = model.concentration(v, np.zeros((16, 2)), model.params)
         np.testing.assert_allclose(alpha, np.exp(v.data), atol=1e-12)
 
-    def test_direct_single_cell(self):
-        model = EtpModel(1, 2, (4,), SeededRng(seed=0, stream=2),
-                         memory_cells=1, combiner="direct")
-        z = np.array([[0.3, -0.7]])
-        v = model.encoder.forward(as_tensor(np.array([[1.0]])), model.params)
-        alpha = model.concentration(v, z, model.params)
-        np.testing.assert_allclose(alpha, np.exp(z), atol=1e-12)
-
     def test_always_positive(self):
         rng = np.random.default_rng(7)
         model = EtpModel(2, 3, (4,), SeededRng(seed=2, stream=2))
@@ -384,8 +375,6 @@ class TestEtpConcentration:
             EtpModel(1, 2, (4,), rng, gamma=1.5)
         with pytest.raises(ValueError, match="kappa2"):
             EtpModel(1, 2, (4,), rng, kappa2=0.0)
-        with pytest.raises(ValueError, match="combiner"):
-            EtpModel(1, 2, (4,), rng, combiner="mlp")
 
 
 class TestConcentrationCap:
@@ -532,7 +521,7 @@ class TestFreeEnergy:
         model = EtpModel(1, 2, (4,), SeededRng(seed=19, stream=2))
         ev = model.memory_evidence(np.array([[3.0], [-3.0]]), SeededRng(seed=20))
         assert ev.shape == (2, 2)
-        assert np.all(np.abs(ev) < 1.0)  # tanh range for the residual combiner
+        assert np.all(np.abs(ev) < 1.0)  # the range of tanh
 
 
 class TestEnp:
@@ -710,8 +699,8 @@ class TestStackedPrediction:
         (1, 2, (32,), 500, [1] * 16)],            # one input: c = 1, unstacked
         ids=["wide", "linear", "uneven", "one-input"])
     @pytest.mark.parametrize("kind, hyper", [
-        ("bnn", {}), ("etp", {}), ("etp", {"combiner": "direct"}), ("etp", {"simplified": True})],
-        ids=["bnn", "etp", "etp-direct", "etp-simplified"])
+        ("bnn", {}), ("etp", {}), ("etp", {"simplified": True})],
+        ids=["bnn", "etp", "etp-simplified"])
     def test_stacked_draws_match_single_draws(self, kind, hyper, d, k, hidden, n, chunks):
         model = make_model(kind, d, k, hidden, SeededRng(seed=6, stream=2), **hyper)
         if kind == "etp":
@@ -1095,6 +1084,8 @@ class TestUnreadableCheckpoint:
         "task-unknown": lambda meta: meta.update(task=5),
         "simplified-not-bool": lambda meta: meta["hyper"].update(simplified="yes"),
         "two-flag-record": lambda meta: meta.update(hyper=old_etp_hyper(meta["hyper"])),
+        # ETP's record as written while `combiner` was a model key
+        "combiner-record": lambda meta: meta["hyper"].update(combiner="residual"),
     }
     # __meta__ records that are not a JSON object, by their undecoded contents
     RAW_META = {
@@ -1130,6 +1121,29 @@ class TestUnreadableCheckpoint:
             # read as `etproc eval` reads it: the model, then the config of its metadata
             model, meta = load_checkpoint(path)
             cli._checkpoint_config(ExperimentConfig(), path, model, meta)
+
+
+class TestCheckpointsWithoutCombiner:
+    # the hyper records of BNN, EDL and ENP as written while `combiner` was a
+    # model key, which only ETP read and stored
+    HYPER_RECORDS = {
+        "bnn": {"input_dim": 1, "hidden": [4], "beta": 1.0},
+        "edl": {"input_dim": 1, "hidden": [4]},
+        "enp": {"input_dim": 1, "hidden": [4], "kappa2": 0.1, "beta_reg": 0.0,
+                "aggregation": "mean"},
+    }
+
+    @pytest.mark.parametrize("kind", HYPER_RECORDS)
+    def test_other_kinds_still_load(self, kind, tmp_path):
+        path = tmp_path / f"{kind}.npz"
+        model = make_model(kind, 1, 2, (4,), SeededRng(seed=0, stream=2))
+        meta = {"format_version": 1, "kind": kind, "num_classes": 2, "seed": 0,
+                "hyper": self.HYPER_RECORDS[kind]}
+        np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+                 **model.checkpoint_arrays())
+        loaded, _ = load_checkpoint(path)
+        assert loaded.hyper() == self.HYPER_RECORDS[kind]
+        assert np.array_equal(loaded.theta, model.theta)
 
 
 class TestModelConfig:
