@@ -33,10 +33,16 @@ for task in two-gaussians iris2d fmnist-vs-mnist; do
     echo "$c1 $c2 $c3 $c4 $c5" > codes
     sed -i "s#$d/##g" run.stdout train.stdout
     sed -i "s#$data#DATA_DIR#g" run.json eval.json
+    # each array's hash, then one line per metadata entry, top-level and hyper, so that a
+    # metadata-only change reads apart from changed weights
     python3 - <<'PY'
-import hashlib, numpy as np
+import hashlib, json, numpy as np
+sha = lambda b: hashlib.sha256(b).hexdigest()
 with np.load("ckpt.npz") as z:
-    lines = [f"{k} {hashlib.sha256(z[k].tobytes()).hexdigest()}" for k in sorted(z.files)]
+    lines = [f"{k} {sha(z[k].tobytes())}" for k in sorted(z.files)]
+    meta = json.loads(bytes(z["__meta__"]).decode())
+entries = {**meta, **{f"hyper.{k}": v for k, v in meta["hyper"].items()}}
+lines += [f"meta.{k} {sha(json.dumps(v, sort_keys=True).encode())}" for k, v in sorted(entries.items())]
 open("ckpt.hashes", "w").write("\n".join(lines) + "\n")
 PY
     rm cfg ckpt.npz

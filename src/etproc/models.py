@@ -12,9 +12,10 @@ prediction on wide inputs) the untracked path stacks them on a leading
 axis instead of looping over them. Prediction stacks its weight draws in
 chunks no larger than the input allows (``VariationalMlp.chunks``), so
 their first layer is one GEMM over the input (``autodiff.mlp``); a chunk
-of one draw runs unstacked. ENP's prediction
-fills its head input [e, z] once and refills only z per draw, where its
-training step concatenates the two on the tape. ETP's memory read
+of one draw is a stack of one, and runs the same code. ENP's prediction
+fills its head input [e, z] once and refills only z per draw
+(``autodiff.row_broadcast``), where its training step concatenates the
+two on the tape. ETP's memory read
 and ENP's attention aggregation are one ``autodiff.attention`` record,
 whose softmax reduces over the memory (context) axis; the Dirichlet mean
 that prediction takes sums in NumPy's order too (``autodiff.row_sum``).
@@ -330,11 +331,9 @@ class BnnModel(_Model):
     def draws(self, x, rng, n_samples, n_samples_z):
         """Class probabilities under n_samples weight draws, stacked in
         chunks (``VariationalMlp.chunks``), each chunk's noise one block of
-        the stream; a chunk of one draw runs unstacked."""
+        the stream; a chunk of one draw is a stack of one."""
         for c in self.net.chunks(n_samples):
-            eps = rng.normal(size=(c, self.net.n_weights))
-            probs = self._probs(x, self.params, eps if c > 1 else eps[0])
-            yield from probs if c > 1 else probs[None]
+            yield from self._probs(x, self.params, rng.normal(size=(c, self.net.n_weights)))
 
     def decompose(self, x, rng, n_samples):
         """Two-term variance split at one input x, (1, D), over n_samples
@@ -471,14 +470,13 @@ class EtpModel(_Model):
     def draws(self, x, rng, n_samples, n_samples_z):
         """Dirichlet means under n_samples weight draws, each with
         n_samples_z memory draws. The weight draws run stacked in chunks
-        (``VariationalMlp.chunks``), a chunk of one unstacked, and each
-        chunk's noise is one block (``_draw_noise``). The attention runs
-        one memory draw at a time, which bounds its (N, R) weights."""
+        (``VariationalMlp.chunks``), a chunk of one as a stack of one, and
+        each chunk's noise is one block (``_draw_noise``). The attention
+        runs one memory draw at a time, which bounds its (N, R) weights."""
         params = self.params
         for c in self.encoder.chunks(n_samples):
             eps, z = self._draw_noise(rng, c, n_samples_z)
-            v = self.encoder.forward(x, params, eps if c > 1 else eps[0]).data
-            for v_s, z_s in zip(v if c > 1 else v[None], z):
+            for v_s, z_s in zip(self.encoder.forward(x, params, eps).data, z):
                 v_s = Tensor(v_s)
                 for z_j in z_s:
                     yield _dirichlet_mean(self.concentration(v_s, z_j, params))
@@ -545,21 +543,16 @@ class EnpModel(_Model):
     def draws(self, x, rng, n_samples, n_samples_z):
         """Prediction-time path: Dirichlet means under Z ~ N(1, kappa^2 I), no
         context set. The head's input [e, z], (N, 2K), is one buffer: the
-        embedding fills its first K columns once, each draw's z the rest, a
-        column at a time on many short rows, which NumPy fills one row at a
-        time (``autodiff._short_rows``)."""
+        embedding fills its first K columns once, each draw's z the rest,
+        which ``autodiff.row_broadcast`` fills a column at a time on many
+        short rows, where NumPy fills one row at a time."""
         k = self.num_classes
         head_in = np.empty((x.shape[0], 2 * k))
         head_in[:, :k] = self.embed.forward(x, self.params).data
         z_in = head_in[:, k:]
-        by_column = ad._short_rows(z_in)
         for _ in range(n_samples):
             z = 1.0 + np.sqrt(self.kappa2) * rng.normal(size=k)
-            if by_column:
-                for j in range(k):
-                    z_in[:, j] = z[j]
-            else:
-                z_in[...] = z
+            ad.row_broadcast(lambda _, y, out: np.copyto(out, y), z_in, z, z_in)
             alpha = self._capped_exp(self.head.forward(head_in, self.params))
             yield _dirichlet_mean(alpha)
 

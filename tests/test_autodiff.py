@@ -473,8 +473,10 @@ class TestPairwiseSum:
 class TestRowReductions:
     """``row_max``, ``row_sum`` and ``row_argmax`` equal NumPy's ``max``,
     ``sum`` and ``argmax`` over the last axis bit for bit, on 2-D and
-    stacked inputs on both sides of the 128-row rule, with ties drawn from
-    few integer values."""
+    stacked inputs from one row to many, with ties drawn from few integer
+    values. A transposed view, whose rows are not contiguous, sums as NumPy
+    sums the same rows laid out C-contiguous, which NumPy's own sum of the
+    view does not."""
 
     @staticmethod
     def same(got, want):
@@ -483,27 +485,18 @@ class TestRowReductions:
     @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
     @pytest.mark.parametrize("n", [1, 7, 42, 43, 127, 128, 10000])
     def test_match_numpy(self, n, lead):
-        rng = np.random.default_rng(55)
+        rng, views = np.random.default_rng(55), np.random.default_rng(59)
         for k in range(1, 13):
             for x in (rng.normal(size=(*lead, n, k)),
-                      rng.integers(0, 3, size=(*lead, n, k)).astype(np.float64)):
+                      rng.integers(0, 3, size=(*lead, n, k)).astype(np.float64),
+                      np.swapaxes(views.normal(size=(*lead, k, n)), -1, -2)):
                 assert self.same(ad.row_max(x), x.max(axis=-1, keepdims=True)), k
-                assert self.same(ad.row_sum(x), x.sum(axis=-1, keepdims=True)), k
+                assert self.same(ad.row_sum(x), x.copy().sum(axis=-1, keepdims=True)), k
                 assert self.same(ad.row_argmax(x), x.argmax(axis=-1)), k
 
     def test_first_index_wins_ties(self):
         x = np.array([[1.0, 1.0, 0.0], [0.0, 2.0, 2.0], [3.0, 3.0, 3.0], [-1.0, -0.0, 0.0]])
         assert ad.row_argmax(x).tolist() == [0, 1, 0, 1]
-
-    def test_few_rows_rule(self):
-        """NumPy's own reduction below 128 rows of a C-contiguous array; a
-        view whose rows are not contiguous stays in columns."""
-        assert [ad._few_rows(np.empty((n, 10))) for n in (127, 128)] == [True, False]
-        assert [ad._few_rows(np.empty((2, n, 3))) for n in (63, 64)] == [True, False]
-        t = np.random.default_rng(59).normal(size=(10, 40)).T
-        assert not ad._few_rows(t)
-        assert self.same(ad.row_sum(t), ad._pairwise_sum(t, -1))
-        assert self.same(ad.row_max(t), t.max(axis=-1, keepdims=True))
 
 
 class TestRowBroadcast:
@@ -556,7 +549,9 @@ class TestRowBroadcast:
     def test_bias_long_rows(self, n, k, op):
         """A bias row, (K,), over many rows of more than 4, on both sides of
         the 1500-row rule and with rows left over after the long rows, with
-        signed zeros in x and the bias; in place and into a separate out."""
+        signed zeros in x and the bias; in place and into a separate out.
+        Stacked too: a stack of one under its (1, 1, K) bias, the (K,) bias
+        shared by two slices, and a bias per slice, (2, 1, K)."""
         rng = np.random.default_rng(60)
         x = rng.normal(size=(n, k))
         x[::3, ::2] = -0.0
@@ -569,10 +564,14 @@ class TestRowBroadcast:
         assert ad.row_broadcast(op, x, b, out) is out and self.same(out, want)
         got = x.copy()
         assert ad.row_broadcast(op, got, b, got) is got and self.same(got, want)
+        two = np.stack([x, x[::-1]])
+        for xs, bs in ((x[None], b[None, None]), (two, b), (two, np.stack([b, -b])[:, None])):
+            out = np.full(xs.shape, np.nan)
+            assert ad.row_broadcast(op, xs, bs, out) is out and self.same(out, op(xs, bs))
 
     def test_rule(self):
         """Columns from 512 rows per column on rows of at most 4; long rows
-        from 1500 rows for a (K,) bias on C-contiguous x and out."""
+        from 1500 rows in all for one bias row on C-contiguous x and out."""
         assert [ad._short_rows(np.empty((n, 2))) for n in (1023, 1024)] == [False, True]
         assert [ad._short_rows(np.empty((n, 4))) for n in (2047, 2048)] == [False, True]
         assert ad._short_rows(np.empty((4, 512, 2))) and not ad._short_rows(np.empty((10**5, 5)))
@@ -581,7 +580,11 @@ class TestRowBroadcast:
         assert [ad._long_rows(np.empty((n, 32)), b, np.empty((n, 32))) for n in (1499, 1500)] \
             == [False, True]
         assert not ad._long_rows(x, np.empty((1500, 1)), x)  # a column
-        assert not ad._long_rows(np.empty((2, 1500, 32)), np.empty((2, 1, 32)), x)  # stacked
+        one = [np.empty((1, n, 32)) for n in (1499, 1500)]  # a stack of one
+        assert [ad._long_rows(s, np.empty((1, 1, 32)), s) for s in one] == [False, True]
+        two = np.empty((2, 1500, 32))
+        assert ad._long_rows(two, b, two)  # one bias shared by two slices
+        assert not ad._long_rows(two, np.empty((2, 1, 32)), two)  # a bias per slice
         t = np.empty((32, 1500)).T
         assert not ad._long_rows(t, b, x) and not ad._long_rows(x, b, t)
 

@@ -676,8 +676,8 @@ class TestEnp:
 
 class TestStackedPrediction:
     """BNN's and ETP's prediction stacks its weight draws in chunks of
-    max(1, D // H0) and equals a replica that runs one draw at a time, byte
-    for byte."""
+    max(1, D // H0), a chunk of one as a stack of one, and equals a replica
+    that runs one draw at a time under (P,) noise, byte for byte."""
 
     @staticmethod
     def replica(model, net, x, rng, n_samples, n_samples_z):
@@ -696,7 +696,7 @@ class TestStackedPrediction:
         (784, 10, (32,), 1500, [16]),             # wide: every draw in one chunk
         (784, 10, (), 200, [16]),                 # a linear net: c = 784 // 10
         (100, 3, (32,), 300, [3, 3, 3, 3, 3, 1]),  # an uneven split
-        (1, 2, (32,), 500, [1] * 16)],            # one input: c = 1, unstacked
+        (1, 2, (32,), 500, [1] * 16)],            # one input: c = 1, a stack of one
         ids=["wide", "linear", "uneven", "one-input"])
     @pytest.mark.parametrize("kind, hyper", [
         ("bnn", {}), ("etp", {}), ("etp", {"simplified": True})],
